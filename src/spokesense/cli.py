@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate, extract, train, evaluate, classify, identify, spectrum.
 
 Every command is deterministic given its inputs and ``--seed`` (falling back
-to the SPOKESENSE_SEED environment variable, then 0) and writes fixed-named
-files into ``--out``.  Exit code 0 means every output was written; on
-failure, partially written outputs are removed.
+to the SPOKESENSE_SEED environment variable, then 0; ``train`` ignores it) and
+writes fixed-named files into ``--out``.  Exit code 0 means every output was
+written; on failure, partially written outputs are removed.
 """
 
 from __future__ import annotations
@@ -166,7 +166,6 @@ def _cmd_train(args, created: list[Path]) -> list[Path]:
         kernel_name=args.kernel,
         c=args.c,
         gamma=args.gamma,
-        seed=_resolve_seed(args),
         feature_layout_id=layout_id,
     )
     path = _out_path(args, "model.json", created)
@@ -251,13 +250,8 @@ def _cmd_spectrum(args, created: list[Path]) -> list[Path]:
     return [path]
 
 
-def _add_seed(parser) -> None:
-    parser.add_argument(
-        "--seed",
-        type=_u64,
-        default=None,
-        help=f"64-bit seed (default: ${_SEED_ENV} if set, else 0)",
-    )
+def _add_seed(parser, help: str = f"64-bit seed (default: ${_SEED_ENV} if set, else 0)") -> None:
+    parser.add_argument("--seed", type=_u64, default=None, help=help)
 
 
 def _add_out(parser) -> None:
@@ -356,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a one-vs-one classifier from labeled features")
     p.add_argument("features", help="labeled feature CSV")
     _add_svm_flags(p)
-    _add_seed(p)
+    _add_seed(p, help="accepted and ignored: training is deterministic")
     _add_out(p)
     p.set_defaults(handler=_cmd_train)
 

@@ -22,7 +22,7 @@ from .errors import (
     LayoutMismatchError,
     ValidationError,
 )
-from .signals import BandSpec, TimeSeries, Window, bandpass, check_window, remove_mean
+from .signals import BandSpec, TimeSeries, Window, _as_samples, bandpass, check_window, remove_mean
 
 STAT_NAMES = ("rms", "std", "kurtosis", "skewness", "energy", "entropy")
 BAND_NAMES = ("low", "mid", "high")
@@ -91,27 +91,14 @@ class FeatureConfig:
         )
 
 
-def _as_1d(x, min_len: int, name: str = "samples") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise EmptyInputError(f"{name} is empty")
-    if arr.shape[0] < min_len:
-        raise ValidationError(f"{name} needs at least {min_len} samples, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    return arr
-
-
 def rms(x) -> float:
-    arr = _as_1d(x, min_len=1)
+    arr = _as_samples(x, min_len=1)
     return float(np.sqrt(np.mean(arr * arr)))
 
 
 def std_dev(x) -> float:
     """Population standard deviation (1/n normalization)."""
-    arr = _as_1d(x, min_len=2)
+    arr = _as_samples(x, min_len=2)
     return float(np.std(arr))
 
 
@@ -125,7 +112,7 @@ def _central_moments(arr: np.ndarray) -> tuple[float, float, float]:
 
 def kurtosis(x) -> float:
     """Excess kurtosis m4 / m2**2 - 3; zero for a Gaussian in expectation."""
-    arr = _as_1d(x, min_len=4)
+    arr = _as_samples(x, min_len=4)
     m2, _, m4 = _central_moments(arr)
     if m2 == 0.0:
         raise DegenerateInputError("kurtosis undefined for zero-variance input")
@@ -134,7 +121,7 @@ def kurtosis(x) -> float:
 
 def skewness(x) -> float:
     """Third standardized moment m3 / m2**1.5."""
-    arr = _as_1d(x, min_len=3)
+    arr = _as_samples(x, min_len=3)
     m2, m3, _ = _central_moments(arr)
     if m2 == 0.0:
         raise DegenerateInputError("skewness undefined for zero-variance input")
@@ -142,7 +129,7 @@ def skewness(x) -> float:
 
 
 def signal_energy(x) -> float:
-    arr = _as_1d(x, min_len=1)
+    arr = _as_samples(x, min_len=1)
     return float(np.sum(arr * arr))
 
 
@@ -153,7 +140,7 @@ def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
     contribute zero.  A constant signal has a single occupied bin and
     entropy 0.
     """
-    arr = _as_1d(x, min_len=1)
+    arr = _as_samples(x, min_len=1)
     if bins < 2:
         raise ValidationError(f"entropy needs at least 2 bins, got {bins}")
     lo = float(arr.min())
@@ -178,7 +165,7 @@ def autocorrelation_peak(x, min_lag: int = 1) -> AutocorrPeak:
     >= min_lag for the first r(t) with r(t) > r(t-1) and r(t) >= r(t+1).
     Returns (0, 1.0, False) when no local maximum exists.
     """
-    arr = _as_1d(x, min_len=8)
+    arr = _as_samples(x, min_len=8)
     if min_lag < 1:
         raise ValidationError(f"min_lag must be >= 1, got {min_lag}")
     centered = arr - arr.mean()
@@ -206,7 +193,7 @@ def amplitude_smoothness(x, subwindow: int = 32) -> float:
     stride 1; the score is 1 / (1 + mean|diff(envelope)| / (mean(envelope)
     + 1e-12)).
     """
-    arr = _as_1d(x, min_len=2)
+    arr = _as_samples(x, min_len=2)
     if subwindow < 1:
         raise ValidationError(f"subwindow must be >= 1, got {subwindow}")
     w = min(subwindow, arr.shape[0])

@@ -1,8 +1,10 @@
 """Support vector classification trained by sequential minimal optimization.
 
-Binary machines solve the soft-margin dual with the simplified pair-selection
-rule: sweep the current margin violators, pairing each with a uniformly
-random second index.  Multiclass problems train one machine per unordered
+Binary machines solve the soft-margin dual with the deterministic
+second-order working-set rule of Fan, Chen & Lin (JMLR 2005), as in LIBSVM:
+each step pairs the maximal violator with the partner of largest second-order
+gain and takes the clipped two-variable step, until the two-sided optimality
+gap closes to 2 tol.  Multiclass problems train one machine per unordered
 class pair and vote; ties break by accumulated decision strength, then by
 class order.  Feature columns are standardized once per multiclass fit and
 queries are mapped through the stored standardizer.
@@ -26,8 +28,7 @@ from .rng import Prng, derive_seed
 KERNEL_NAMES = ("linear", "rbf")
 DEFAULT_C = 10.0
 DEFAULT_TOL = 1e-3
-DEFAULT_MAX_PASSES = 50
-DEFAULT_MAX_SWEEPS = 10000
+DEFAULT_MAX_ITER = 100000
 
 # Grace added on top of the training tolerance when re-verifying optimality
 # conditions from recomputed margins; absorbs kernel recomputation rounding.
@@ -163,195 +164,92 @@ def decision_function(svm: BinarySvm, x) -> float | np.ndarray:
     return float(values[0]) if single else values
 
 
-def _pair_step(
+def _train_machine(
+    kernel: Kernel,
     kernel_mat: np.ndarray,
-    y: np.ndarray,
-    alphas: np.ndarray,
-    u: np.ndarray,
-    bias: float,
-    c: float,
-    snap: float,
-    i: int,
-    j: int,
-) -> float | None:
-    """Jointly optimize multipliers i and j; the constrained 1-d maximum.
-
-    On progress, mutates ``alphas`` and ``u`` in place and returns the new
-    bias; returns None when the pair admits no step (clipped range empty,
-    non-positive curvature, or a sub-1e-12 move).
-    """
-    a_i_old = alphas[i]
-    a_j_old = alphas[j]
-    y_i = y[i]
-    y_j = y[j]
-    if y_i != y_j:
-        low = max(0.0, a_j_old - a_i_old)
-        high = min(c, c + a_j_old - a_i_old)
-    else:
-        low = max(0.0, a_i_old + a_j_old - c)
-        high = min(c, a_i_old + a_j_old)
-    if low == high:
-        return None
-    eta = kernel_mat[i, i] + kernel_mat[j, j] - 2.0 * kernel_mat[i, j]
-    if eta <= 0.0:
-        return None
-    e_i = u[i] + bias - y_i
-    e_j = u[j] + bias - y_j
-    a_j = a_j_old + y_j * (e_i - e_j) / eta
-    a_j = min(high, max(low, a_j))
-    # Exact-bound results otherwise leave ~1e-16 dust the violator rule
-    # would chase forever.
-    if a_j < snap:
-        a_j = 0.0
-    elif a_j > c - snap:
-        a_j = c
-    if abs(a_j - a_j_old) < 1e-12:
-        return None
-    a_i = a_i_old + y_i * y_j * (a_j_old - a_j)
-    if a_i < snap:
-        a_i = 0.0
-    elif a_i > c - snap:
-        a_i = c
-    d_i = y_i * (a_i - a_i_old)
-    d_j = y_j * (a_j - a_j_old)
-    b1 = bias - e_i - d_i * kernel_mat[i, i] - d_j * kernel_mat[i, j]
-    b2 = bias - e_j - d_i * kernel_mat[i, j] - d_j * kernel_mat[j, j]
-    if 0.0 < a_i < c:
-        new_bias = b1
-    elif 0.0 < a_j < c:
-        new_bias = b2
-    else:
-        new_bias = (b1 + b2) / 2.0
-    alphas[i] = a_i
-    alphas[j] = a_j
-    u += d_i * kernel_mat[i] + d_j * kernel_mat[j]
-    return new_bias
-
-
-def _best_partner(
-    kernel_mat: np.ndarray,
-    k_diag: np.ndarray,
-    y: np.ndarray,
-    alphas: np.ndarray,
-    u: np.ndarray,
-    bias: float,
-    c: float,
-    i: int,
-) -> int | None:
-    """Largest-error-gap partner for i among those admitting a real step."""
-    e = u + bias - y
-    same = y == y[i]
-    low = np.where(
-        same,
-        np.maximum(0.0, alphas + alphas[i] - c),
-        np.maximum(0.0, alphas - alphas[i]),
-    )
-    high = np.where(
-        same, np.minimum(c, alphas + alphas[i]), np.minimum(c, c + alphas - alphas[i])
-    )
-    eta = k_diag[i] + k_diag - 2.0 * kernel_mat[i]
-    movable = (high > low) & (eta > 0.0)
-    movable[i] = False
-    if not movable.any():
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        proposed = alphas + y * (e[i] - e) / eta
-    proposed = np.clip(proposed, low, high)
-    movable &= np.abs(proposed - alphas) >= 1e-12
-    if not movable.any():
-        return None
-    gaps = np.where(movable, np.abs(e - e[i]), -1.0)
-    return int(np.argmax(gaps))
-
-
-def _smo(
-    kernel_mat: np.ndarray,
+    x: np.ndarray,
     y: np.ndarray,
     c: float,
     tol: float,
-    max_passes: int,
-    seed: int,
-    max_sweeps: int,
-) -> tuple[np.ndarray, float, bool]:
-    """Core dual ascent; returns (alphas, bias, converged).
+    max_iter: int,
+) -> BinarySvm:
+    """Solve one soft-margin dual and keep the rows with alpha > 0.
 
-    Maintains u_i = sum_j alpha_j y_j K_ij incrementally, refreshing it
-    periodically and before any convergence claim so accumulated rounding
-    cannot fake or hide a violator.
+    Dual gradient G = Q alpha - 1 with Q_ij = y_i y_j K_ij; v = -y G.  Rows
+    that may move up are I_up = {alpha < C, y = +1} | {alpha > 0, y = -1},
+    rows that may move down are I_low, the mirror set.  Each step pairs
+    i = argmax of v over I_up with the j in I_low minimizing -b^2 / a, where
+    b = v_i - v_j > 0 and a = K_ii + K_jj - 2 K_ij (1e-12 when a <= 0), and
+    takes the clipped two-variable step; a variable clipped to a bound is
+    set to exactly 0 or C.  The solve stops when max v over I_up minus min v
+    over I_low is at most 2 tol; the bias is their midpoint, so every row
+    meets its margin condition within tol.
     """
-    m = y.shape[0]
-    k_diag = np.ascontiguousarray(np.diag(kernel_mat))
-    alphas = np.zeros(m)
-    bias = 0.0
-    u = np.zeros(m)
-    rng = Prng(seed)
-    quiet = 0
-    sweeps = 0
+    if not np.isfinite(c) or c <= 0:
+        raise ValidationError(f"c must be positive, got {c}")
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
+    k_diag = np.diag(kernel_mat)
+    positive = y > 0.0
+    alphas = np.zeros(y.shape[0])
+    grad = -np.ones(y.shape[0])
     converged = False
-    # Pair updates whose exact result lands on a box bound leave float dust
-    # (~1e-16) that the violator rule would chase forever; snap to the bound.
-    snap = 1e-10 * c
-    while sweeps < max_sweeps:
-        margin_err = y * (u + bias - y)
-        violators = np.nonzero(
-            ((margin_err < -tol) & (alphas < c)) | ((margin_err > tol) & (alphas > 0.0))
-        )[0]
-        if violators.size == 0:
-            u = kernel_mat @ (alphas * y)
-            margin_err = y * (u + bias - y)
-            violators = np.nonzero(
-                ((margin_err < -tol) & (alphas < c)) | ((margin_err > tol) & (alphas > 0.0))
-            )[0]
-            if violators.size == 0:
-                converged = True
-                break
-        sweeps += 1
-        changed = 0
-        for i in violators:
-            r_i = y[i] * (u[i] + bias - y[i])
-            a_i_old = alphas[i]
-            if not ((r_i < -tol and a_i_old < c) or (r_i > tol and a_i_old > 0.0)):
-                continue  # already repaired by an earlier pair this sweep
-            j = rng.below(m - 1)
-            if j >= i:
-                j += 1
-            new_bias = _pair_step(kernel_mat, y, alphas, u, bias, c, snap, i, j)
-            if new_bias is None:
-                # The random partner admits no progress (box-blocked, zero
-                # curvature, or matching error); near an ill-conditioned
-                # optimum that holds for most partners.  Fall back to the
-                # largest-error-gap partner that can actually move.
-                j = _best_partner(kernel_mat, k_diag, y, alphas, u, bias, c, i)
-                if j is None:
-                    continue
-                new_bias = _pair_step(kernel_mat, y, alphas, u, bias, c, snap, i, j)
-                if new_bias is None:
-                    continue
-            bias = new_bias
-            changed += 1
-        if changed == 0:
-            quiet += 1
-            if quiet >= max_passes:
-                break
-        else:
-            quiet = 0
-        if sweeps % 64 == 0:
-            u = kernel_mat @ (alphas * y)
-    if not converged:
-        u = kernel_mat @ (alphas * y)
-        margin_err = y * (u + bias - y)
-        remaining = np.count_nonzero(
-            ((margin_err < -tol) & (alphas < c)) | ((margin_err > tol) & (alphas > 0.0))
-        )
-        if remaining == 0:
+    for iteration in range(max_iter + 1):
+        v = -y * grad
+        up = np.where(positive, alphas < c, alphas > 0.0)
+        low = np.where(positive, alphas > 0.0, alphas < c)
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(np.argmax(v_up))
+        v_max = v_up[i]
+        v_min = v_low.min()
+        if v_max - v_min <= 2.0 * tol:
             converged = True
+            break
+        if iteration == max_iter:
+            break
+        gap = v_max - v_low
+        curvature = k_diag[i] + k_diag - 2.0 * kernel_mat[i]
+        curvature[curvature <= 0.0] = 1e-12
+        j = int(np.argmin(np.where(gap > 0.0, -gap * gap / curvature, np.inf)))
+        # Move alpha_i by y_i t and alpha_j by -y_j t, which keeps
+        # sum(alpha * y) fixed; t stops where either variable meets its box.
+        room_i = c - alphas[i] if positive[i] else alphas[i]
+        room_j = alphas[j] if positive[j] else c - alphas[j]
+        t = min(gap[j] / curvature[j], room_i, room_j)
+        old_i = alphas[i]
+        old_j = alphas[j]
+        if t == room_i:
+            alphas[i] = c if positive[i] else 0.0
         else:
-            warnings.warn(
-                f"binary svm left {remaining} margin violators after {sweeps} sweeps",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return alphas, bias, converged
+            alphas[i] += y[i] * t
+        if t == room_j:
+            alphas[j] = 0.0 if positive[j] else c
+        else:
+            alphas[j] -= y[j] * t
+        step_i = y[i] * (alphas[i] - old_i)
+        step_j = y[j] * (alphas[j] - old_j)
+        grad += y * (step_i * kernel_mat[i] + step_j * kernel_mat[j])
+    bias = (v_max + v_min) / 2.0
+    if not converged:
+        remaining = np.count_nonzero((up & (v > bias + tol)) | (low & (v < bias - tol)))
+        warnings.warn(
+            f"binary svm left {remaining} margin violators after {max_iter} iterations",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    sv = alphas > 0.0
+    return BinarySvm(
+        kernel=kernel,
+        support_vectors=x[sv],
+        coefficients=(alphas * y)[sv],
+        bias=bias,
+        c=c,
+        converged=converged,
+        sv_indices=np.nonzero(sv)[0],
+    )
 
 
 def train_binary_svm(
@@ -360,9 +258,7 @@ def train_binary_svm(
     c: float = DEFAULT_C,
     kernel: Kernel = Kernel("linear"),
     tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
-    seed: int = 0,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> BinarySvm:
     """Train one soft-margin machine on labels in {-1, +1}."""
     arr = _as_matrix(x)
@@ -375,22 +271,7 @@ def train_binary_svm(
         raise ValidationError("binary labels must be -1 or +1")
     if not (np.any(yv == 1.0) and np.any(yv == -1.0)):
         raise ValidationError("both classes must be present")
-    if not np.isfinite(c) or c <= 0:
-        raise ValidationError(f"c must be positive, got {c}")
-    if not np.isfinite(tol) or tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    kmat = kernel_matrix(kernel, arr, arr)
-    alphas, bias, converged = _smo(kmat, yv, c, tol, max_passes, seed, max_sweeps)
-    sv = alphas > 0.0
-    return BinarySvm(
-        kernel=kernel,
-        support_vectors=arr[sv].copy(),
-        coefficients=(alphas * yv)[sv],
-        bias=bias,
-        c=c,
-        converged=converged,
-        sv_indices=np.nonzero(sv)[0],
-    )
+    return _train_machine(kernel, kernel_matrix(kernel, arr, arr), arr, yv, c, tol, max_iter)
 
 
 @dataclass(frozen=True)
@@ -467,9 +348,7 @@ def fit_svm_model(
     c: float = DEFAULT_C,
     gamma: float | None = None,
     tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
-    seed: int = 0,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    max_iter: int = DEFAULT_MAX_ITER,
     feature_layout_id: str = "",
 ) -> SvmModel:
     """Train one machine per class pair on standardized features.
@@ -505,26 +384,10 @@ def fit_svm_model(
             rows_b = rows_by_class[class_names[bi]]
             rows = np.concatenate([rows_a, rows_b])
             yv = np.concatenate([np.ones(rows_a.size), -np.ones(rows_b.size)])
-            k_pair = np.ascontiguousarray(full_k[np.ix_(rows, rows)])
-            alphas, bias, converged = _smo(
-                k_pair, yv, c, tol, max_passes, derive_seed(seed, "pair", ai, bi), max_sweeps
+            machine = _train_machine(
+                kernel, full_k[np.ix_(rows, rows)], xs[rows], yv, c, tol, max_iter
             )
-            sv = alphas > 0.0
-            pairwise.append(
-                PairwiseEntry(
-                    class_a=class_names[ai],
-                    class_b=class_names[bi],
-                    svm=BinarySvm(
-                        kernel=kernel,
-                        support_vectors=xs[rows[sv]].copy(),
-                        coefficients=(alphas * yv)[sv],
-                        bias=bias,
-                        c=c,
-                        converged=converged,
-                        sv_indices=np.nonzero(sv)[0],
-                    ),
-                )
-            )
+            pairwise.append(PairwiseEntry(class_names[ai], class_names[bi], machine))
     return SvmModel(
         standardizer=standardizer,
         class_names=class_names,
@@ -598,7 +461,6 @@ def evaluate_trials(
     c: float = DEFAULT_C,
     gamma: float | None = None,
     tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
 ) -> tuple[float, ConfusionMatrix]:
     """Repeated stratified random split evaluation.
 
@@ -652,8 +514,6 @@ def evaluate_trials(
             c=c,
             gamma=gamma,
             tol=tol,
-            max_passes=max_passes,
-            seed=derive_seed(trial_seed, "model"),
         )
         predictions = predict_batch(model, arr[test_rows])
         correct = 0

@@ -180,13 +180,13 @@ def test_criterion_06_svm_soundness():
         x = np.vstack([rng.randn(20, 2) * 0.4 + (2, 2), rng.randn(20, 2) * 0.4 - (2, 2)])
         y = np.array([1.0] * 20 + [-1.0] * 20)
         for kernel in (Kernel("linear"), Kernel("rbf", gamma=0.5)):
-            svm = train_binary_svm(x, y, kernel=kernel, seed=seed)
+            svm = train_binary_svm(x, y, kernel=kernel)
             blob_accuracies.append(float(np.mean(np.sign(decision_function(svm, x)) == y)))
             kkt_ok &= kkt_report(svm, x, y).satisfied
     x_xor, y_xor = _xor_data()
-    linear = train_binary_svm(x_xor, y_xor, kernel=Kernel("linear"), seed=3)
+    linear = train_binary_svm(x_xor, y_xor, kernel=Kernel("linear"))
     linear_acc = float(np.mean(np.sign(decision_function(linear, x_xor)) == y_xor))
-    rbf = train_binary_svm(x_xor, y_xor, c=10.0, kernel=Kernel("rbf", gamma=1.0), seed=3)
+    rbf = train_binary_svm(x_xor, y_xor, c=10.0, kernel=Kernel("rbf", gamma=1.0))
     rbf_acc = float(np.mean(np.sign(decision_function(rbf, x_xor)) == y_xor))
     kkt_ok &= kkt_report(linear, x_xor, y_xor).satisfied
     kkt_ok &= kkt_report(rbf, x_xor, y_xor).satisfied
@@ -314,7 +314,7 @@ def test_criterion_09_format_round_trips(tmp_path):
     ok &= (tmp_path / "f1.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()
 
     x = np.vstack([rng.randn(8, 3) + (3, 0, 0), rng.randn(8, 3) - (3, 0, 0)])
-    model = fit_svm_model(x, ["hi"] * 8 + ["lo"] * 8, seed=9)
+    model = fit_svm_model(x, ["hi"] * 8 + ["lo"] * 8)
     write_model(tmp_path / "m1.json", model)
     loaded = read_model(tmp_path / "m1.json")
     write_model(tmp_path / "m2.json", loaded)

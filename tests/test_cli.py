@@ -185,6 +185,14 @@ def test_train_then_classify_matches_library(tmp_path, labeled_features):
     assert set(expected) == {"small_stone"}
 
 
+def test_train_ignores_seed(tmp_path, labeled_features):
+    _, features = labeled_features
+    assert run("train", features, "--seed", 7, "--out", tmp_path / "a") == 0
+    assert run("train", features, "--seed", 8, "--out", tmp_path / "b") == 0
+    first = (tmp_path / "a" / "model.json").read_bytes()
+    assert first == (tmp_path / "b" / "model.json").read_bytes()
+
+
 def test_classify_layout_contradiction_fails(tmp_path, labeled_features, capsys):
     datasets, features = labeled_features
     model_dir = tmp_path / "model"

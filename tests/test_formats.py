@@ -234,7 +234,7 @@ def classifier_fixture():
 
 def test_model_round_trip_bytes_and_behavior(tmp_path):
     x, labels, probe = classifier_fixture()
-    model = fit_svm_model(x, labels, feature_layout_id="layout-7", seed=5)
+    model = fit_svm_model(x, labels, feature_layout_id="layout-7")
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     write_model(a, model)
@@ -255,7 +255,7 @@ def test_model_round_trip_bytes_and_behavior(tmp_path):
 
 def test_model_json_layout(tmp_path):
     x, labels, _ = classifier_fixture()
-    model = fit_svm_model(x, labels, feature_layout_id="layout-7", seed=5)
+    model = fit_svm_model(x, labels, feature_layout_id="layout-7")
     path = tmp_path / "m.json"
     write_model(path, model)
     doc = json.loads(path.read_text())
@@ -278,7 +278,7 @@ def test_model_json_layout(tmp_path):
 
 def mutated_model_doc(tmp_path, mutate):
     x, labels, _ = classifier_fixture()
-    model = fit_svm_model(x, labels, seed=5)
+    model = fit_svm_model(x, labels)
     path = tmp_path / "m.json"
     write_model(path, model)
     doc = json.loads(path.read_text())

@@ -3,8 +3,9 @@
 Oracles: the optimality-condition report recomputed from the trained
 machine's own decision function, enumeration of the 4-point XOR truth
 table, duplicate-training invariance of the decision function, one-hot
-datasets with a known perfect answer, and chance-level accuracy under
-label shuffling.
+datasets with a known perfect answer, chance-level accuracy under label
+shuffling, and the dual objective of scipy's SLSQP solution of the same
+quadratic program.
 """
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_separable_blobs_perfect_accuracy():
     rng = np.random.RandomState(21)
     for seed in range(3):
         x, y = blob_data(rng)
-        svm = train_binary_svm(x, y, seed=seed)
+        svm = train_binary_svm(x, y)
         assert binary_training_accuracy(svm, x, y) == 1.0
         assert svm.converged
         assert_kkt(svm, x, y)
@@ -200,9 +201,9 @@ def test_duplicate_training_points_invariance():
         # The optimum's decision function is what duplication leaves unchanged,
         # so both runs must converge well past the asserted 1e-6 agreement;
         # at the default stopping tolerance they only agree to ~1e-3.
-        base = train_binary_svm(x, y, kernel=kernel, tol=1e-9, seed=3)
+        base = train_binary_svm(x, y, kernel=kernel, tol=1e-9)
         doubled = train_binary_svm(
-            np.vstack([x, x]), np.concatenate([y, y]), kernel=kernel, tol=1e-9, seed=4
+            np.vstack([x, x]), np.concatenate([y, y]), kernel=kernel, tol=1e-9
         )
         f_base = np.asarray(decision_function(base, grid))
         f_doubled = np.asarray(decision_function(doubled, grid))
@@ -229,7 +230,65 @@ def test_kkt_over_random_fixtures():
         y = np.where(rng.rand(n) < 0.5, 1.0, -1.0)
         x += y[:, None] * shift  # partly overlapping classes
         kernel = Kernel("linear") if trial % 2 == 0 else Kernel("rbf", 0.7)
-        svm = train_binary_svm(x, y, c=5.0, kernel=kernel, seed=trial)
+        svm = train_binary_svm(x, y, c=5.0, kernel=kernel)
+        assert_kkt(svm, x, y)
+
+
+def oracle_fixtures():
+    """(x, y, c, kernel) of the blob, XOR and random KKT fixtures above."""
+    x, y = blob_data(np.random.RandomState(21))
+    yield x, y, 10.0, Kernel("linear")
+    x, y = blob_data(np.random.RandomState(22))
+    yield x, y, 10.0, Kernel("rbf", 0.5)
+    x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    y = np.array([-1.0, 1.0, 1.0, -1.0])
+    yield x, y, 10.0, Kernel("linear")
+    yield x, y, 10.0, Kernel("rbf", 1.0)
+    rng = np.random.RandomState(25)
+    for trial in range(8):
+        n = int(rng.randint(12, 40))
+        x = rng.randn(n, 3)
+        shift = rng.uniform(0.5, 2.5)
+        y = np.where(rng.rand(n) < 0.5, 1.0, -1.0)
+        x += y[:, None] * shift
+        yield x, y, 5.0, Kernel("linear") if trial % 2 == 0 else Kernel("rbf", 0.7)
+
+
+def dual_objective(alphas, q) -> float:
+    return float(alphas.sum() - 0.5 * alphas @ q @ alphas)
+
+
+def test_dual_objective_matches_scipy_oracle():
+    optimize = pytest.importorskip("scipy.optimize")
+    for x, y, c, kernel in oracle_fixtures():
+        q = (y[:, None] * y[None, :]) * kernel_matrix(kernel, x, x)
+        svm = train_binary_svm(x, y, c=c, kernel=kernel, tol=1e-9)
+        assert svm.converged
+        alphas = np.zeros(y.size)
+        alphas[svm.sv_indices] = svm.coefficients * y[svm.sv_indices]
+        oracle = optimize.minimize(
+            lambda a: 0.5 * a @ q @ a - a.sum(),
+            np.zeros(y.size),
+            jac=lambda a: q @ a - 1.0,
+            method="SLSQP",
+            bounds=[(0.0, c)] * y.size,
+            constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+            options={"ftol": 1e-12, "maxiter": 1000},
+        )
+        assert oracle.success, oracle.message
+        expected = -oracle.fun
+        assert abs(dual_objective(alphas, q) - expected) <= 1e-6 * abs(expected)
+
+
+def test_opposite_labelled_duplicates_converge():
+    # Each duplicated pair has zero curvature K_ii + K_jj - 2 K_ij along the
+    # pair's feasible direction.
+    x, y = blob_data(np.random.RandomState(28), n_per_class=10)
+    x = np.vstack([x, x[:4], x[-4:]])
+    y = np.concatenate([y, -y[:4], -y[-4:]])
+    for kernel in (Kernel("linear"), Kernel("rbf", 0.5)):
+        svm = train_binary_svm(x, y, c=5.0, kernel=kernel)
+        assert svm.converged
         assert_kkt(svm, x, y)
 
 
@@ -256,7 +315,7 @@ def test_non_convergence_warns_and_reports():
     x = rng.randn(40, 2)
     y = np.where(rng.rand(40) < 0.5, 1.0, -1.0)  # pure noise labels
     with pytest.warns(RuntimeWarning, match="margin violators"):
-        svm = train_binary_svm(x, y, kernel=Kernel("rbf", 1.0), max_sweeps=1)
+        svm = train_binary_svm(x, y, kernel=Kernel("rbf", 1.0), max_iter=1)
     assert not svm.converged
 
 
@@ -300,7 +359,7 @@ def test_pairwise_model_structure():
 def test_training_points_predicted_correctly():
     rng = np.random.RandomState(32)
     x, labels = multiclass_blobs(rng, THREE_CENTERS)
-    model = fit_svm_model(x, labels, seed=1)
+    model = fit_svm_model(x, labels)
     assert predict_batch(model, x) == labels
     # scalar and batch entry points agree, and repeat calls are deterministic
     assert predict(model, x[0]) == labels[0]
@@ -310,7 +369,7 @@ def test_training_points_predicted_correctly():
 def test_two_class_vote_equals_decision_sign():
     rng = np.random.RandomState(33)
     x, labels = multiclass_blobs(rng, {"hard": (3.0, 3.0), "soft": (-3.0, -3.0)})
-    model = fit_svm_model(x, labels, seed=2)
+    model = fit_svm_model(x, labels)
     assert len(model.pairwise) == 1
     entry = model.pairwise[0]
     queries = rng.randn(40, 2) * 3.0
@@ -327,8 +386,8 @@ def test_feature_permutation_invariance():
     x, labels = multiclass_blobs(rng, centers, n_per_class=10)
     queries = np.vstack([x, rng.randn(20, 4) * 2.0])
     perm = np.array([2, 0, 3, 1])
-    model = fit_svm_model(x, labels, seed=9)
-    model_perm = fit_svm_model(x[:, perm], labels, seed=9)
+    model = fit_svm_model(x, labels)
+    model_perm = fit_svm_model(x[:, perm], labels)
     assert predict_batch(model, queries) == predict_batch(model_perm, queries[:, perm])
 
 
@@ -345,6 +404,14 @@ def test_fit_model_validation():
         fit_svm_model([[0.0], [1.0]], ["only", "only"])
     with pytest.raises(ValidationError):
         fit_svm_model([[0.0], [1.0]], ["a"])
+
+
+def test_fit_model_rejects_bad_solver_settings():
+    rng = np.random.RandomState(36)
+    x, labels = multiclass_blobs(rng, THREE_CENTERS, n_per_class=4)
+    for settings in ({"c": 0.0}, {"tol": -1.0}, {"max_iter": -1}):
+        with pytest.raises(ValidationError):
+            fit_svm_model(x, labels, **settings)
 
 
 # ---------------------------------------------------------------- evaluation
