@@ -3,15 +3,16 @@
 For one window, each channel is mean-removed (and optionally band-passed
 with a per-channel band first), the 3x3 population covariance across
 channels is formed, and its eigenvalues are extracted in descending order
-with a cyclic Jacobi solver for symmetric 3x3 matrices.  The leading
-eigenvalue tracks overall excitation strength, so it orders terrain
-roughness.
+with a cyclic Jacobi solver for symmetric 3x3 matrices.  A Covariance3 is
+solved once, when its positive semi-definiteness is checked, and keeps
+those eigenvalues.  The leading eigenvalue tracks overall excitation
+strength, so it orders terrain roughness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,24 +66,32 @@ def _sym3_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
     return tuple(sorted((float(m[0, 0]), float(m[1, 1]), float(m[2, 2])), reverse=True))
 
 
+def _checked_sym3(a, what: str, tol: float) -> np.ndarray:
+    """``a`` as a finite 3x3 float array, symmetrized; asymmetry beyond
+    ``tol`` relative to max(1, max|a|) is rejected."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.shape != (3, 3):
+        raise ValidationError(f"{what} must be 3x3, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} contains non-finite entries")
+    scale = max(1.0, float(np.abs(arr).max()))
+    if float(np.abs(arr - arr.T).max()) > tol * scale:
+        raise ValidationError(f"{what} is not symmetric")
+    return (arr + arr.T) / 2.0
+
+
 @dataclass(eq=False)
 class Covariance3:
     """Symmetric positive semi-definite 3x3 covariance across channels."""
 
     entries: np.ndarray
+    _eigenvalues: tuple[float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.shape != (3, 3):
-            raise ValidationError(f"covariance must be 3x3, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("covariance contains non-finite entries")
-        scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
-            raise ValidationError("covariance is not symmetric")
-        arr = (arr + arr.T) / 2.0
+        arr = _checked_sym3(self.entries, "covariance", 1e-12)
         trace = float(np.trace(arr))
-        smallest = min(_sym3_eigenvalues(arr))
+        self._eigenvalues = _sym3_eigenvalues(arr)  # kept for eigenvalues_sym3
+        smallest = self._eigenvalues[2]
         if smallest < -1e-9 * max(trace, 1e-30):
             raise ValidationError(
                 f"covariance is not positive semi-definite (eigenvalue {smallest})"
@@ -132,21 +141,11 @@ def covariance3(
 
 
 def eigenvalues_sym3(cov: Covariance3 | np.ndarray) -> EigenSignature:
-    """Descending eigenvalues of a symmetric 3x3 matrix."""
+    """Descending eigenvalues of a symmetric 3x3 matrix; a Covariance3
+    returns those its PSD check solved for."""
     if isinstance(cov, Covariance3):
-        arr = cov.entries
-    else:
-        arr = np.asarray(cov, dtype=np.float64)
-        if arr.shape != (3, 3):
-            raise ValidationError(f"matrix must be 3x3, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("matrix contains non-finite entries")
-        scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr - arr.T).max()) > 1e-9 * scale:
-            raise ValidationError("matrix is not symmetric")
-        arr = (arr + arr.T) / 2.0
-    eig1, eig2, eig3 = _sym3_eigenvalues(arr)
-    return EigenSignature(lambda1=eig1, lambda2=eig2, lambda3=eig3)
+        return EigenSignature(*cov._eigenvalues)
+    return EigenSignature(*_sym3_eigenvalues(_checked_sym3(cov, "matrix", 1e-9)))
 
 
 def eigen_report_rows(

@@ -4,12 +4,16 @@ Each sensor channel is tied to one analysis band (channel 1 -> low,
 channel 2 -> mid, channel 3 -> high).  For every channel the windowed
 samples are band-passed with that channel's band, mean-removed, and six
 statistics are computed: rms, std, kurtosis, skewness, energy, entropy.
+The first five come from one moment pass per channel, which the public
+functions of the same names wrap; on a zero-variance channel kurtosis and
+skewness read 0.0 and flag the vector degenerate (the public ones raise).
 The resulting 18-dimensional vector can be extended with four extra
 descriptors aimed at periodicity and impulsiveness.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -91,46 +95,60 @@ class FeatureConfig:
         )
 
 
+class _Moments(NamedTuple):
+    """The first five STAT_NAMES of one signal, in that order, and whether
+    it has zero variance (m2 == 0), where kurtosis and skewness read 0.0."""
+
+    rms: float
+    std: float
+    kurtosis: float
+    skewness: float
+    energy: float
+    degenerate: bool
+
+
+def _central_moments(arr: np.ndarray) -> _Moments:
+    """rms, population std, excess kurtosis m4 / m2**2 - 3, skewness
+    m3 / m2**1.5 and energy from one pass of plain multiplies."""
+    energy = float(np.sum(arr * arr))
+    centered = arr - arr.mean()
+    squared = centered * centered
+    m2 = float(np.mean(squared))
+    if m2 == 0.0:
+        kurt = skew = 0.0
+    else:
+        kurt = float(np.mean(squared * squared)) / (m2 * m2) - 3.0
+        skew = float(np.mean(squared * centered)) / m2 ** 1.5
+    return _Moments(math.sqrt(energy / arr.shape[0]), math.sqrt(m2), kurt, skew, energy, m2 == 0.0)
+
+
 def rms(x) -> float:
-    arr = _as_samples(x, min_len=1)
-    return float(np.sqrt(np.mean(arr * arr)))
+    return _central_moments(_as_samples(x, min_len=1)).rms
 
 
 def std_dev(x) -> float:
     """Population standard deviation (1/n normalization)."""
-    arr = _as_samples(x, min_len=2)
-    return float(np.std(arr))
-
-
-def _central_moments(arr: np.ndarray) -> tuple[float, float, float]:
-    centered = arr - arr.mean()
-    m2 = float(np.mean(centered * centered))
-    m3 = float(np.mean(centered ** 3))
-    m4 = float(np.mean(centered ** 4))
-    return m2, m3, m4
+    return _central_moments(_as_samples(x, min_len=2)).std
 
 
 def kurtosis(x) -> float:
     """Excess kurtosis m4 / m2**2 - 3; zero for a Gaussian in expectation."""
-    arr = _as_samples(x, min_len=4)
-    m2, _, m4 = _central_moments(arr)
-    if m2 == 0.0:
+    moments = _central_moments(_as_samples(x, min_len=4))
+    if moments.degenerate:
         raise DegenerateInputError("kurtosis undefined for zero-variance input")
-    return m4 / (m2 * m2) - 3.0
+    return moments.kurtosis
 
 
 def skewness(x) -> float:
     """Third standardized moment m3 / m2**1.5."""
-    arr = _as_samples(x, min_len=3)
-    m2, m3, _ = _central_moments(arr)
-    if m2 == 0.0:
+    moments = _central_moments(_as_samples(x, min_len=3))
+    if moments.degenerate:
         raise DegenerateInputError("skewness undefined for zero-variance input")
-    return m3 / m2 ** 1.5
+    return moments.skewness
 
 
 def signal_energy(x) -> float:
-    arr = _as_samples(x, min_len=1)
-    return float(np.sum(arr * arr))
+    return _central_moments(_as_samples(x, min_len=1)).energy
 
 
 def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
@@ -215,22 +233,17 @@ class FeatureVector:
     degenerate: bool = False
 
 
-def _guarded(stat, filtered: np.ndarray) -> tuple[float, bool]:
-    try:
-        return stat(filtered), False
-    except DegenerateInputError:
-        return 0.0, True
-
-
 def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) -> FeatureVector:
     """Feature vector for one window of a record.
 
     Channel c is band-passed with config.bands[c], mean-removed, then the
-    six per-band statistics are computed.  Zero-variance channels yield 0
-    for kurtosis and skewness and set the degenerate flag instead of
-    raising.
+    six per-band statistics are computed, five of them from one moment
+    pass.  Zero-variance channels yield 0 for kurtosis and skewness (and the
+    extras' spike kurtosis) and set the degenerate flag instead of raising.
     """
     check_window(series, window)
+    if window.length < 4:
+        raise ValidationError(f"kurtosis needs at least 4 samples, got {window.length}")
     rate = series.sample_rate_hz
     for band in config.bands:
         band.check_nyquist(rate)
@@ -241,22 +254,12 @@ def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) 
         segment = series.channels[c, window.start_index:window.stop_index]
         filtered = remove_mean(bandpass(segment, rate, config.bands[c]))
         filtered_by_channel.append(filtered)
-        kurt, k_bad = _guarded(kurtosis, filtered)
-        skew, s_bad = _guarded(skewness, filtered)
-        degenerate = degenerate or k_bad or s_bad
-        values.extend(
-            [
-                rms(filtered),
-                std_dev(filtered),
-                kurt,
-                skew,
-                signal_energy(filtered),
-                shannon_entropy(filtered, config.entropy_bins),
-            ]
-        )
+        moments = _central_moments(filtered)
+        degenerate = degenerate or moments.degenerate
+        values.extend(moments[:5])
+        values.append(shannon_entropy(filtered, config.entropy_bins))
     if config.include_position_extras:
         mid = filtered_by_channel[1]
-        high = filtered_by_channel[2]
         try:
             peak = autocorrelation_peak(mid)
             autocorr_value = peak.value
@@ -264,14 +267,14 @@ def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) 
             autocorr_value = 1.0
             degenerate = True
         raw_spoke = remove_mean(series.channels[2, window.start_index:window.stop_index])
-        spike_kurt, sk_bad = _guarded(kurtosis, raw_spoke)
-        degenerate = degenerate or sk_bad
+        spike = _central_moments(raw_spoke)
+        degenerate = degenerate or spike.degenerate
         values.extend(
             [
                 autocorr_value,
                 amplitude_smoothness(mid),
-                std_dev(high),
-                spike_kurt,
+                moments.std,  # the high band is channel 3, the last one above
+                spike.kurtosis,
             ]
         )
     return FeatureVector(

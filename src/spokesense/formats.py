@@ -66,6 +66,45 @@ def _parse_float(text: str, line: int, field: str) -> float:
     return value
 
 
+def _parse_block(rows: list[tuple[int, list[str]]], columns: list[str], width: int) -> np.ndarray:
+    """Floats of the first len(columns) cells of rows of ``width`` cells.
+
+    float() parses each row, one isfinite pass checks the block; a bad cell
+    is reported by _parse_float with its line and column.
+    """
+    block = np.empty((len(rows), len(columns)))
+    for out_row, (line_no, cells) in enumerate(rows):
+        if len(cells) != width:
+            raise FormatError(f"expected {width} fields, got {len(cells)}", line=line_no)
+        try:
+            block[out_row] = [float(cell) for cell in cells[: len(columns)]]
+        except ValueError:
+            for col, name in enumerate(columns):
+                _parse_float(cells[col], line_no, name)
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        (line_no, cells), col = rows[bad[0, 0]], bad[0, 1]
+        _parse_float(cells[col], line_no, columns[col])
+    return block
+
+
+def _check_document(found: str, tag: str, expected_format: str, bad_tag: str, **position) -> None:
+    """Reject another format's document, a version tag other than ``v<int>``
+    (message ``bad_tag``) or a newer version; errors carry ``position``."""
+    if found != expected_format:
+        raise FormatError(f"expected a {expected_format} document, got {found!r}", **position)
+    try:
+        version = int(tag[1:])
+    except ValueError as exc:
+        raise FormatError(bad_tag, **position) from exc
+    if version > CURRENT_VERSION:
+        raise UnsupportedVersionError(
+            f"{expected_format} version {version} is newer than supported "
+            f"version {CURRENT_VERSION}",
+            **position,
+        )
+
+
 class _Lines:
     """CSV scanner: banner, metadata comments, header, rows, trailing comments.
 
@@ -97,20 +136,8 @@ class _Lines:
                 f"expected '# {expected_format} v{CURRENT_VERSION}' banner, got {banner!r}",
                 line=1,
             )
-        if parts[1] != expected_format:
-            raise FormatError(
-                f"expected a {expected_format} document, got {parts[1]!r}", line=1
-            )
-        try:
-            version = int(parts[2][1:])
-        except ValueError as exc:
-            raise FormatError(f"bad version in banner {banner!r}", line=1) from exc
-        if version > CURRENT_VERSION:
-            raise UnsupportedVersionError(
-                f"{expected_format} version {version} is newer than supported "
-                f"version {CURRENT_VERSION}",
-                line=1,
-            )
+        bad_tag = f"bad version in banner {banner!r}"
+        _check_document(parts[1], parts[2], expected_format, bad_tag, line=1)
         self.pos = 1
 
     def metadata(self) -> dict[str, str]:
@@ -174,22 +201,8 @@ def check_format_metadata(meta: dict[str, str], expected_format: str) -> None:
             f"'{expected_format} v{CURRENT_VERSION}'",
             field="format",
         )
-    if parts[0] != expected_format:
-        raise FormatError(
-            f"expected a {expected_format} document, got {parts[0]!r}", field="format"
-        )
-    try:
-        version = int(parts[1][1:])
-    except ValueError as exc:
-        raise FormatError(
-            f"bad version in format metadata {meta['format']!r}", field="format"
-        ) from exc
-    if version > CURRENT_VERSION:
-        raise UnsupportedVersionError(
-            f"{expected_format} version {version} is newer than supported "
-            f"version {CURRENT_VERSION}",
-            field="format",
-        )
+    bad_tag = f"bad version in format metadata {meta['format']!r}"
+    _check_document(parts[0], parts[1], expected_format, bad_tag, field="format")
 
 
 def _write_text(path, text: str) -> None:
@@ -233,15 +246,8 @@ def read_dataset(path) -> TimeSeries:
     rows, _ = scanner.rows()
     if not rows:
         raise FormatError("dataset has no samples", line=scanner.pos + 1)
-    columns = ("t", "ch1", "ch2", "ch3")
-    samples = np.empty((3, len(rows)))
-    for out_row, (line_no, cells) in enumerate(rows):
-        if len(cells) != 4:
-            raise FormatError(f"expected 4 fields, got {len(cells)}", line=line_no)
-        for col, cell in enumerate(cells):
-            value = _parse_float(cell, line_no, columns[col])
-            if col > 0:
-                samples[col - 1, out_row] = value
+    block = _parse_block(rows, header, 4)
+    samples = np.ascontiguousarray(block[:, 1:].T)
     try:
         return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
     except ValidationError as exc:
@@ -302,19 +308,10 @@ def read_features(path) -> FeatureTable:
     rows, _ = scanner.rows()
     if not rows:
         raise FormatError("feature file has no rows", line=scanner.pos + 1)
-    values = np.empty((len(rows), len(names)))
-    labels: list[str] | None = [] if has_labels else None
-    for out_row, (line_no, cells) in enumerate(rows):
-        if len(cells) != len(header):
-            raise FormatError(
-                f"expected {len(header)} fields, got {len(cells)}", line=line_no
-            )
-        for col, name in enumerate(names):
-            values[out_row, col] = _parse_float(cells[col], line_no, name)
-        if has_labels:
-            if cells[-1] == "":
-                raise FormatError("empty label", line=line_no, field="label")
-            labels.append(cells[-1])
+    values = _parse_block(rows, names, len(header))
+    labels = [cells[-1] for _, cells in rows] if has_labels else None
+    if labels is not None and "" in labels:
+        raise FormatError("empty label", line=rows[labels.index("")][0], field="label")
     return FeatureTable(
         values=values, names=tuple(names), labels=labels, layout_id=meta.get("layout")
     )

@@ -41,8 +41,7 @@ def euclidean_distance(x, y) -> float:
         )
     if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise ValidationError("distance operands contain non-finite values")
-    diff = xv - yv
-    return float(math.sqrt(np.dot(diff, diff)))
+    return float(_norms(xv - yv))
 
 
 def cholesky_spd(a) -> np.ndarray:
@@ -71,12 +70,16 @@ def cholesky_spd(a) -> np.ndarray:
 
 
 def _solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution for L w = rhs."""
-    d = rhs.shape[0]
-    w = np.empty(d)
-    for i in range(d):
-        w[i] = (rhs[i] - np.dot(lower[i, :i], w[:i])) / lower[i, i]
+    """Forward substitution for L W = rhs; rhs is a d-vector or d x k."""
+    w = np.empty(rhs.shape)
+    for i in range(rhs.shape[0]):
+        w[i] = (rhs[i] - lower[i, :i] @ w[:i]) / lower[i, i]
     return w
+
+
+def _norms(columns: np.ndarray) -> np.ndarray:
+    """Euclidean length of a vector, or of each column of a matrix."""
+    return np.sqrt(np.sum(columns * columns, axis=0))
 
 
 def _check_symmetric(arr: np.ndarray, name: str) -> np.ndarray:
@@ -104,8 +107,7 @@ def mahalanobis_distance(x, y, covariance) -> float:
         raise ValidationError("covariance contains non-finite entries")
     cov = _check_symmetric(cov, "covariance")
     lower = cholesky_spd(cov)
-    w = _solve_lower(lower, xv - yv)
-    return float(math.sqrt(np.dot(w, w)))
+    return float(_norms(_solve_lower(lower, xv - yv)))
 
 
 @dataclass(eq=False)
@@ -234,14 +236,9 @@ def rank_unknown(unknown_windows, library: TerrainLibrary) -> DistanceReport:
     if not np.isfinite(mat).all():
         raise ValidationError("unknown features contain non-finite values")
     query = apply_standardizer(library.standardizer, mat.mean(axis=0))
-    k = len(library.class_names)
-    euclid = np.empty(k)
-    mahal = np.empty(k)
-    for i in range(k):
-        diff = query - library.class_means[i]
-        euclid[i] = math.sqrt(np.dot(diff, diff))
-        w = _solve_lower(library.cholesky_factor, diff)
-        mahal[i] = math.sqrt(np.dot(w, w))
+    diffs = (query - library.class_means).T  # (d, k): one column per class
+    euclid = _norms(diffs)
+    mahal = _norms(_solve_lower(library.cholesky_factor, diffs))
     nearest_e = int(np.argmin(euclid))
     nearest_m = int(np.argmin(mahal))
     return DistanceReport(

@@ -8,6 +8,7 @@ identities.
 import numpy as np
 import pytest
 
+from spokesense import eigen
 from spokesense.eigen import (
     Covariance3,
     EigenSignature,
@@ -181,6 +182,22 @@ def test_covariance3_type_validation():
     not_psd = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValidationError):
         Covariance3(entries=not_psd)
+
+
+def test_covariance_signature_solves_once(monkeypatch):
+    calls = []
+    original = eigen._sym3_eigenvalues
+
+    def counting(a):
+        calls.append(1)
+        return original(a)
+
+    monkeypatch.setattr(eigen, "_sym3_eigenvalues", counting)
+    rng = np.random.RandomState(9)
+    cov = covariance3(make_series(rng.randn(3, 1080)), Window(0, 1080))
+    sig = eigenvalues_sym3(cov)
+    assert len(calls) == 1
+    assert sig == eigenvalues_sym3(cov.entries)
 
 
 def test_eigen_report_rows():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spokesense import features
 from spokesense.errors import (
     DegenerateInputError,
     EmptyInputError,
@@ -23,8 +24,8 @@ from spokesense.features import (
     skewness,
     std_dev,
 )
-from spokesense.signals import TimeSeries, Window
-from spokesense.synth import GenSpec, builtin_profile, generate
+from spokesense.signals import TimeSeries, Window, bandpass, remove_mean, segment_windows
+from spokesense.synth import GenSpec, builtin_profile, builtin_profiles, generate
 
 
 # ------------------------------------------------------------- base stats
@@ -376,6 +377,105 @@ def test_degenerate_window_flagged_not_raised():
     skew_cols = [3, 9, 15]
     for c in kurt_cols + skew_cols:
         assert vec.values[c] == 0.0
+
+
+def test_zero_mid_channel_extras_flagged():
+    rng = np.random.RandomState(12)
+    channels = rng.randn(3, 2160)
+    channels[1] = 0.0
+    series = TimeSeries(sample_rate_hz=1440.0, channels=channels)
+    vec = extract_features(series, Window(0, 2160), FeatureConfig(include_position_extras=True))
+    assert vec.degenerate
+    assert vec.values[18] == 1.0  # autocorr_peak of the silent mid band
+    assert vec.values[8] == 0.0 and vec.values[9] == 0.0
+
+
+def test_three_sample_window_rejected():
+    # kurtosis needs at least 4 samples
+    from spokesense.signals import BandSpec
+
+    series = TimeSeries(sample_rate_hz=256.0, channels=np.arange(9.0).reshape(3, 3))
+    config = FeatureConfig(
+        bands=(BandSpec(1.0, 30.0), BandSpec(30.0, 80.0), BandSpec(80.0, 120.0))
+    )
+    with pytest.raises(ValidationError):
+        extract_features(series, Window(0, 3), config)
+
+
+def _parent_formula_features(series, window, config):
+    """Oracle: the feature vector from one formula per statistic, as the
+    statistics were once computed: np.std, and means of centered**3 and
+    centered**4 for skewness and kurtosis."""
+
+    def kurt_skew(x):
+        centered = x - x.mean()
+        m2 = np.mean(centered * centered)
+        if m2 == 0.0:
+            return 0.0, 0.0
+        return (
+            float(np.mean(centered**4)) / (m2 * m2) - 3.0,
+            float(np.mean(centered**3)) / m2**1.5,
+        )
+
+    rate = series.sample_rate_hz
+    values = []
+    filtered = []
+    for c in range(3):
+        segment = series.channels[c, window.start_index:window.stop_index]
+        x = remove_mean(bandpass(segment, rate, config.bands[c]))
+        filtered.append(x)
+        kurt, skew = kurt_skew(x)
+        values += [
+            float(np.sqrt(np.mean(x * x))),
+            float(np.std(x)),
+            kurt,
+            skew,
+            float(np.sum(x * x)),
+            shannon_entropy(x, config.entropy_bins),
+        ]
+    raw_spoke = remove_mean(series.channels[2, window.start_index:window.stop_index])
+    values += [
+        autocorrelation_peak(filtered[1]).value,
+        amplitude_smoothness(filtered[1]),
+        float(np.std(filtered[2])),
+        kurt_skew(raw_spoke)[0],
+    ]
+    return np.asarray(values)
+
+
+def test_single_moment_pass_matches_parent_formulas():
+    config = FeatureConfig(include_position_extras=True)
+    moment_cols = [2, 3, 8, 9, 14, 15, 21]
+    for k, profile in enumerate(builtin_profiles()):
+        series = generate(
+            GenSpec(profile=profile, duration_s=3.0, sample_rate_hz=1440.0, seed=40 + k)
+        )
+        for window in segment_windows(series, 1.5, 0.5):
+            new = extract_features(series, window, config).values
+            old = _parent_formula_features(series, window, config)
+            for col in range(22):
+                if col in moment_cols:
+                    assert abs(new[col] - old[col]) <= 1e-12 * max(1.0, abs(old[col]))
+                else:
+                    assert new[col] == old[col], (profile.name, col)
+
+
+def test_one_moment_pass_per_channel(monkeypatch):
+    calls = []
+    original = features._central_moments
+
+    def counting(arr):
+        calls.append(1)
+        return original(arr)
+
+    monkeypatch.setattr(features, "_central_moments", counting)
+    series = tone_series()
+    extract_features(series, Window(0, 2160), FeatureConfig())
+    assert len(calls) == 3
+    calls.clear()
+    # the extras add one pass, over the raw spoke channel for spike kurtosis
+    extract_features(series, Window(0, 2160), FeatureConfig(include_position_extras=True))
+    assert len(calls) == 4
 
 
 def test_band_above_nyquist_rejected():

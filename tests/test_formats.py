@@ -113,6 +113,17 @@ def test_dataset_nan_cell_names_row_and_column(tmp_path):
     assert info.value.field == "ch2"
 
 
+def test_dataset_bad_time_cell_names_row_and_column(tmp_path):
+    path = tmp_path / "bad_t.csv"
+    path.write_text(
+        "# sample_rate_hz=720\nt,ch1,ch2,ch3\n0,1,2,3\nsoon,1,2,3\n"
+    )
+    with pytest.raises(FormatError) as info:
+        read_dataset(path)
+    assert info.value.line == 4
+    assert info.value.field == "t"
+
+
 def test_dataset_malformed_documents(tmp_path):
     cases = {
         "no_rate.csv": "# format=spokesense-dataset v1\nt,ch1,ch2,ch3\n0,1,2,3\n",
@@ -190,6 +201,12 @@ def test_features_cell_errors(tmp_path):
     with pytest.raises(FormatError) as info:
         read_features(path)
     assert info.value.line == 4
+    assert info.value.field == "b"
+    infinite = tmp_path / "inf.csv"
+    infinite.write_text("# spokesense-features v1\na,b\n1,2\n3,4\n5,-inf\n")
+    with pytest.raises(FormatError) as info:
+        read_features(infinite)
+    assert info.value.line == 5
     assert info.value.field == "b"
     short = tmp_path / "short.csv"
     short.write_text("# spokesense-features v1\na,b\n1\n")

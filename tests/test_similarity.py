@@ -26,6 +26,7 @@ from spokesense.similarity import (
     mahalanobis_distance,
     rank_unknown,
 )
+from spokesense.svm import apply_standardizer
 from spokesense.synth import (
     UNKNOWN_TERRAIN_NAME,
     builtin_profile,
@@ -297,6 +298,20 @@ def test_rank_reports_all_classes_and_axioms():
     ]
     with pytest.raises(ValidationError):
         report.ranked("manhattan")
+
+
+def test_rank_matches_single_pair_distances():
+    rng = np.random.RandomState(62)
+    groups = {f"t{i}": rng.randn(12, 18) * (1.0 + i) + 2.0 * i for i in range(5)}
+    library = build_library(groups)
+    unknown = rng.randn(9, 18) + 3.0
+    report = rank_unknown(unknown, library)
+    query = apply_standardizer(library.standardizer, unknown.mean(axis=0))
+    for i, mean in enumerate(library.class_means):
+        euclid = euclidean_distance(query, mean)
+        mahal = mahalanobis_distance(query, mean, library.regularized_covariance)
+        assert abs(report.euclidean[i] - euclid) <= 1e-12 * euclid
+        assert abs(report.mahalanobis[i] - mahal) <= 1e-12 * mahal
 
 
 def test_rank_metric_divergence_constructed():
