@@ -92,7 +92,10 @@ def _feature_config(args) -> features_mod.FeatureConfig:
 
 def _out_path(args, name: str, created: list[Path]) -> Path:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out {str(out_dir)!r} is not a usable directory: {exc}") from exc
     path = out_dir / name
     created.append(path)
     return path

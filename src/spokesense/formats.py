@@ -6,11 +6,16 @@ optional trailing ``# key=value`` summary lines.  The one exception is the
 dataset CSV, whose first line is pinned to ``# sample_rate_hz=<float>``;
 its version rides in a ``# format=<name> v<version>`` metadata line and
 files without one are read as version 1.  JSON documents carry
-``format`` and ``version`` fields and are dumped with sorted keys.  Every
-real number in CSV is rendered with 17 significant digits, which
+``format`` and ``version`` fields and are dumped with sorted keys.
+
+Every real number in CSV is rendered by one rule, ``%.17g``, which
 round-trips IEEE doubles exactly, so write -> read -> write is
-byte-identical.  Readers raise typed errors with line/field positions and
-never abort the process.
+byte-identical; a table's rows are rendered from one row template.  A
+table body is parsed as one block: its rows are joined and split into
+cells once, the cells are converted by Python's ``float()`` rule in one
+call and checked by one finiteness pass.  Only a faulty body is walked row
+by row, to name the line and field of its first fault.  Readers raise
+typed errors with line/field positions and never abort the process.
 
 Free-text cells (labels, class names) must not contain commas, newlines,
 or a leading ``#``.
@@ -41,9 +46,22 @@ PREDICTIONS_FORMAT = "spokesense-predictions"
 CURRENT_VERSION = 1
 
 
+_FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
+
+
 def format_float(value: float) -> str:
-    """17-significant-digit decimal rendering; exact for IEEE doubles."""
-    return format(float(value), ".17g")
+    """The one decimal rendering of a real number in CSV."""
+    return _FLOAT % float(value)
+
+
+def _render_rows(block: np.ndarray, labels: list[str] | None = None) -> str:
+    """One line per row of ``block``, its cells rendered by ``_FLOAT`` and
+    ended by the row's label cell when ``labels`` are given."""
+    row = ",".join([_FLOAT] * block.shape[1])
+    if labels is not None:
+        block = np.column_stack([block.astype(object), labels])
+        row += ",%s"
+    return (f"{row}\n" * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 def _check_text_cell(value: str, what: str) -> str:
@@ -66,28 +84,6 @@ def _parse_float(text: str, line: int, field: str) -> float:
     return value
 
 
-def _parse_block(rows: list[tuple[int, list[str]]], columns: list[str], width: int) -> np.ndarray:
-    """Floats of the first len(columns) cells of rows of ``width`` cells.
-
-    float() parses each row, one isfinite pass checks the block; a bad cell
-    is reported by _parse_float with its line and column.
-    """
-    block = np.empty((len(rows), len(columns)))
-    for out_row, (line_no, cells) in enumerate(rows):
-        if len(cells) != width:
-            raise FormatError(f"expected {width} fields, got {len(cells)}", line=line_no)
-        try:
-            block[out_row] = [float(cell) for cell in cells[: len(columns)]]
-        except ValueError:
-            for col, name in enumerate(columns):
-                _parse_float(cells[col], line_no, name)
-    bad = np.argwhere(~np.isfinite(block))
-    if bad.size:
-        (line_no, cells), col = rows[bad[0, 0]], bad[0, 1]
-        _parse_float(cells[col], line_no, columns[col])
-    return block
-
-
 def _check_document(found: str, tag: str, expected_format: str, bad_tag: str, **position) -> None:
     """Reject another format's document, a version tag other than ``v<int>``
     (message ``bad_tag``) or a newer version; errors carry ``position``."""
@@ -105,82 +101,94 @@ def _check_document(found: str, tag: str, expected_format: str, bad_tag: str, **
         )
 
 
-class _Lines:
-    """CSV scanner: banner, metadata comments, header, rows, trailing comments.
+def _read_document(path: Path, expected_format: str, banner: bool = True):
+    """Metadata, header cells, header line number and body lines of a CSV file.
 
     Dataset files carry their version in a ``# format=<name> v<version>``
     metadata line instead of a first-line banner, because their first line
-    is pinned to ``# sample_rate_hz=<float>``; such callers pass
-    ``require_banner=False`` and validate via check_format_metadata.
+    is pinned to ``# sample_rate_hz=<float>``; their reader passes
+    ``banner=False``.
     """
-
-    def __init__(self, path: Path, expected_format: str, require_banner: bool = True):
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise FormatError(f"cannot read {path}: {exc}") from exc
-        self.lines = raw.split("\n")
-        if self.lines and self.lines[-1] == "":
-            self.lines.pop()
-        self.pos = 0
-        if require_banner:
-            self._read_banner(expected_format)
-
-    def _read_banner(self, expected_format: str) -> None:
-        if not self.lines:
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if lines[-1] == "":
+        lines.pop()
+    if banner:
+        if not lines:
             raise FormatError("file is empty", line=1)
-        banner = self.lines[0]
-        parts = banner.split()
+        parts = lines[0].split()
         if len(parts) != 3 or parts[0] != "#" or not parts[2].startswith("v"):
             raise FormatError(
-                f"expected '# {expected_format} v{CURRENT_VERSION}' banner, got {banner!r}",
+                f"expected '# {expected_format} v{CURRENT_VERSION}' banner, got {lines[0]!r}",
                 line=1,
             )
-        bad_tag = f"bad version in banner {banner!r}"
+        bad_tag = f"bad version in banner {lines[0]!r}"
         _check_document(parts[1], parts[2], expected_format, bad_tag, line=1)
-        self.pos = 1
+    meta: dict[str, str] = {}
+    pos = int(banner)
+    while pos < len(lines) and lines[pos].startswith("#"):
+        key, sep, value = lines[pos][1:].strip().partition("=")
+        if not sep:
+            raise FormatError(f"bad metadata comment {lines[pos]!r}", line=pos + 1)
+        meta[key.strip()] = value
+        pos += 1
+    if not banner:
+        check_format_metadata(meta, expected_format)
+    if pos == len(lines):
+        raise FormatError("missing header row", line=pos + 1)
+    return meta, lines[pos].split(","), pos + 1, lines[pos + 1 :]
 
-    def metadata(self) -> dict[str, str]:
-        """Consume leading '# key=value' comment lines."""
-        meta: dict[str, str] = {}
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip()
-            key, sep, value = body.partition("=")
-            if not sep:
-                raise FormatError(f"bad metadata comment {line!r}", line=self.pos + 1)
-            meta[key.strip()] = value
-            self.pos += 1
-        return meta
 
-    def header(self) -> tuple[list[str], int]:
-        if self.pos >= len(self.lines):
-            raise FormatError("missing header row", line=self.pos + 1)
-        line_no = self.pos + 1
-        self.pos += 1
-        return self.lines[line_no - 1].split(","), line_no
+def _parse_body(lines: list[str], first_line: int, columns: list[str], width: int, empty: str):
+    """Float block of the ``columns`` cells of a table body's rows of
+    ``width`` cells, and the rows' last cells when they are labels.
 
-    def rows(self) -> tuple[list[tuple[int, list[str]]], dict[str, str]]:
-        """Remaining data rows plus trailing '# key=value' lines."""
-        data: list[tuple[int, list[str]]] = []
-        trailing: dict[str, str] = {}
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            line_no = self.pos + 1
-            self.pos += 1
-            if line == "":
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, sep, value = body.partition("=")
-                if not sep:
-                    raise FormatError(f"bad trailing comment {line!r}", line=line_no)
-                trailing[key.strip()] = value
-                continue
-            data.append((line_no, line.split(",")))
-        return data, trailing
+    Blank lines are skipped and ``#`` lines must be ``key=value``.  ``lines``
+    (the body from line ``first_line`` on) is emptied once joined, so its
+    strings are freed before the float conversion.  ``empty`` is the error
+    for a body without rows.
+    """
+    end = first_line + len(lines)
+    numbers = range(first_line, end)
+    text = ",\n".join(lines)
+    if "" in lines or text.startswith("#") or "\n#" in text:
+        for number, line in zip(numbers, lines):
+            if line.startswith("#") and "=" not in line:
+                raise FormatError(f"bad trailing comment {line!r}", line=number)
+        numbers = [number for number, line in zip(numbers, lines) if line[:1] not in ("", "#")]
+        text = ",\n".join(line for line in lines if line[:1] not in ("", "#"))
+    lines.clear()
+    if not numbers:
+        raise FormatError(empty, line=end)
+    cells = text.split(",")
+    del text
+    rows = len(numbers)
+    # No cell holds a newline but the one the join put at the start of each
+    # row after the first, so every row is ``width`` cells wide exactly when
+    # the cell count is rows * width and every width-th cell starts a row.
+    block = None
+    if len(cells) == rows * width and ",".join(cells[width::width]).count("\n") == rows - 1:
+        grid = np.array(cells, dtype=object).reshape(rows, width)[:, : len(columns)]
+        try:
+            block = grid.astype(np.float64)
+        except ValueError:
+            pass
+    if block is None or not np.isfinite(block).all():
+        # A fault: walk the rows to name the first faulty line and field.
+        for number, row in zip(numbers, ",".join(cells).split(",\n")):
+            row_cells = row.split(",")
+            if len(row_cells) != width:
+                raise FormatError(f"expected {width} fields, got {len(row_cells)}", line=number)
+            for name, cell in zip(columns, row_cells):
+                _parse_float(cell, number, name)
+    if len(columns) == width:
+        return block, None
+    labels = cells[width - 1 :: width]
+    if "" in labels:
+        raise FormatError("empty label", line=numbers[labels.index("")], field="label")
+    return block, labels
 
 
 def _banner(format_name: str) -> str:
@@ -206,8 +214,11 @@ def check_format_metadata(meta: dict[str, str], expected_format: str) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- dataset
@@ -221,32 +232,25 @@ def write_dataset(path, series: TimeSeries) -> None:
     if series.label is not None:
         parts.append(f"# label={_check_text_cell(series.label, 'label')}\n")
     parts.append("t,ch1,ch2,ch3\n")
-    rate = series.sample_rate_hz
-    ch = series.channels
-    for i in range(series.n_samples):
-        parts.append(
-            f"{format_float(i / rate)},{format_float(ch[0, i])},"
-            f"{format_float(ch[1, i])},{format_float(ch[2, i])}\n"
+    if not np.isfinite((series.n_samples - 1) / series.sample_rate_hz):
+        raise ValidationError(
+            f"sample rate {series.sample_rate_hz!r} Hz is too small: time stamps overflow"
         )
+    times = np.arange(series.n_samples) / series.sample_rate_hz
+    parts.append(_render_rows(np.column_stack([times, series.channels.T])))
     _write_text(path, "".join(parts))
 
 
 def read_dataset(path) -> TimeSeries:
-    scanner = _Lines(Path(path), DATASET_FORMAT, require_banner=False)
-    meta = scanner.metadata()
-    check_format_metadata(meta, DATASET_FORMAT)
+    meta, header, header_line, body = _read_document(Path(path), DATASET_FORMAT, banner=False)
     if "sample_rate_hz" not in meta:
-        raise FormatError("missing '# sample_rate_hz=' metadata", line=scanner.pos + 1)
+        raise FormatError("missing '# sample_rate_hz=' metadata", line=header_line)
     rate = _parse_float(meta["sample_rate_hz"], 1, "sample_rate_hz")
-    header, header_line = scanner.header()
     if header != ["t", "ch1", "ch2", "ch3"]:
         raise FormatError(
             f"expected header 't,ch1,ch2,ch3', got {','.join(header)!r}", line=header_line
         )
-    rows, _ = scanner.rows()
-    if not rows:
-        raise FormatError("dataset has no samples", line=scanner.pos + 1)
-    block = _parse_block(rows, header, 4)
+    block, _ = _parse_body(body, header_line + 1, header, 4, "dataset has no samples")
     samples = np.ascontiguousarray(block[:, 1:].T)
     try:
         return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
@@ -287,31 +291,19 @@ def write_features(path, values, names, labels=None, layout_id: str | None = Non
         parts.append(f"# layout={layout_id}\n")
     header = ",".join(names) + (",label" if labels is not None else "")
     parts.append(header + "\n")
-    for i in range(mat.shape[0]):
-        row = ",".join(format_float(v) for v in mat[i])
-        if labels is not None:
-            row += f",{labels[i]}"
-        parts.append(row + "\n")
+    parts.append(_render_rows(mat, labels))
     _write_text(path, "".join(parts))
 
 
 def read_features(path) -> FeatureTable:
-    scanner = _Lines(Path(path), FEATURES_FORMAT)
-    meta = scanner.metadata()
-    header, header_line = scanner.header()
-    if len(header) < 1 or any(h == "" for h in header):
+    meta, header, header_line, body = _read_document(Path(path), FEATURES_FORMAT)
+    if "" in header:
         raise FormatError("empty column name in header", line=header_line)
-    has_labels = header[-1] == "label"
-    names = header[:-1] if has_labels else header
+    names = header[:-1] if header[-1] == "label" else header
     if not names:
         raise FormatError("feature file has no feature columns", line=header_line)
-    rows, _ = scanner.rows()
-    if not rows:
-        raise FormatError("feature file has no rows", line=scanner.pos + 1)
-    values = _parse_block(rows, names, len(header))
-    labels = [cells[-1] for _, cells in rows] if has_labels else None
-    if labels is not None and "" in labels:
-        raise FormatError("empty label", line=rows[labels.index("")][0], field="label")
+    empty = "feature file has no rows"
+    values, labels = _parse_body(body, header_line + 1, names, len(header), empty)
     return FeatureTable(
         values=values, names=tuple(names), labels=labels, layout_id=meta.get("layout")
     )
@@ -610,10 +602,7 @@ def write_spectrum(path, spectrum: Spectrum) -> None:
     parts = [_banner(SPECTRUM_FORMAT)]
     parts.append(f"# bin_resolution_hz={format_float(spectrum.bin_resolution_hz)}\n")
     parts.append("frequency_hz,magnitude\n")
-    for k, magnitude in enumerate(spectrum.magnitudes):
-        parts.append(
-            f"{format_float(k * spectrum.bin_resolution_hz)},{format_float(magnitude)}\n"
-        )
+    parts.append(_render_rows(np.column_stack([spectrum.frequencies_hz, spectrum.magnitudes])))
     _write_text(path, "".join(parts))
 
 

@@ -5,6 +5,7 @@ files left behind, and agreement with the library called directly.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +80,40 @@ def test_simulate_rejects_path_like_profile_name(tmp_path, capsys):
     assert run("simulate", "--profile-file", profile_path, "--out", out) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "escape.csv").exists()
+
+
+def test_out_path_that_is_a_file_fails_typed(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    for out in (blocker, blocker / "sub"):
+        assert run("simulate", "--profile", "flat", "--duration", 1.0, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
+def test_unwritable_output_fails_typed(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "flat.csv").mkdir(parents=True)  # the output's name is taken by a directory
+    assert run("simulate", "--profile", "flat", "--duration", 1.0, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["flat.csv"]
+    assert not any((out / "flat.csv").iterdir())
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+def test_failed_write_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "flat.csv").symlink_to("/dev/full")  # every write fails with ENOSPC
+    assert run("simulate", "--profile", "flat", "--duration", 1.0, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not list(out.iterdir())
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

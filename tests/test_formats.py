@@ -124,6 +124,24 @@ def test_dataset_bad_time_cell_names_row_and_column(tmp_path):
     assert info.value.field == "t"
 
 
+def test_dataset_rows_of_compensating_widths_rejected(tmp_path):
+    # one row a cell too wide and a later one a cell short: the cell total
+    # is right, but the rows are not
+    path = tmp_path / "shifted.csv"
+    path.write_text("# sample_rate_hz=720\nt,ch1,ch2,ch3\n0,1,2,3,4\n0.001,1,2\n")
+    with pytest.raises(FormatError, match="expected 4 fields, got 5") as info:
+        read_dataset(path)
+    assert info.value.line == 3
+
+
+def test_dataset_too_small_rate_rejected_on_write(tmp_path):
+    series = TimeSeries(sample_rate_hz=5e-324, channels=np.ones((3, 2)))
+    path = tmp_path / "tiny.csv"
+    with pytest.raises(ValidationError, match="time stamps overflow"):
+        write_dataset(path, series)
+    assert not path.exists()
+
+
 def test_dataset_malformed_documents(tmp_path):
     cases = {
         "no_rate.csv": "# format=spokesense-dataset v1\nt,ch1,ch2,ch3\n0,1,2,3\n",
@@ -145,6 +163,17 @@ def test_dataset_malformed_documents(tmp_path):
 def test_dataset_read_missing_file(tmp_path):
     with pytest.raises(FormatError):
         read_dataset(tmp_path / "absent.csv")
+
+
+def test_csv_readers_reject_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    for reader, head in (
+        (read_dataset, b"# sample_rate_hz=720\nt,ch1,ch2,ch3\n0,1,2,3\n"),
+        (read_features, b"# spokesense-features v1\na,label\n1,x\n"),
+    ):
+        path.write_bytes(head + b"0.001,1,2,\xff\n")
+        with pytest.raises(FormatError, match="cannot read"):
+            reader(path)
 
 
 # ---------------------------------------------------------------- features
