@@ -26,7 +26,18 @@ from .errors import (
     LayoutMismatchError,
     ValidationError,
 )
-from .signals import BandSpec, TimeSeries, Window, _as_samples, bandpass, check_window, remove_mean
+from .signals import (
+    BandSpec,
+    TimeSeries,
+    Window,
+    _as_samples,
+    _irfft,
+    _rfft,
+    bandpass,
+    check_window,
+    next_pow2,
+    remove_mean,
+)
 
 STAT_NAMES = ("rms", "std", "kurtosis", "skewness", "energy", "entropy")
 BAND_NAMES = ("low", "mid", "high")
@@ -165,7 +176,15 @@ def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
     hi = float(arr.max())
     if lo == hi:
         return 0.0
-    counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
+    # np.histogram's equal-width bin rule, without its generic machinery:
+    # scale to an index, pull the top edge into the last bin, then correct
+    # by one where the scaled index disagrees with the edges.
+    edges = np.linspace(lo, hi, bins + 1)
+    idx = ((arr - lo) / (hi - lo) * bins).astype(np.intp)
+    np.minimum(idx, bins - 1, out=idx)
+    idx -= arr < edges[idx]
+    idx += (arr >= edges[idx + 1]) & (idx != bins - 1)
+    counts = np.bincount(idx, minlength=bins)
     probs = counts[counts > 0] / arr.shape[0]
     return float(-np.sum(probs * np.log2(probs)))
 
@@ -191,13 +210,11 @@ def autocorrelation_peak(x, min_lag: int = 1) -> AutocorrPeak:
     if denom == 0.0:
         raise DegenerateInputError("autocorrelation undefined for zero-variance input")
     n = centered.shape[0]
-    from .signals import fft_radix2, ifft_radix2, next_pow2
-
     padded_n = next_pow2(2 * n)
     padded = np.zeros(padded_n, dtype=np.float64)
     padded[:n] = centered
-    power = np.abs(fft_radix2(padded)) ** 2
-    corr = ifft_radix2(power).real[:n] / denom
+    power = np.abs(_rfft(padded)) ** 2
+    corr = _irfft(power)[:n] / denom
     for lag in range(min_lag, n - 1):
         if corr[lag] > corr[lag - 1] and corr[lag] >= corr[lag + 1]:
             return AutocorrPeak(lag=lag, value=float(corr[lag]), found=True)

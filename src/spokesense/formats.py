@@ -18,7 +18,7 @@ by row, to name the line and field of its first fault.  Readers raise
 typed errors with line/field positions and never abort the process.
 
 Free-text cells (labels, class names) must not contain commas, newlines,
-or a leading ``#``.
+a leading ``#`` or leading or trailing whitespace.
 """
 
 from __future__ import annotations
@@ -66,10 +66,11 @@ def _render_rows(block: np.ndarray, labels: list[str] | None = None) -> str:
 
 def _check_text_cell(value: str, what: str) -> str:
     text = str(value)
-    if text == "" or "," in text or "\n" in text or "\r" in text or text.startswith("#"):
+    if (text == "" or "," in text or "\n" in text or "\r" in text or text.startswith("#")
+            or text != text.strip()):
         raise ValidationError(
             f"{what} {text!r} cannot be stored: must be non-empty and free of "
-            "commas, newlines, and a leading '#'"
+            "commas, newlines, a leading '#' and leading or trailing whitespace"
         )
     return text
 
@@ -353,7 +354,7 @@ def write_model(path, model: SvmModel) -> None:
 def _load_json(path, expected_format: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)

@@ -78,7 +78,8 @@ class Prng:
         return z ^ (z >> np.uint64(31))
 
     def u64(self) -> int:
-        return int(self.u64_block(1)[0])
+        self._counter += 1
+        return mix64(self._seed + self._counter * _GOLDEN)
 
     def below(self, n: int) -> int:
         """Integer in [0, n)."""
@@ -92,7 +93,7 @@ class Prng:
         return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _U53_SCALE
 
     def uniform(self) -> float:
-        return float(self.uniform_block(1)[0])
+        return ((self.u64() >> 11) + 1) * _U53_SCALE
 
     def gaussian_block(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal draws via the Box-Muller transform.

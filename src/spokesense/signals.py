@@ -3,8 +3,12 @@
 Records carry three synchronized sensor channels at a single sample rate.
 Spectral operations zero-pad to the next power of two and use an iterative
 radix-2 transform; reported bin resolutions always reflect the padded
-length.  Band-pass filtering is zero-phase: a frequency-domain mask is
-applied symmetrically and the result truncated back to the input length.
+length.  Real signals are transformed at half length: the N real samples
+are read as N/2 complex ones, transformed by one N/2-point radix-2 FFT and
+split into bins 0..N/2 (Sorensen et al., IEEE TASSP 1987); the inverse
+merges the bins back and makes one N/2-point inverse FFT.  Band-pass
+filtering is zero-phase: a frequency-domain mask over bins 0..N/2 keeps
+the output real, and the result is truncated back to the input length.
 """
 
 from __future__ import annotations
@@ -153,13 +157,14 @@ def _bit_reversal(n: int) -> np.ndarray:
 
 
 def _twiddles(n: int) -> list[np.ndarray]:
+    """Butterfly twiddles of each stage; the last, exp(-2 pi i k / n) for
+    k < n/2, is also the split step of a real n-point transform.  A length
+    shares its stage arrays with half that length."""
     stages = _TWIDDLE_CACHE.get(n)
     if stages is None:
         stages = []
-        half = 1
-        while half < n:
-            stages.append(np.exp(-2j * np.pi * np.arange(half) / (2 * half)))
-            half *= 2
+        if n > 1:
+            stages = _twiddles(n // 2) + [np.exp(-2j * np.pi * np.arange(n // 2) / n)]
         _TWIDDLE_CACHE[n] = stages
     return stages
 
@@ -183,17 +188,63 @@ def fft_radix2(x) -> np.ndarray:
     for tw in _twiddles(n):
         half = tw.shape[0]
         pairs = out.reshape(-1, 2 * half)
-        even = pairs[:, :half].copy()
+        even = pairs[:, :half]
         odd = pairs[:, half:] * tw
-        pairs[:, :half] = even + odd
-        pairs[:, half:] = even - odd
+        np.subtract(even, odd, out=pairs[:, half:])
+        even += odd
     return out
 
 
 def ifft_radix2(x) -> np.ndarray:
     """Inverse of fft_radix2 via conjugation."""
     arr = np.asarray(x, dtype=np.complex128)
-    return np.conj(fft_radix2(np.conj(arr))) / arr.shape[0]
+    out = fft_radix2(np.conj(arr))
+    np.conj(out, out=out)
+    out /= arr.shape[0]
+    return out
+
+
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """Bins 0..N/2 of the transform of a contiguous float64 array of
+    power-of-two length N >= 2, from one N/2-point complex transform plus a
+    split step."""
+    half = x.shape[0] // 2
+    # Samples 2m and 2m+1 as the real and imaginary parts of z[m], no copy.
+    z = fft_radix2(x.view(np.complex128))
+    nyquist = z[0].real - z[0].imag
+    # mirror[k] = conj(z[(half - k) % half])
+    mirror = np.empty_like(z)
+    mirror[0] = z[0]
+    mirror[1:] = z[:0:-1]
+    np.conj(mirror, out=mirror)
+    # X[k] = (z[k] + mirror[k]) / 2 - (i/2) w^k (z[k] - mirror[k])
+    spec = np.empty(half + 1, dtype=np.complex128)
+    np.add(z, mirror, out=spec[:half])
+    spec[:half] *= 0.5
+    z -= mirror
+    z *= _twiddles(2 * half)[-1]
+    z *= -0.5j
+    spec[:half] += z
+    spec[half] = nyquist
+    return spec
+
+
+def _irfft(spec: np.ndarray) -> np.ndarray:
+    """Real N-point inverse of bins 0..N/2 (N a power of two >= 2), from a
+    merge step plus one N/2-point complex inverse transform."""
+    spec = np.asarray(spec, dtype=np.complex128)
+    half = spec.shape[0] - 1
+    # tail[k] = conj(X[half - k]) for k < half
+    tail = np.conj(spec[half:0:-1])
+    # Z[k] = (X[k] + tail[k]) / 2 + (i/2) conj(w^k) (X[k] - tail[k])
+    diff = spec[:half] - tail
+    diff *= np.conj(_twiddles(2 * half)[-1])
+    diff *= 0.5j
+    tail += spec[:half]
+    tail *= 0.5
+    tail += diff
+    # z[m] = x[2m] + i x[2m+1]
+    return ifft_radix2(tail).view(np.float64)
 
 
 def dft_magnitude(samples, sample_rate_hz: float) -> Spectrum:
@@ -209,8 +260,7 @@ def dft_magnitude(samples, sample_rate_hz: float) -> Spectrum:
     padded_n = next_pow2(n)
     padded = np.zeros(padded_n, dtype=np.float64)
     padded[:n] = arr
-    spectrum = fft_radix2(padded)
-    magnitudes = np.abs(spectrum[: padded_n // 2 + 1])
+    magnitudes = np.abs(_rfft(padded))
     return Spectrum(bin_resolution_hz=sample_rate_hz / padded_n, magnitudes=magnitudes)
 
 
@@ -218,9 +268,9 @@ def bandpass(samples, sample_rate_hz: float, band: BandSpec) -> np.ndarray:
     """Zero-phase band-pass via a frequency-domain mask.
 
     Keeps bins whose frequency f satisfies band.low_hz <= f <= band.high_hz
-    (DC is removed unless low_hz == 0) and zeroes the rest, symmetrically so
-    the output stays real.  The input is zero-padded to a power of two and
-    the result truncated back to the input length.
+    (DC is removed unless low_hz == 0) and zeroes the rest; only bins
+    0..N/2 are masked, so the output is real.  The input is zero-padded to
+    a power of two N and the result truncated back to the input length.
     """
     arr = _as_samples(samples, min_len=2)
     if not np.isfinite(sample_rate_hz) or sample_rate_hz <= 0:
@@ -230,12 +280,10 @@ def bandpass(samples, sample_rate_hz: float, band: BandSpec) -> np.ndarray:
     padded_n = next_pow2(n)
     padded = np.zeros(padded_n, dtype=np.float64)
     padded[:n] = arr
-    spectrum = fft_radix2(padded)
-    k = np.arange(padded_n)
-    freqs = np.minimum(k, padded_n - k) * (sample_rate_hz / padded_n)
-    mask = (freqs >= band.low_hz) & (freqs <= band.high_hz)
-    filtered = ifft_radix2(spectrum * mask).real
-    return filtered[:n].copy()
+    spectrum = _rfft(padded)
+    freqs = np.arange(padded_n // 2 + 1) * (sample_rate_hz / padded_n)
+    spectrum *= (freqs >= band.low_hz) & (freqs <= band.high_hz)
+    return _irfft(spectrum)[:n].copy()
 
 
 def remove_mean(samples) -> np.ndarray:

@@ -244,6 +244,18 @@ def test_classify_layout_contradiction_fails(tmp_path, labeled_features, capsys)
     assert not (out / "predictions.csv").exists()
 
 
+def test_classify_non_utf8_model_fails_typed(tmp_path, capsys):
+    dataset = simulate(tmp_path, "flat", 5, duration=2.0)
+    model = tmp_path / "bad.json"
+    model.write_bytes(b'{"format": "\xff"}\n')
+    out = tmp_path / "pred"
+    assert run("classify", dataset, "--model", model, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "predictions.csv").exists()
+
+
 def test_evaluate_deterministic_and_confusion_shape(tmp_path, labeled_features):
     _, features = labeled_features
     out_a = tmp_path / "eval_a"

@@ -150,6 +150,34 @@ def test_entropy_histogram_oracle():
         assert abs(shannon_entropy(x, bins=bins) - oracle) <= 1e-12
 
 
+def histogram_entropy(x, bins):
+    """Entropy from np.histogram's counts, the path shannon_entropy replaced."""
+    if x.min() == x.max():
+        return 0.0
+    counts, _ = np.histogram(x, bins=bins, range=(float(x.min()), float(x.max())))
+    probs = counts[counts > 0] / x.shape[0]
+    return float(-np.sum(probs * np.log2(probs)))
+
+
+def test_entropy_bit_identical_to_histogram_path():
+    # Small-integer and rounded values put many samples exactly on bin edges.
+    rng = np.random.RandomState(19)
+    for trial in range(20_000):
+        n = int(rng.randint(1, 120))
+        style = trial % 4
+        if style == 0:
+            x = rng.randn(n)
+        elif style == 1:
+            x = rng.randint(-4, 5, size=n).astype(np.float64)
+        else:
+            scale = 10.0 ** (300 if style == 2 else -300)
+            x = np.round(rng.randn(n), int(rng.randint(0, 3))) * scale
+        bins = (2, 3, 16, 17)[trial // 4 % 4]
+        got = np.float64(shannon_entropy(x, bins=bins))
+        want = np.float64(histogram_entropy(x, bins))
+        assert got.view(np.uint64) == want.view(np.uint64), (trial, bins)
+
+
 def test_entropy_bounds_always():
     rng = np.random.RandomState(10)
     for _ in range(50):

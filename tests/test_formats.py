@@ -176,6 +176,19 @@ def test_csv_readers_reject_non_utf8_bytes(tmp_path):
             reader(path)
 
 
+def test_padded_labels_rejected_on_write(tmp_path):
+    # The reader strips metadata lines, so "wet " would read back as "wet".
+    path = tmp_path / "padded.csv"
+    for label in ("wet ", " wet", "wet\t", "\u00a0wet"):
+        with pytest.raises(ValidationError, match="whitespace"):
+            write_dataset(path, TimeSeries(720.0, np.zeros((3, 4)), label=label))
+        assert not path.exists()
+        with pytest.raises(ValidationError, match="whitespace"):
+            write_features(path, [[1.0]], ("a",), labels=[label])
+    write_dataset(path, TimeSeries(720.0, np.zeros((3, 4)), label="wet sand"))
+    assert read_dataset(path).label == "wet sand"
+
+
 # ---------------------------------------------------------------- features
 
 
@@ -372,6 +385,14 @@ def test_model_invalid_json(tmp_path):
     array.write_text("[1, 2, 3]")
     with pytest.raises(FormatError):
         read_model(array)
+
+
+def test_json_readers_reject_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "\xff"}\n')
+    for reader in (read_model, read_profile):
+        with pytest.raises(FormatError, match="cannot read"):
+            reader(path)
 
 
 # ---------------------------------------------------------------- profile

@@ -346,20 +346,27 @@ def test_readers_agree_on_valid_documents(workdir):
 EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX]
 
 
+def storable(label):
+    """Whether a writer must accept ``label`` as a text cell."""
+    return not (label == "" or "," in label or "\n" in label or "\r" in label
+                or label.startswith("#") or label != label.strip())
+
+
 @PROPERTY
 @given(
     values=st.lists(FINITE, min_size=3, max_size=30).map(lambda v: v[: len(v) // 3 * 3]),
     rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    label=st.one_of(st.none(), st.text(max_size=8), st.sampled_from(["wet ", " wet", "a=b"])),
 )
-@example(values=EDGES[:6], rate=5e-324)
-@example(values=EDGES[:6], rate=MAX)
-@example(values=EDGES[1:], rate=1440.0)
-def test_dataset_round_trip_any_finite_doubles(workdir, values, rate):
+@example(values=EDGES[:6], rate=5e-324, label="x")
+@example(values=EDGES[:6], rate=MAX, label="x")
+@example(values=EDGES[1:], rate=1440.0, label="x")
+def test_dataset_round_trip_any_finite_doubles(workdir, values, rate, label):
     channels = np.array(values).reshape(3, -1)
-    series = TimeSeries(sample_rate_hz=rate, channels=channels, label="x")
+    series = TimeSeries(sample_rate_hz=rate, channels=channels, label=label)
     first, second = workdir / "first.csv", workdir / "second.csv"
     first.unlink(missing_ok=True)
-    if not np.isfinite((channels.shape[1] - 1) / rate):
+    if not np.isfinite((channels.shape[1] - 1) / rate) or not (label is None or storable(label)):
         with pytest.raises(ValidationError):
             write_dataset(first, series)
         assert not first.exists()
@@ -368,6 +375,7 @@ def test_dataset_round_trip_any_finite_doubles(workdir, values, rate):
     loaded = read_dataset(first)
     assert np.array_equal(loaded.channels.view(np.uint64), channels.view(np.uint64))
     assert np.float64(loaded.sample_rate_hz).view(np.uint64) == np.float64(rate).view(np.uint64)
+    assert loaded.label == label
     write_dataset(second, loaded)
     assert first.read_bytes() == second.read_bytes()
 

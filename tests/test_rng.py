@@ -65,6 +65,33 @@ def test_scalar_and_block_agree():
     assert [p1.u64() for _ in range(10)] == list(p2.u64_block(10))
 
 
+def test_scalar_draws_interleaved_with_blocks_match_block_stream():
+    # 10^5 scalar draws over four seeds, in runs interleaved with block
+    # draws on the same generator, against one block stream per seed.
+    plan = np.random.RandomState(3)
+    for seed in (0, 7, 2**63 + 5, MASK):
+        mixed, blocks = Prng(seed), Prng(seed)
+        scalars = 0
+        while scalars < 25_000:
+            kind, k = int(plan.randint(4)), int(plan.randint(1, 50))
+            if kind == 0:
+                got = [mixed.u64() for _ in range(k)]
+                assert got == [int(v) for v in blocks.u64_block(k)]
+            elif kind == 1:
+                got = [mixed.uniform() for _ in range(k)]
+                want = blocks.uniform_block(k)
+                assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+            elif kind == 2:
+                bound = int(plan.randint(1, 1 << 30))
+                got = [mixed.below(bound) for _ in range(k)]
+                assert got == [int(v) % bound for v in blocks.u64_block(k)]
+            else:
+                assert np.array_equal(mixed.u64_block(k), blocks.u64_block(k))
+                continue
+            scalars += k
+            assert mixed.counter == blocks.counter
+
+
 def test_uniform_range_and_determinism():
     u = Prng(3).uniform_block(10000)
     assert u.min() > 0.0 and u.max() <= 1.0

@@ -1,13 +1,16 @@
 """Fourier transform, band-pass mask, and window segmentation tests.
 
 The independent oracle throughout is the direct O(n^2) DFT written from
-the definition; the fast path must agree with it to 1e-9 relative.
+the definition; the fast path must agree with it to 1e-9 relative.  The
+real-input transforms are also checked against the full-length complex
+path they replaced, kept below as ``complex_*``.
 """
 
 import numpy as np
 import pytest
 
 from spokesense.errors import EmptyInputError, ValidationError
+from spokesense.features import AutocorrPeak, autocorrelation_peak
 from spokesense.signals import (
     BandSpec,
     Spectrum,
@@ -22,6 +25,8 @@ from spokesense.signals import (
     remove_mean,
     segment_windows,
     window_geometry,
+    _irfft,
+    _rfft,
 )
 
 
@@ -243,6 +248,141 @@ def test_band_spec_validation():
         BandSpec(-1.0, 50.0)
     with pytest.raises(ValidationError):
         BandSpec(np.inf, np.inf)
+
+
+# ------------------------------------- real-input transforms vs complex path
+
+
+def loop_fft(x):
+    """The butterfly loop with a copied even half, as it was before the
+    in-place stage; bit reversal and twiddles rebuilt from their formulas."""
+    out = np.asarray(x, dtype=np.complex128).copy()
+    n = out.shape[0]
+    levels = n.bit_length() - 1
+    idx = np.arange(n)
+    perm = np.zeros(n, dtype=np.int64)
+    for b in range(levels):
+        perm |= ((idx >> b) & 1) << (levels - 1 - b)
+    out = out[perm]
+    half = 1
+    while half < n:
+        tw = np.exp(-2j * np.pi * np.arange(half) / (2 * half))
+        pairs = out.reshape(-1, 2 * half)
+        even = pairs[:, :half].copy()
+        odd = pairs[:, half:] * tw
+        pairs[:, :half] = even + odd
+        pairs[:, half:] = even - odd
+        half *= 2
+    return out
+
+
+def zero_padded(x, n):
+    padded = np.zeros(n)
+    padded[: x.shape[0]] = x
+    return padded
+
+
+def complex_dft_magnitude(x, fs):
+    n = next_pow2(x.shape[0])
+    return np.abs(fft_radix2(zero_padded(x, n))[: n // 2 + 1])
+
+
+def complex_bandpass(x, fs, band):
+    n = next_pow2(x.shape[0])
+    spectrum = fft_radix2(zero_padded(x, n))
+    k = np.arange(n)
+    freqs = np.minimum(k, n - k) * (fs / n)
+    mask = (freqs >= band.low_hz) & (freqs <= band.high_hz)
+    return ifft_radix2(spectrum * mask).real[: x.shape[0]]
+
+
+def complex_autocorrelation_peak(x, min_lag=1):
+    centered = x - x.mean()
+    denom = float(np.sum(centered * centered))
+    n = centered.shape[0]
+    padded = zero_padded(centered, next_pow2(2 * n))
+    power = np.abs(fft_radix2(padded)) ** 2
+    corr = ifft_radix2(power).real[:n] / denom
+    for lag in range(min_lag, n - 1):
+        if corr[lag] > corr[lag - 1] and corr[lag] >= corr[lag + 1]:
+            return AutocorrPeak(lag=lag, value=float(corr[lag]), found=True)
+    return AutocorrPeak(lag=0, value=1.0, found=False)
+
+
+REAL_LENGTHS = (2, 3, 5, 2160, 4096, 5000, 86400)
+
+
+def test_fft_in_place_stages_bit_identical_to_copying_loop():
+    rng = np.random.RandomState(20)
+    for levels in range(18):
+        n = 1 << levels
+        x = rng.randn(n) + 1j * rng.randn(n)
+        assert np.array_equal(fft_radix2(x).view(np.uint64), loop_fft(x).view(np.uint64)), n
+
+
+def test_rfft_round_trip():
+    rng = np.random.RandomState(21)
+    for levels in range(1, 18):
+        x = rng.randn(1 << levels) * 10.0 ** rng.uniform(-3, 3)
+        spectrum = _rfft(x)
+        assert spectrum.shape == (x.shape[0] // 2 + 1,)
+        assert np.abs(_irfft(spectrum) - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_rfft_matches_complex_transform():
+    rng = np.random.RandomState(22)
+    for levels in range(1, 18):
+        x = rng.randn(1 << levels)
+        full = loop_fft(x)[: x.shape[0] // 2 + 1]
+        assert np.abs(_rfft(x) - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_dft_magnitude_matches_complex_path():
+    # Magnitudes grow with the length (a DC offset piles up n |mean| in bin
+    # 0), so the bound is relative to the largest magnitude, not to max|x|.
+    rng = np.random.RandomState(23)
+    for n in REAL_LENGTHS:
+        for offset in (0.0, 5.0):
+            x = rng.randn(n) + offset
+            fast = dft_magnitude(x, 720.0).magnitudes
+            slow = complex_dft_magnitude(x, 720.0)
+            assert fast.shape == slow.shape
+            assert np.abs(fast - slow).max() <= 1e-12 * slow.max(), (n, offset)
+
+
+def test_bandpass_matches_complex_path_dc_and_nyquist_bands():
+    rng = np.random.RandomState(24)
+    fs = 720.0
+    bands = (
+        BandSpec(0.0, fs / 2),  # every bin, DC and Nyquist included
+        BandSpec(0.0, 50.0),  # DC kept
+        BandSpec(100.0, fs / 2),  # Nyquist kept
+        BandSpec(1.0, 50.0),
+        BandSpec(fs / 4, fs / 2 - 1e-9),  # stops just short of Nyquist
+    )
+    for n in REAL_LENGTHS:
+        x = rng.randn(n) + rng.randn()
+        for band in bands:
+            fast = bandpass(x, fs, band)
+            slow = complex_bandpass(x, fs, band)
+            assert fast.shape == slow.shape
+            assert np.abs(fast - slow).max() <= 1e-12 * np.abs(x).max(), (n, band)
+
+
+def test_autocorrelation_matches_complex_path():
+    rng = np.random.RandomState(25)
+    t = np.arange(86400)
+    for n in REAL_LENGTHS[3:] + (8, 9, 64):
+        signals = (
+            rng.randn(n),
+            np.sin(2 * np.pi * t[:n] / 37.0) + 0.3 * rng.randn(n),
+            np.exp(-t[:n] / 4.0),
+        )
+        for x in signals:
+            fast = autocorrelation_peak(x)
+            slow = complex_autocorrelation_peak(x)
+            assert (fast.lag, fast.found) == (slow.lag, slow.found), n
+            assert abs(fast.value - slow.value) <= 1e-12, n
 
 
 # ------------------------------------------------------------ remove_mean
