@@ -321,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=_positive, default=10.0, help="seconds (default: %(default)s)"
     )
     p.add_argument(
-        "--rate", type=_positive, default=1440.0, help="sample rate in Hz (default: %(default)s)"
+        "--rate",
+        type=_positive,
+        default=synth.DEFAULT_SAMPLE_RATE_HZ,
+        help="sample rate in Hz (default: %(default)s)",
     )
     _add_seed(p)
     _add_out(p)

@@ -1,12 +1,11 @@
 """Cross-channel covariance eigen-signatures.
 
-For one window, each channel is mean-removed (and optionally band-passed
-with a per-channel band first), the 3x3 population covariance across
-channels is formed, and its eigenvalues are extracted in descending order
-with a cyclic Jacobi solver for symmetric 3x3 matrices.  A Covariance3 is
-solved once, when its positive semi-definiteness is checked, and keeps
-those eigenvalues.  The leading eigenvalue tracks overall excitation
-strength, so it orders terrain roughness.
+For one window, the raw channels are mean-removed, the 3x3 population
+covariance across channels is formed, and its eigenvalues are extracted in
+descending order with a cyclic Jacobi solver for symmetric 3x3 matrices.
+A Covariance3 is solved once, when its positive semi-definiteness is
+checked, and keeps those eigenvalues.  The leading eigenvalue tracks
+overall excitation strength, so it orders terrain roughness.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .signals import BandSpec, TimeSeries, Window, bandpass, check_window, remove_mean
+from .signals import TimeSeries, Window, check_window
 
 
 _OFF_DIAGONAL_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -115,29 +114,12 @@ class EigenSignature:
         return (self.lambda1, self.lambda2, self.lambda3)
 
 
-def covariance3(
-    series: TimeSeries,
-    window: Window,
-    bands: tuple[BandSpec, BandSpec, BandSpec] | None = None,
-) -> Covariance3:
-    """Population covariance of the mean-removed channels.
-
-    By default the raw channels are used; passing three band specs
-    restricts channel c to bands[c] before the covariance is taken.
-    """
+def covariance3(series: TimeSeries, window: Window) -> Covariance3:
+    """Population covariance of the mean-removed raw channels."""
     check_window(series, window)
-    rate = series.sample_rate_hz
-    rows = []
-    for c in range(3):
-        segment = series.channels[c, window.start_index:window.stop_index]
-        if bands is not None:
-            if len(bands) != 3:
-                raise ValidationError(f"exactly 3 bands required, got {len(bands)}")
-            segment = bandpass(segment, rate, bands[c])
-        rows.append(remove_mean(segment))
-    stacked = np.vstack(rows)
-    cov = (stacked @ stacked.T) / window.length
-    return Covariance3(entries=cov)
+    segment = series.channels[:, window.start_index:window.stop_index]
+    centered = segment - segment.mean(axis=1, keepdims=True)
+    return Covariance3(entries=(centered @ centered.T) / window.length)
 
 
 def eigenvalues_sym3(cov: Covariance3 | np.ndarray) -> EigenSignature:
@@ -148,14 +130,9 @@ def eigenvalues_sym3(cov: Covariance3 | np.ndarray) -> EigenSignature:
     return EigenSignature(*_sym3_eigenvalues(_checked_sym3(cov, "matrix", 1e-9)))
 
 
-def eigen_report_rows(
-    series: TimeSeries,
-    windows,
-    bands: tuple[BandSpec, BandSpec, BandSpec] | None = None,
-) -> list[tuple[int, EigenSignature, str | None]]:
+def eigen_report_rows(series: TimeSeries, windows) -> list[tuple[int, EigenSignature, str | None]]:
     """(window index, signature, record label) for each window."""
-    out = []
-    for idx, window in enumerate(windows):
-        sig = eigenvalues_sym3(covariance3(series, window, bands))
-        out.append((idx, sig, series.label))
-    return out
+    return [
+        (idx, eigenvalues_sym3(covariance3(series, window)), series.label)
+        for idx, window in enumerate(windows)
+    ]

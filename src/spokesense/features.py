@@ -4,18 +4,20 @@ Each sensor channel is tied to one analysis band (channel 1 -> low,
 channel 2 -> mid, channel 3 -> high).  For every channel the windowed
 samples are band-passed with that channel's band, mean-removed, and six
 statistics are computed: rms, std, kurtosis, skewness, energy, entropy.
-The first five come from one moment pass per channel, which the public
-functions of the same names wrap; on a zero-variance channel kurtosis and
-skewness read 0.0 and flag the vector degenerate (the public ones raise).
-The resulting 18-dimensional vector can be extended with four extra
-descriptors aimed at periodicity and impulsiveness.
+The first five come from one moment pass per channel, the entropy from
+one histogram pass; the public functions of the same names wrap them.  On a
+zero-variance channel kurtosis and skewness read 0.0 and flag the vector
+degenerate (the public ones raise).  The resulting 18-dimensional vector
+can be extended with four extra descriptors aimed at periodicity and
+impulsiveness, whose window sizes are fixed: the autocorrelation scan
+starts at lag 1 and the envelope is a 32-sample moving rms.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .signals import (
+    DEFAULT_OVERLAP,
+    DEFAULT_WINDOW_SECONDS,
     BandSpec,
     TimeSeries,
     Window,
@@ -36,7 +40,7 @@ from .signals import (
     bandpass,
     check_window,
     next_pow2,
-    remove_mean,
+    segment_windows,
 )
 
 STAT_NAMES = ("rms", "std", "kurtosis", "skewness", "energy", "entropy")
@@ -172,6 +176,10 @@ def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
     arr = _as_samples(x, min_len=1)
     if bins < 2:
         raise ValidationError(f"entropy needs at least 2 bins, got {bins}")
+    return _entropy(arr, bins)
+
+
+def _entropy(arr: np.ndarray, bins: int) -> float:
     lo = float(arr.min())
     hi = float(arr.max())
     if lo == hi:
@@ -195,16 +203,14 @@ class AutocorrPeak(NamedTuple):
     found: bool
 
 
-def autocorrelation_peak(x, min_lag: int = 1) -> AutocorrPeak:
+def autocorrelation_peak(x) -> AutocorrPeak:
     """First local maximum of the biased normalized autocorrelation.
 
     The input is mean-removed; r(0) = 1 by construction.  Scans lags
-    >= min_lag for the first r(t) with r(t) > r(t-1) and r(t) >= r(t+1).
+    t >= 1 for the first r(t) with r(t) > r(t-1) and r(t) >= r(t+1).
     Returns (0, 1.0, False) when no local maximum exists.
     """
     arr = _as_samples(x, min_len=8)
-    if min_lag < 1:
-        raise ValidationError(f"min_lag must be >= 1, got {min_lag}")
     centered = arr - arr.mean()
     denom = float(np.sum(centered * centered))
     if denom == 0.0:
@@ -215,23 +221,20 @@ def autocorrelation_peak(x, min_lag: int = 1) -> AutocorrPeak:
     padded[:n] = centered
     power = np.abs(_rfft(padded)) ** 2
     corr = _irfft(power)[:n] / denom
-    for lag in range(min_lag, n - 1):
+    for lag in range(1, n - 1):
         if corr[lag] > corr[lag - 1] and corr[lag] >= corr[lag + 1]:
             return AutocorrPeak(lag=lag, value=float(corr[lag]), found=True)
     return AutocorrPeak(lag=0, value=1.0, found=False)
 
 
-def amplitude_smoothness(x, subwindow: int = 32) -> float:
+def amplitude_smoothness(x) -> float:
     """Envelope steadiness in (0, 1]; 1 means a perfectly steady envelope.
 
-    The envelope is a moving rms with sub-window min(subwindow, n) and
-    stride 1; the score is 1 / (1 + mean|diff(envelope)| / (mean(envelope)
-    + 1e-12)).
+    The envelope is a moving rms with sub-window min(32, n) and stride 1;
+    the score is 1 / (1 + mean|diff(envelope)| / (mean(envelope) + 1e-12)).
     """
     arr = _as_samples(x, min_len=2)
-    if subwindow < 1:
-        raise ValidationError(f"subwindow must be >= 1, got {subwindow}")
-    w = min(subwindow, arr.shape[0])
+    w = min(32, arr.shape[0])
     squares = arr * arr
     csum = np.concatenate(([0.0], np.cumsum(squares)))
     window_means = (csum[w:] - csum[:-w]) / w
@@ -245,36 +248,36 @@ def amplitude_smoothness(x, subwindow: int = 32) -> float:
 
 @dataclass(eq=False)
 class FeatureVector:
+    """One window's values, in the order of its config's feature_names()."""
+
     values: np.ndarray
-    names: tuple[str, ...]
     degenerate: bool = False
 
 
 def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) -> FeatureVector:
     """Feature vector for one window of a record.
 
-    Channel c is band-passed with config.bands[c], mean-removed, then the
-    six per-band statistics are computed, five of them from one moment
-    pass.  Zero-variance channels yield 0 for kurtosis and skewness (and the
-    extras' spike kurtosis) and set the degenerate flag instead of raising.
+    Channel c is band-passed with config.bands[c] (which checks the band
+    against Nyquist), mean-removed, then the six per-band statistics are
+    computed, five of them from one moment pass.  Zero-variance channels
+    yield 0 for kurtosis and skewness (and the extras' spike kurtosis) and
+    set the degenerate flag instead of raising.
     """
     check_window(series, window)
     if window.length < 4:
         raise ValidationError(f"kurtosis needs at least 4 samples, got {window.length}")
-    rate = series.sample_rate_hz
-    for band in config.bands:
-        band.check_nyquist(rate)
     values: list[float] = []
     degenerate = False
     filtered_by_channel: list[np.ndarray] = []
     for c in range(3):
         segment = series.channels[c, window.start_index:window.stop_index]
-        filtered = remove_mean(bandpass(segment, rate, config.bands[c]))
+        filtered = bandpass(segment, series.sample_rate_hz, config.bands[c])
+        filtered -= filtered.mean()
         filtered_by_channel.append(filtered)
         moments = _central_moments(filtered)
         degenerate = degenerate or moments.degenerate
         values.extend(moments[:5])
-        values.append(shannon_entropy(filtered, config.entropy_bins))
+        values.append(_entropy(filtered, config.entropy_bins))
     if config.include_position_extras:
         mid = filtered_by_channel[1]
         try:
@@ -283,8 +286,8 @@ def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) 
         except DegenerateInputError:
             autocorr_value = 1.0
             degenerate = True
-        raw_spoke = remove_mean(series.channels[2, window.start_index:window.stop_index])
-        spike = _central_moments(raw_spoke)
+        raw_spoke = series.channels[2, window.start_index:window.stop_index]
+        spike = _central_moments(raw_spoke - raw_spoke.mean())
         degenerate = degenerate or spike.degenerate
         values.extend(
             [
@@ -294,26 +297,20 @@ def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) 
                 spike.kurtosis,
             ]
         )
-    return FeatureVector(
-        values=np.asarray(values, dtype=np.float64),
-        names=config.feature_names(),
-        degenerate=degenerate,
-    )
+    return FeatureVector(values=np.asarray(values, dtype=np.float64), degenerate=degenerate)
 
 
 def extract_feature_matrix(
     series_list,
     config: FeatureConfig,
-    window_seconds: float = 1.5,
-    overlap_fraction: float = 0.5,
+    window_seconds: float = DEFAULT_WINDOW_SECONDS,
+    overlap_fraction: float = DEFAULT_OVERLAP,
 ) -> tuple[np.ndarray, list[str | None], tuple[str, ...]]:
     """Stack per-window feature vectors for a list of records.
 
     Returns (matrix, row labels, column names); a row's label is the
     label of the record it came from.
     """
-    from .signals import segment_windows
-
     rows: list[np.ndarray] = []
     labels: list[str | None] = []
     names = config.feature_names()

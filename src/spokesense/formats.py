@@ -17,13 +17,15 @@ call and checked by one finiteness pass.  Only a faulty body is walked row
 by row, to name the line and field of its first fault.  Readers raise
 typed errors with line/field positions and never abort the process.
 
-Free-text cells (labels, class names) must not contain commas, newlines,
-a leading ``#`` or leading or trailing whitespace.
+Free-text cells (labels, class names) must be encodable as UTF-8 and must
+not contain commas, newlines, a leading ``#`` or leading or trailing
+whitespace.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +49,7 @@ CURRENT_VERSION = 1
 
 
 _FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 
 
 def format_float(value: float) -> str:
@@ -67,10 +70,10 @@ def _render_rows(block: np.ndarray, labels: list[str] | None = None) -> str:
 def _check_text_cell(value: str, what: str) -> str:
     text = str(value)
     if (text == "" or "," in text or "\n" in text or "\r" in text or text.startswith("#")
-            or text != text.strip()):
+            or text != text.strip() or _SURROGATE.search(text)):
         raise ValidationError(
-            f"{what} {text!r} cannot be stored: must be non-empty and free of "
-            "commas, newlines, a leading '#' and leading or trailing whitespace"
+            f"{what} {text!r} cannot be stored: must be non-empty, encodable as UTF-8 and "
+            "free of commas, newlines, a leading '#' and leading or trailing whitespace"
         )
     return text
 

@@ -24,24 +24,26 @@ from .errors import (
     NotPositiveDefiniteError,
     ValidationError,
 )
-from .svm import Standardizer, apply_standardizer, fit_standardizer
+from .signals import _as_samples
+from .svm import Standardizer, _as_matrix, apply_standardizer, fit_standardizer
 
 DEFAULT_EPSILON_SCALE = 1e-6
 _EPSILON_FLOOR = 1e-12
 
 
-def euclidean_distance(x, y) -> float:
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.ndim != 1 or yv.ndim != 1:
-        raise ValidationError("distance operands must be vectors")
+def _difference(x, y) -> np.ndarray:
+    """x - y of two finite, non-empty vectors of equal length."""
+    xv = _as_samples(x, min_len=1, name="distance operand")
+    yv = _as_samples(y, min_len=1, name="distance operand")
     if xv.shape[0] != yv.shape[0]:
         raise LayoutMismatchError(
             f"distance operands disagree on dimension: {xv.shape[0]} vs {yv.shape[0]}"
         )
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise ValidationError("distance operands contain non-finite values")
-    return float(_norms(xv - yv))
+    return xv - yv
+
+
+def euclidean_distance(x, y) -> float:
+    return float(_norms(_difference(x, y)))
 
 
 def cholesky_spd(a) -> np.ndarray:
@@ -82,32 +84,20 @@ def _norms(columns: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(columns * columns, axis=0))
 
 
-def _check_symmetric(arr: np.ndarray, name: str) -> np.ndarray:
-    scale = max(1.0, float(np.abs(arr).max()))
-    if float(np.abs(arr - arr.T).max()) > 1e-9 * scale:
-        raise ValidationError(f"{name} is not symmetric")
-    return (arr + arr.T) / 2.0
-
-
 def mahalanobis_distance(x, y, covariance) -> float:
     """sqrt((x - y)^T S^{-1} (x - y)) via Cholesky and forward substitution."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
+    diff = _difference(x, y)
     cov = np.asarray(covariance, dtype=np.float64)
-    if xv.ndim != 1 or yv.ndim != 1:
-        raise ValidationError("distance operands must be vectors")
-    d = xv.shape[0]
-    if yv.shape[0] != d or cov.shape != (d, d):
-        raise LayoutMismatchError(
-            f"dimension mismatch: x has {d}, y has {yv.shape[0]}, covariance {cov.shape}"
-        )
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise ValidationError("distance operands contain non-finite values")
-    if not np.isfinite(cov).all():
-        raise ValidationError("covariance contains non-finite entries")
-    cov = _check_symmetric(cov, "covariance")
-    lower = cholesky_spd(cov)
-    return float(_norms(_solve_lower(lower, xv - yv)))
+    d = diff.shape[0]
+    if cov.shape != (d, d):
+        raise LayoutMismatchError(f"covariance of shape {cov.shape} for {d}-d operands")
+    scale = max(1.0, float(np.abs(cov).max()))
+    with np.errstate(invalid="ignore"):  # inf - inf; cholesky_spd rejects non-finite entries
+        asymmetry = float(np.abs(cov - cov.T).max())
+    if asymmetry > 1e-9 * scale:
+        raise ValidationError("covariance is not symmetric")
+    lower = cholesky_spd((cov + cov.T) / 2.0)
+    return float(_norms(_solve_lower(lower, diff)))
 
 
 @dataclass(eq=False)
@@ -147,15 +137,11 @@ def build_library(
     matrices = []
     width = None
     for name in names:
-        mat = np.asarray(features_by_class[name], dtype=np.float64)
-        if mat.ndim != 2:
-            raise ValidationError(f"class {name!r} features must be a 2-d matrix")
+        mat = _as_matrix(features_by_class[name], f"class {name!r} features")
         if mat.shape[0] < 2:
             raise ValidationError(
                 f"class {name!r} has {mat.shape[0]} windows; need at least 2"
             )
-        if not np.isfinite(mat).all():
-            raise ValidationError(f"class {name!r} features contain non-finite values")
         if width is None:
             width = mat.shape[1]
         elif mat.shape[1] != width:
@@ -224,17 +210,12 @@ class DistanceReport:
 def rank_unknown(unknown_windows, library: TerrainLibrary) -> DistanceReport:
     """Rank an unknown recording's mean feature vector against every class."""
     mat = np.asarray(unknown_windows, dtype=np.float64)
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    if mat.ndim != 2 or mat.shape[0] == 0:
-        raise EmptyInputError("unknown recording has no feature windows")
+    mat = _as_matrix(mat[None, :] if mat.ndim == 1 else mat, "unknown features")
     if mat.shape[1] != library.n_features:
         raise LayoutMismatchError(
             f"unknown features have {mat.shape[1]} columns, library expects "
             f"{library.n_features}"
         )
-    if not np.isfinite(mat).all():
-        raise ValidationError("unknown features contain non-finite values")
     query = apply_standardizer(library.standardizer, mat.mean(axis=0))
     diffs = (query - library.class_means).T  # (d, k): one column per class
     euclid = _norms(diffs)

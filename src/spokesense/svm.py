@@ -13,7 +13,7 @@ queries are mapped through the stored standardizer.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,14 +50,12 @@ def _as_matrix(x, name: str = "features") -> np.ndarray:
 class Standardizer:
     """Per-column affine map to zero mean and unit spread.
 
-    ``guarded`` flags columns whose spread fell below 1e-12; they keep
-    std 1 so constant features pass through centered instead of dividing
-    by zero.
+    Columns whose spread fell below 1e-12 keep std 1, so constant features
+    pass through centered instead of dividing by zero.
     """
 
     means: np.ndarray
     stds: np.ndarray
-    guarded: np.ndarray | None = None
 
     @property
     def n_features(self) -> int:
@@ -68,9 +66,7 @@ def fit_standardizer(x) -> Standardizer:
     arr = _as_matrix(x)
     means = arr.mean(axis=0)
     stds = arr.std(axis=0)
-    guarded = stds < 1e-12
-    stds = np.where(guarded, 1.0, stds)
-    return Standardizer(means=means, stds=stds, guarded=guarded)
+    return Standardizer(means=means, stds=np.where(stds < 1e-12, 1.0, stds))
 
 
 def apply_standardizer(standardizer: Standardizer, x) -> np.ndarray:
@@ -155,13 +151,22 @@ class BinarySvm:
     sv_indices: np.ndarray | None = None
 
 
+def _as_queries(x) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValidationError("queries contain non-finite values")
+    return arr
+
+
+def _decision_values(svm: BinarySvm, xs: np.ndarray) -> np.ndarray:
+    return kernel_matrix(svm.kernel, xs, svm.support_vectors) @ svm.coefficients + svm.bias
+
+
 def decision_function(svm: BinarySvm, x) -> float | np.ndarray:
     """Signed decision value(s); positive means the +1 class."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    k = kernel_matrix(svm.kernel, np.atleast_2d(arr), svm.support_vectors)
-    values = k @ svm.coefficients + svm.bias
-    return float(values[0]) if single else values
+    arr = _as_queries(x)
+    values = _decision_values(svm, np.atleast_2d(arr))
+    return float(values[0]) if arr.ndim == 1 else values
 
 
 def _train_machine(
@@ -187,10 +192,6 @@ def _train_machine(
     """
     if not np.isfinite(c) or c <= 0:
         raise ValidationError(f"c must be positive, got {c}")
-    if not np.isfinite(tol) or tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if max_iter < 0:
-        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     k_diag = np.diag(kernel_mat)
     positive = y > 0.0
     alphas = np.zeros(y.shape[0])
@@ -261,6 +262,10 @@ def train_binary_svm(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BinarySvm:
     """Train one soft-margin machine on labels in {-1, +1}."""
+    if not np.isfinite(tol) or tol <= 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     arr = _as_matrix(x)
     yv = np.asarray(y, dtype=np.float64)
     if yv.ndim != 1 or yv.shape[0] != arr.shape[0]:
@@ -300,7 +305,7 @@ def kkt_report(svm: BinarySvm, x, y, tol: float = DEFAULT_TOL) -> KktReport:
     alphas[svm.sv_indices] = svm.coefficients * yv[svm.sv_indices]
     if np.any(alphas < 0.0) or np.any(alphas > svm.c):
         raise ValidationError("reconstructed multipliers fall outside [0, C]")
-    margins = yv * decision_function(svm, arr)
+    margins = yv * _decision_values(svm, arr)
     zero_set = alphas == 0.0
     bound_set = alphas == svm.c
     interior = ~zero_set & ~bound_set
@@ -340,6 +345,23 @@ class SvmModel:
     feature_layout_id: str = ""
 
 
+def _rows_by_class(arr: np.ndarray, labels, purpose: str) -> dict[str, np.ndarray]:
+    """Row indices of each class, keyed by label in sorted order; needs one
+    label per row and at least 2 classes."""
+    label_list = [str(v) for v in labels]
+    if len(label_list) != arr.shape[0]:
+        raise ValidationError(
+            f"labels must be one per row: {len(label_list)} labels for {arr.shape[0]} rows"
+        )
+    class_names = sorted(set(label_list))
+    if len(class_names) < 2:
+        raise ValidationError(f"need at least 2 classes to {purpose}")
+    return {
+        name: np.asarray([i for i, v in enumerate(label_list) if v == name])
+        for name in class_names
+    }
+
+
 def fit_svm_model(
     x,
     labels,
@@ -347,8 +369,6 @@ def fit_svm_model(
     kernel_name: str = "rbf",
     c: float = DEFAULT_C,
     gamma: float | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     feature_layout_id: str = "",
 ) -> SvmModel:
     """Train one machine per class pair on standardized features.
@@ -359,24 +379,14 @@ def fit_svm_model(
     standardized training matrix.
     """
     arr = _as_matrix(x)
-    label_list = [str(v) for v in labels]
-    if len(label_list) != arr.shape[0]:
-        raise ValidationError(
-            f"labels must be one per row: {len(label_list)} labels for {arr.shape[0]} rows"
-        )
-    class_names = tuple(sorted(set(label_list)))
-    if len(class_names) < 2:
-        raise ValidationError("need at least 2 classes to train a classifier")
+    rows_by_class = _rows_by_class(arr, labels, "train a classifier")
+    class_names = tuple(rows_by_class)
     standardizer = fit_standardizer(arr)
     xs = apply_standardizer(standardizer, arr)
     if kernel_name == "rbf" and gamma is None:
         gamma = median_heuristic_gamma(xs)
     kernel = Kernel(kernel_name, gamma if kernel_name == "rbf" else None)
     full_k = kernel_matrix(kernel, xs, xs)
-    rows_by_class = {
-        name: np.asarray([i for i, v in enumerate(label_list) if v == name])
-        for name in class_names
-    }
     pairwise: list[PairwiseEntry] = []
     for ai in range(len(class_names)):
         for bi in range(ai + 1, len(class_names)):
@@ -385,7 +395,7 @@ def fit_svm_model(
             rows = np.concatenate([rows_a, rows_b])
             yv = np.concatenate([np.ones(rows_a.size), -np.ones(rows_b.size)])
             machine = _train_machine(
-                kernel, full_k[np.ix_(rows, rows)], xs[rows], yv, c, tol, max_iter
+                kernel, full_k[np.ix_(rows, rows)], xs[rows], yv, c, DEFAULT_TOL, DEFAULT_MAX_ITER
             )
             pairwise.append(PairwiseEntry(class_names[ai], class_names[bi], machine))
     return SvmModel(
@@ -402,7 +412,7 @@ def predict_batch(model: SvmModel, x) -> list[str]:
     Vote ties break by the larger sum of |decision value| over the pairs
     each tied class won, then by class order.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _as_queries(x)
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-d query matrix, got shape {arr.shape}")
     xs = apply_standardizer(model.standardizer, arr)
@@ -412,7 +422,7 @@ def predict_batch(model: SvmModel, x) -> list[str]:
     votes = np.zeros((n, k), dtype=np.int64)
     strength = np.zeros((n, k))
     for entry in model.pairwise:
-        f = np.asarray(decision_function(entry.svm, xs))
+        f = _decision_values(entry.svm, xs)
         ai = index_of[entry.class_a]
         bi = index_of[entry.class_b]
         wins_a = f > 0.0
@@ -460,7 +470,6 @@ def evaluate_trials(
     kernel_name: str = "rbf",
     c: float = DEFAULT_C,
     gamma: float | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[float, ConfusionMatrix]:
     """Repeated stratified random split evaluation.
 
@@ -471,21 +480,12 @@ def evaluate_trials(
     """
     arr = _as_matrix(x)
     label_list = [str(v) for v in labels]
-    if len(label_list) != arr.shape[0]:
-        raise ValidationError(
-            f"labels must be one per row: {len(label_list)} labels for {arr.shape[0]} rows"
-        )
+    rows_by_class = _rows_by_class(arr, label_list, "evaluate")
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    class_names = tuple(sorted(set(label_list)))
-    if len(class_names) < 2:
-        raise ValidationError("need at least 2 classes to evaluate")
-    rows_by_class = {
-        name: np.asarray([i for i, v in enumerate(label_list) if v == name])
-        for name in class_names
-    }
+    class_names = tuple(rows_by_class)
     for name, rows in rows_by_class.items():
         if rows.size < 2:
             raise ValidationError(f"class {name!r} has {rows.size} rows; need at least 2")
@@ -513,7 +513,6 @@ def evaluate_trials(
             kernel_name=kernel_name,
             c=c,
             gamma=gamma,
-            tol=tol,
         )
         predictions = predict_batch(model, arr[test_rows])
         correct = 0

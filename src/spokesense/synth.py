@@ -9,21 +9,23 @@ channel-band gain matrix; impulses decay over 10 ms, so their energy sits
 almost entirely in the low band and they are mixed through the matrix's
 low-band column.  All randomness comes from the package's own counter-based
 generator, so records are a pure function of (profile, duration, rate,
-seed).
+seed).  Datasets are sampled at 1,440 Hz and sized in the package's default
+1.5 s windows with 0.5 overlap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .features import DEFAULT_BANDS
 from .rng import Prng, derive_seed
-from .signals import TimeSeries, bandpass, window_geometry
+from .signals import DEFAULT_OVERLAP, DEFAULT_WINDOW_SECONDS, TimeSeries, bandpass, window_geometry
 
+DEFAULT_SAMPLE_RATE_HZ = 1440.0
 IMPULSE_DECAY_S = 0.010
 _IMPULSE_TAIL_DECAYS = 8.0
 
@@ -285,12 +287,10 @@ def generate_dataset(
     profiles,
     windows_per_class: int,
     *,
-    sample_rate_hz: float = 1440.0,
-    window_seconds: float = 1.5,
-    overlap_fraction: float = 0.5,
     seed: int = 0,
 ) -> list[TimeSeries]:
-    """One record per profile, sized for exactly windows_per_class windows.
+    """One record per profile at DEFAULT_SAMPLE_RATE_HZ, sized for exactly
+    windows_per_class default windows.
 
     Class index i uses sub-seed ``seed XOR i``.
     """
@@ -299,16 +299,12 @@ def generate_dataset(
         raise ValidationError("need at least one profile")
     if windows_per_class < 2:
         raise ValidationError(f"windows_per_class must be >= 2, got {windows_per_class}")
-    length, stride = window_geometry(sample_rate_hz, window_seconds, overlap_fraction)
+    rate = DEFAULT_SAMPLE_RATE_HZ
+    length, stride = window_geometry(rate, DEFAULT_WINDOW_SECONDS, DEFAULT_OVERLAP)
     n = length + (windows_per_class - 1) * stride
     out = []
     for index, profile in enumerate(profiles):
         sub_seed = (int(seed) ^ index) & 0xFFFFFFFFFFFFFFFF
-        spec = GenSpec(
-            profile=profile,
-            duration_s=n / sample_rate_hz,
-            sample_rate_hz=sample_rate_hz,
-            seed=sub_seed,
-        )
+        spec = GenSpec(profile=profile, duration_s=n / rate, sample_rate_hz=rate, seed=sub_seed)
         out.append(generate(spec))
     return out

@@ -5,6 +5,7 @@ run reads as a checklist.  The tests reuse only public APIs and independent
 oracles (direct DFT, explicit inverses, hand-built fixtures).
 """
 
+import functools
 import time
 
 import numpy as np
@@ -56,10 +57,17 @@ def verdict(n: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {n}: {detail}"
 
 
-def direct_dft(x: np.ndarray) -> np.ndarray:
-    n = len(x)
+@functools.cache
+def dft_basis(n: int) -> np.ndarray:
+    """exp(-2 pi i j k / n), built once per length; read-only."""
     k = np.arange(n)
-    return (np.exp(-2j * np.pi * np.outer(k, k) / n) @ x.astype(np.complex128))
+    basis = np.exp(-2j * np.pi * np.outer(k, k) / n)
+    basis.flags.writeable = False
+    return basis
+
+
+def direct_dft(x: np.ndarray) -> np.ndarray:
+    return dft_basis(len(x)) @ x.astype(np.complex128)
 
 
 def test_criterion_01_end_to_end_accuracy():

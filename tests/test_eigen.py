@@ -17,8 +17,8 @@ from spokesense.eigen import (
     eigenvalues_sym3,
 )
 from spokesense.errors import ValidationError
-from spokesense.features import DEFAULT_BANDS
 from spokesense.signals import TimeSeries, Window, segment_windows
+from spokesense.synth import GenSpec, builtin_profiles, generate
 
 
 def det3(m: np.ndarray) -> float:
@@ -156,15 +156,23 @@ def test_covariance_matches_direct_oracle():
     assert np.abs(cov.entries - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
 
 
-def test_covariance_banded_option():
-    rng = np.random.RandomState(7)
-    x = rng.randn(3, 2048)
-    series = make_series(x, rate=1440.0)
-    raw = covariance3(series, Window(0, 2048))
-    banded = covariance3(series, Window(0, 2048), bands=DEFAULT_BANDS)
-    # band-passing removes out-of-band power, shrinking every variance
-    for c in range(3):
-        assert banded.entries[c, c] < raw.entries[c, c]
+def test_covariance_bit_identical_to_per_channel_centering():
+    # The channels are centered as one block; the earlier path centered each
+    # channel on its own and stacked them.  Both must give the same bits.
+    checked = 0
+    for k, profile in enumerate(builtin_profiles()):
+        series = generate(GenSpec(profile, duration_s=6.0, sample_rate_hz=1440.0, seed=50 + k))
+        windows = segment_windows(series, 1.5, 0.5) + [Window(7, 1001), Window(3, 4)]
+        for window in windows:
+            rows = []
+            for c in range(3):
+                segment = series.channels[c, window.start_index:window.stop_index]
+                rows.append(segment - segment.mean())
+            stacked = np.vstack(rows)
+            old = (stacked @ stacked.T) / window.length
+            assert covariance3(series, window).entries.tobytes() == old.tobytes()
+            checked += 1
+    assert checked == 6 * 9
 
 
 def test_covariance_window_bounds():

@@ -303,8 +303,8 @@ def test_layout_lengths():
     )
     assert plain.values.shape == (18,)
     assert extras.values.shape == (22,)
-    assert len(plain.names) == 18
-    assert len(extras.names) == 22
+    assert len(FeatureConfig().feature_names()) == 18
+    assert len(FeatureConfig(include_position_extras=True).feature_names()) == 22
     assert np.isfinite(plain.values).all()
     assert np.isfinite(extras.values).all()
 

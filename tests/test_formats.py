@@ -189,6 +189,24 @@ def test_padded_labels_rejected_on_write(tmp_path):
     assert read_dataset(path).label == "wet sand"
 
 
+def test_labels_utf8_cannot_encode_rejected_before_open(tmp_path):
+    # A lone surrogate has no UTF-8 encoding; it must fail typed, not as a
+    # UnicodeEncodeError from a file already opened for writing.
+    path = tmp_path / "surrogate.csv"
+    for label in ("\ud800", "wet\udfff"):
+        with pytest.raises(ValidationError, match="UTF-8"):
+            write_dataset(path, TimeSeries(720.0, np.zeros((3, 2)), label=label))
+        assert not path.exists()
+        with pytest.raises(ValidationError, match="UTF-8"):
+            write_features(path, [[1.0]], ("a",), labels=[label])
+        assert not path.exists()
+        with pytest.raises(ValidationError, match="UTF-8"):
+            write_features(path, [[1.0]], (label,))
+        assert not path.exists()
+    write_dataset(path, TimeSeries(720.0, np.zeros((3, 2)), label="gr\u00e4vel \U0001F30B"))
+    assert read_dataset(path).label == "gr\u00e4vel \U0001F30B"
+
+
 # ---------------------------------------------------------------- features
 
 

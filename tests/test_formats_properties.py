@@ -349,14 +349,24 @@ EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX]
 def storable(label):
     """Whether a writer must accept ``label`` as a text cell."""
     return not (label == "" or "," in label or "\n" in label or "\r" in label
-                or label.startswith("#") or label != label.strip())
+                or label.startswith("#") or label != label.strip()
+                or any("\ud800" <= ch <= "\udfff" for ch in label))
+
+
+# Any code point, lone surrogates included (the default alphabet excludes them).
+ANY_CHAR = st.characters() | st.characters(categories=["Cs"])
 
 
 @PROPERTY
 @given(
     values=st.lists(FINITE, min_size=3, max_size=30).map(lambda v: v[: len(v) // 3 * 3]),
     rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    label=st.one_of(st.none(), st.text(max_size=8), st.sampled_from(["wet ", " wet", "a=b"])),
+    label=st.one_of(
+        st.none(),
+        st.text(max_size=8),
+        st.text(ANY_CHAR, max_size=8),
+        st.sampled_from(["wet ", " wet", "a=b", "\ud800"]),
+    ),
 )
 @example(values=EDGES[:6], rate=5e-324, label="x")
 @example(values=EDGES[:6], rate=MAX, label="x")

@@ -69,6 +69,8 @@ def test_euclidean_errors():
         euclidean_distance([[1.0]], [[1.0]])
     with pytest.raises(ValidationError):
         euclidean_distance([np.nan], [0.0])
+    with pytest.raises(EmptyInputError):
+        euclidean_distance([], [])
 
 
 # ---------------------------------------------------------------- cholesky
@@ -171,6 +173,13 @@ def test_mahalanobis_errors():
         mahalanobis_distance([1.0, 2.0], [0.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(NotPositiveDefiniteError):
         mahalanobis_distance([1.0, 2.0], [0.0, 0.0], np.diag([1.0, -1.0]))
+    with pytest.raises(EmptyInputError):
+        mahalanobis_distance([], [], np.zeros((0, 0)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            mahalanobis_distance([1.0, bad], [0.0, 0.0], np.eye(2))
+        with pytest.raises(ValidationError, match="non-finite"):
+            mahalanobis_distance([1.0, 2.0], [0.0, 0.0], np.diag([1.0, bad]))
 
 
 # ---------------------------------------------------------------- library

