@@ -304,6 +304,81 @@ def test_train_requires_labels_and_layout(tmp_path, labeled_features, capsys):
     assert "layout" in capsys.readouterr().err
 
 
+# ---------------------------------------------------- degenerate training data
+
+
+def write_table(tmp_path, name, values, labels):
+    config = features_mod.FeatureConfig()
+    path = tmp_path / name
+    formats.write_features(
+        path, values, config.feature_names(), labels=labels, layout_id=config.layout_id()
+    )
+    return path
+
+
+def spread_rows(n, seed):
+    return np.random.RandomState(seed).randn(n, features_mod.FeatureConfig().n_features)
+
+
+@pytest.fixture()
+def solver_batches(monkeypatch):
+    """Sizes of the batches handed to the batched SVM trainer."""
+    sizes = []
+    trainer = svm._train_machines
+
+    def counting(*args, **kwargs):
+        machines = trainer(*args, **kwargs)
+        sizes.append(len(machines))
+        return machines
+
+    monkeypatch.setattr(svm, "_train_machines", counting)
+    return sizes
+
+
+def test_identical_rows_fail_train_and_evaluate(tmp_path, capsys, solver_batches):
+    rows = np.repeat(spread_rows(1, 50), 8, axis=0)
+    table = write_table(tmp_path, "same.csv", rows, ["a"] * 4 + ["b"] * 4)
+    for command in ("train", "evaluate"):
+        out = tmp_path / command
+        assert run(command, table, "--out", out) == 1
+        assert "all sampled training rows coincide" in capsys.readouterr().err
+        assert not out.exists()
+    assert solver_batches == []
+
+
+def test_one_row_class_fails_evaluate(tmp_path, capsys):
+    table = write_table(tmp_path, "lone.csv", spread_rows(7, 51), ["a"] * 6 + ["lone"])
+    out = tmp_path / "eval"
+    assert run("evaluate", table, "--out", out) == 1
+    assert "'lone' has 1 rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def degenerate_tables(tmp_path):
+    """(path, classes) of training sets the batched trainer must accept."""
+    base = spread_rows(12, 52)
+    labels = ["a"] * 6 + ["b"] * 6
+    duplicated = np.vstack([base, base[:3], base[6:9]])
+    yield write_table(
+        tmp_path, "opposite.csv", duplicated, labels + ["b"] * 3 + ["a"] * 3
+    ), 2
+    yield write_table(tmp_path, "two.csv", spread_rows(6, 53), ["a", "a", "b", "b", "c", "c"]), 3
+    yield write_table(tmp_path, "one.csv", spread_rows(3, 54), ["a", "b", "c"]), 3
+    zero_channel = spread_rows(15, 55)
+    zero_channel[:, :6] = 0.0
+    yield write_table(tmp_path, "zeros.csv", zero_channel, ["a", "b", "c"] * 5), 3
+
+
+def test_degenerate_training_sets_train(tmp_path, solver_batches):
+    for table, classes in degenerate_tables(tmp_path):
+        out = tmp_path / table.stem
+        assert run("train", table, "--out", out) == 0
+        model = formats.read_model(out / "model.json")
+        assert len(model.pairwise) == classes * (classes - 1) // 2
+        assert solver_batches.pop() == len(model.pairwise)
+    assert solver_batches == []
+
+
 # ---------------------------------------------------------------- identify
 
 

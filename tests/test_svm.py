@@ -4,19 +4,26 @@ Oracles: the optimality-condition report recomputed from the trained
 machine's own decision function, enumeration of the 4-point XOR truth
 table, duplicate-training invariance of the decision function, one-hot
 datasets with a known perfect answer, chance-level accuracy under label
-shuffling, and the dual objective of scipy's SLSQP solution of the same
-quadratic program.
+shuffling, the dual objective of scipy's SLSQP solution of the same
+quadratic program, and the one-machine-at-a-time solver loop the batched
+trainer replaced, which must agree with it bit for bit.
 """
+
+import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from spokesense import svm as svm_mod
 from spokesense.errors import (
     DegenerateInputError,
     EmptyInputError,
     LayoutMismatchError,
     ValidationError,
 )
+from spokesense.features import FeatureConfig, extract_feature_matrix
 from spokesense.svm import (
     BinarySvm,
     Kernel,
@@ -32,6 +39,7 @@ from spokesense.svm import (
     predict_batch,
     train_binary_svm,
 )
+from spokesense.synth import UNKNOWN_TERRAIN_NAME, builtin_profiles, generate_dataset
 
 
 def assert_kkt(svm: BinarySvm, x, y, tol: float = 1e-3) -> None:
@@ -327,6 +335,224 @@ def test_kkt_report_requires_in_process_model():
         kkt_report(svm, x, y)
 
 
+# ---------------------------------------------------------------- batched trainer
+
+# The reference: the solver loop that trained one machine at a time, as it
+# stood before the machines of a fit were batched.
+
+
+def _train_machine(
+    kernel: Kernel,
+    kernel_mat: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    c: float,
+    tol: float,
+    max_iter: int,
+) -> BinarySvm:
+    """Solve one soft-margin dual and keep the rows with alpha > 0.
+
+    Dual gradient G = Q alpha - 1 with Q_ij = y_i y_j K_ij; v = -y G.  Rows
+    that may move up are I_up = {alpha < C, y = +1} | {alpha > 0, y = -1},
+    rows that may move down are I_low, the mirror set.  Each step pairs
+    i = argmax of v over I_up with the j in I_low minimizing -b^2 / a, where
+    b = v_i - v_j > 0 and a = K_ii + K_jj - 2 K_ij (1e-12 when a <= 0), and
+    takes the clipped two-variable step; a variable clipped to a bound is
+    set to exactly 0 or C.  The solve stops when max v over I_up minus min v
+    over I_low is at most 2 tol; the bias is their midpoint, so every row
+    meets its margin condition within tol.
+    """
+    if not np.isfinite(c) or c <= 0:
+        raise ValidationError(f"c must be positive, got {c}")
+    k_diag = np.diag(kernel_mat)
+    positive = y > 0.0
+    alphas = np.zeros(y.shape[0])
+    grad = -np.ones(y.shape[0])
+    converged = False
+    for iteration in range(max_iter + 1):
+        v = -y * grad
+        up = np.where(positive, alphas < c, alphas > 0.0)
+        low = np.where(positive, alphas > 0.0, alphas < c)
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(np.argmax(v_up))
+        v_max = v_up[i]
+        v_min = v_low.min()
+        if v_max - v_min <= 2.0 * tol:
+            converged = True
+            break
+        if iteration == max_iter:
+            break
+        gap = v_max - v_low
+        curvature = k_diag[i] + k_diag - 2.0 * kernel_mat[i]
+        curvature[curvature <= 0.0] = 1e-12
+        j = int(np.argmin(np.where(gap > 0.0, -gap * gap / curvature, np.inf)))
+        # Move alpha_i by y_i t and alpha_j by -y_j t, which keeps
+        # sum(alpha * y) fixed; t stops where either variable meets its box.
+        room_i = c - alphas[i] if positive[i] else alphas[i]
+        room_j = alphas[j] if positive[j] else c - alphas[j]
+        t = min(gap[j] / curvature[j], room_i, room_j)
+        old_i = alphas[i]
+        old_j = alphas[j]
+        if t == room_i:
+            alphas[i] = c if positive[i] else 0.0
+        else:
+            alphas[i] += y[i] * t
+        if t == room_j:
+            alphas[j] = 0.0 if positive[j] else c
+        else:
+            alphas[j] -= y[j] * t
+        step_i = y[i] * (alphas[i] - old_i)
+        step_j = y[j] * (alphas[j] - old_j)
+        grad += y * (step_i * kernel_mat[i] + step_j * kernel_mat[j])
+    bias = (v_max + v_min) / 2.0
+    if not converged:
+        remaining = np.count_nonzero((up & (v > bias + tol)) | (low & (v < bias - tol)))
+        warnings.warn(
+            f"binary svm left {remaining} margin violators after {max_iter} iterations",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    sv = alphas > 0.0
+    return BinarySvm(
+        kernel=kernel,
+        support_vectors=x[sv],
+        coefficients=(alphas * y)[sv],
+        bias=bias,
+        c=c,
+        converged=converged,
+        sv_indices=np.nonzero(sv)[0],
+    )
+
+
+
+def assert_same_machine(got: BinarySvm, want: BinarySvm) -> None:
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.sv_indices.tobytes() == want.sv_indices.tobytes()
+    assert got.support_vectors.tobytes() == want.support_vectors.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert got.converged == want.converged
+
+
+def oracle_machines(x, labels, max_iter: int = svm_mod.DEFAULT_MAX_ITER) -> list[BinarySvm]:
+    """fit_svm_model's machines trained one pair after another."""
+    xs = apply_standardizer(fit_standardizer(x), x)
+    kernel = Kernel("rbf", median_heuristic_gamma(xs))
+    full_k = kernel_matrix(kernel, xs, xs)
+    label_arr = np.asarray(labels)
+    machines = []
+    for a, b in itertools.combinations(sorted(set(labels)), 2):
+        rows = np.concatenate([np.flatnonzero(label_arr == a), np.flatnonzero(label_arr == b)])
+        y = np.where(label_arr[rows] == a, 1.0, -1.0)
+        k = full_k[np.ix_(rows, rows)]
+        machines.append(
+            _train_machine(kernel, k, xs[rows], y, svm_mod.DEFAULT_C, svm_mod.DEFAULT_TOL, max_iter)
+        )
+    return machines
+
+
+def assert_fit_matches_oracle(x, labels, model=None) -> None:
+    model = fit_svm_model(x, labels) if model is None else model
+    oracle = oracle_machines(x, labels)
+    pairs = list(itertools.combinations(sorted(set(labels)), 2))
+    assert [(e.class_a, e.class_b) for e in model.pairwise] == pairs
+    for entry, want in zip(model.pairwise, oracle):
+        assert_same_machine(entry.svm, want)
+
+
+def criterion_06_fixtures():
+    """(x, y, c, kernel) of acceptance criterion 6: blobs and XOR."""
+    for seed in (0, 1, 2):
+        rng = np.random.RandomState(seed)
+        x = np.vstack([rng.randn(20, 2) * 0.4 + (2, 2), rng.randn(20, 2) * 0.4 - (2, 2)])
+        y = np.array([1.0] * 20 + [-1.0] * 20)
+        yield x, y, 10.0, Kernel("linear")
+        yield x, y, 10.0, Kernel("rbf", 0.5)
+    x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    y = np.array([-1.0, 1.0, 1.0, -1.0])
+    yield x, y, 10.0, Kernel("linear")
+    yield x, y, 10.0, Kernel("rbf", 1.0)
+
+
+def test_batch_of_one_matches_oracle():
+    fixtures = itertools.chain(criterion_06_fixtures(), oracle_fixtures())
+    for x, y, c, kernel in fixtures:
+        for tol in (1e-3, 1e-9):
+            got = train_binary_svm(x, y, c=c, kernel=kernel, tol=tol)
+            want = _train_machine(kernel, kernel_matrix(kernel, x, x), x, y, c, tol, 100000)
+            assert_same_machine(got, want)
+
+
+def test_batched_fit_matches_oracle_on_criterion_01_trials(monkeypatch):
+    known = [p for p in builtin_profiles() if p.name != UNKNOWN_TERRAIN_NAME]
+    matrix, labels, _ = extract_feature_matrix(
+        generate_dataset(known, 80, seed=42), FeatureConfig()
+    )
+    fits = []
+    real_fit = svm_mod.fit_svm_model
+
+    def recording_fit(x, fit_labels, **kwargs):
+        model = real_fit(x, fit_labels, **kwargs)
+        fits.append((x, [str(v) for v in fit_labels], model))
+        return model
+
+    monkeypatch.setattr(svm_mod, "fit_svm_model", recording_fit)
+    evaluate_trials(matrix, labels, n_trials=12, seed=42)
+    assert len(fits) == 12
+    for x, fit_labels, model in fits:
+        assert_fit_matches_oracle(x, fit_labels, model)
+
+
+def test_batched_fit_matches_oracle_on_unequal_classes():
+    # Pairs of 5 + 3 rows up to 14 + 9 rows: every shorter pair is padded.
+    rng = np.random.RandomState(44)
+    centers = {"a": (2.0, 0.0), "b": (-2.0, 0.0), "c": (0.0, 2.0), "d": (0.0, -1.0)}
+    sizes = {"a": 5, "b": 9, "c": 14, "d": 3}
+    x = np.vstack([rng.randn(sizes[k], 2) * 0.9 + v for k, v in centers.items()])
+    labels = [k for k in centers for _ in range(sizes[k])]
+    assert_fit_matches_oracle(x, labels)
+
+
+def test_batched_fit_matches_oracle_with_one_row_class():
+    rng = np.random.RandomState(45)
+    x = np.vstack([rng.randn(1, 3) + 1.0, rng.randn(80, 3), rng.randn(80, 3) - 1.0])
+    labels = ["lone"] + ["many"] * 80 + ["more"] * 80
+    assert_fit_matches_oracle(x, labels)
+
+
+def capped_fixture():
+    """Four overlapping classes on which 5 iterations leave some pairs open."""
+    rng = np.random.RandomState(38)
+    centers = {"gravel": (4.0, 0.0), "mud": (-4.0, 0.0), "turf": (0.0, 4.0), "sand": (0.0, 3.0)}
+    x = np.vstack([rng.randn(12, 2) * 0.8 + c for c in centers.values()])
+    labels = [name for name in centers for _ in range(12)]
+    return x, labels
+
+
+def test_batched_fit_matches_oracle_when_capped(monkeypatch):
+    x, labels = capped_fixture()
+    monkeypatch.setattr(svm_mod, "DEFAULT_MAX_ITER", 5)
+    with pytest.warns(RuntimeWarning, match="margin violators"):
+        model = fit_svm_model(x, labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        oracle = oracle_machines(x, labels, max_iter=5)
+    converged = [e.svm.converged for e in model.pairwise]
+    assert any(converged) and not all(converged)
+    for entry, want in zip(model.pairwise, oracle):
+        assert_same_machine(entry.svm, want)
+
+
+def test_unconverged_fit_warning_names_the_pair(monkeypatch):
+    x, labels = capped_fixture()
+    monkeypatch.setattr(svm_mod, "DEFAULT_MAX_ITER", 5)
+    with pytest.warns(RuntimeWarning, match="margin violators") as record:
+        model = fit_svm_model(x, labels)
+    pattern = r"binary svm for '(\w+)' vs '(\w+)' left \d+ margin violators after 5 iterations"
+    named = [re.fullmatch(pattern, str(w.message)).groups() for w in record]
+    assert named == [(e.class_a, e.class_b) for e in model.pairwise if not e.svm.converged]
+
+
 # ---------------------------------------------------------------- multiclass
 
 
@@ -416,6 +642,42 @@ def test_nonfinite_queries_rejected():
         with pytest.raises(ValidationError, match="non-finite"):
             decision_function(machine, queries[1])
     assert predict_batch(model, x) == labels
+
+
+def test_overflowing_queries_rejected():
+    # Finite queries whose standardized values or kernel squares overflow
+    # give NaN decision values, which no vote may count.
+    rng = np.random.RandomState(37)
+    x, labels = multiclass_blobs(rng, {"a": (3.0, 0.0), "b": (-3.0, 0.0)}, n_per_class=6)
+    crafted = fit_svm_model(x, labels)
+    crafted.standardizer.stds = np.array([5e-324, 1.0])
+    queries = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict_batch(crafted, queries)
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict(crafted, queries[0])
+    # Spread above the standardizer's 1e-12 guard, so 1e300 standardizes to
+    # +-inf; at 1e-13 the guard keeps std 1 and the kernel only underflows.
+    tiny = fit_svm_model(x * 1e-11, labels)
+    with pytest.raises(ValidationError, match="non-finite"):
+        predict_batch(tiny, np.array([[1e300, 1.0], [-1e300, 1.0]]))
+    machine = tiny.pairwise[0].svm
+    with pytest.raises(ValidationError, match="non-finite"):
+        decision_function(machine, np.array([[np.finfo(float).max, 0.0]]))
+
+
+def test_far_query_gets_the_bias():
+    # 1e200 squared overflows, so every RBF kernel value underflows to 0 and
+    # the decision value is the bias: a defined result, not an overflow.
+    rng = np.random.RandomState(37)
+    x, labels = multiclass_blobs(rng, {"a": (3.0, 0.0), "b": (-3.0, 0.0)}, n_per_class=6)
+    model = fit_svm_model(x, labels)
+    machine = model.pairwise[0].svm
+    query = np.array([1e200, 1.0])
+    assert decision_function(machine, apply_standardizer(model.standardizer, query)) == machine.bias
+    expected = "a" if machine.bias > 0.0 else "b"
+    assert predict(model, query) == expected
+    assert predict_batch(model, np.vstack([query, -query])) == [expected, expected]
 
 
 def test_fit_model_validation():
