@@ -2,13 +2,16 @@
 
 Every command is deterministic given its inputs and ``--seed`` (falling back
 to the SPOKESENSE_SEED environment variable, then 0; ``train`` ignores it) and
-writes fixed-named files into ``--out``.  Exit code 0 means every output was
-written; on failure, partially written outputs are removed.
+writes one fixed-named file into ``--out``.  A command's handler computes its
+result and returns the file's name, its ``formats`` writer and what to write;
+``main`` alone creates ``--out`` and writes the file.  Exit code 0 means the
+output was written; on failure, no partially written output is left.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -90,24 +93,13 @@ def _feature_config(args) -> features_mod.FeatureConfig:
     )
 
 
-def _out_path(args, name: str, created: list[Path]) -> Path:
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"--out {str(out_dir)!r} is not a usable directory: {exc}") from exc
-    path = out_dir / name
-    created.append(path)
-    return path
-
-
 def _load_profile(args) -> synth.TerrainProfile:
     if args.profile_file is not None:
         return formats.read_profile(args.profile_file)
     return synth.builtin_profile(args.profile)
 
 
-def _cmd_simulate(args, created: list[Path]) -> list[Path]:
+def _cmd_simulate(args):
     profile = _load_profile(args)
     if any(ch in profile.name for ch in "/\\") or profile.name.startswith("."):
         raise ValidationError(
@@ -119,13 +111,10 @@ def _cmd_simulate(args, created: list[Path]) -> list[Path]:
         sample_rate_hz=args.rate,
         seed=_resolve_seed(args),
     )
-    series = synth.generate(spec)
-    path = _out_path(args, f"{profile.name}.csv", created)
-    formats.write_dataset(path, series)
-    return [path]
+    return f"{profile.name}.csv", formats.write_dataset, (synth.generate(spec),)
 
 
-def _cmd_extract(args, created: list[Path]) -> list[Path]:
+def _cmd_extract(args):
     config = _feature_config(args)
     series_list = [formats.read_dataset(p) for p in args.inputs]
     values, labels, names = features_mod.extract_feature_matrix(
@@ -136,15 +125,8 @@ def _cmd_extract(args, created: list[Path]) -> list[Path]:
         raise ValidationError(
             "inputs mix labeled and unlabeled records; label all or none"
         )
-    path = _out_path(args, "features.csv", created)
-    formats.write_features(
-        path,
-        values,
-        names,
-        labels=labels if labeled else None,
-        layout_id=config.layout_id(),
-    )
-    return [path]
+    payload = (values, names, labels if labeled else None, config.layout_id())
+    return "features.csv", formats.write_features, payload
 
 
 def _require_labels(table: formats.FeatureTable, path: str) -> list[str]:
@@ -159,7 +141,7 @@ def _require_layout(table: formats.FeatureTable, path: str) -> str:
     return table.layout_id
 
 
-def _cmd_train(args, created: list[Path]) -> list[Path]:
+def _cmd_train(args):
     table = formats.read_features(args.features)
     labels = _require_labels(table, args.features)
     layout_id = _require_layout(table, args.features)
@@ -171,12 +153,10 @@ def _cmd_train(args, created: list[Path]) -> list[Path]:
         gamma=args.gamma,
         feature_layout_id=layout_id,
     )
-    path = _out_path(args, "model.json", created)
-    formats.write_model(path, model)
-    return [path]
+    return "model.json", formats.write_model, (model,)
 
 
-def _cmd_evaluate(args, created: list[Path]) -> list[Path]:
+def _cmd_evaluate(args):
     table = formats.read_features(args.features)
     labels = _require_labels(table, args.features)
     mean_accuracy, confusion = svm.evaluate_trials(
@@ -189,12 +169,10 @@ def _cmd_evaluate(args, created: list[Path]) -> list[Path]:
         c=args.c,
         gamma=args.gamma,
     )
-    path = _out_path(args, "confusion.csv", created)
-    formats.write_confusion(path, confusion, mean_accuracy)
-    return [path]
+    return "confusion.csv", formats.write_confusion, (confusion, mean_accuracy)
 
 
-def _cmd_classify(args, created: list[Path]) -> list[Path]:
+def _cmd_classify(args):
     model = formats.read_model(args.model)
     config = features_mod.FeatureConfig.from_layout_id(model.feature_layout_id)
     if config.n_features != model.standardizer.n_features:
@@ -204,19 +182,15 @@ def _cmd_classify(args, created: list[Path]) -> list[Path]:
         )
     series = formats.read_dataset(args.input)
     windows = signals.segment_windows(series, args.window_seconds, args.overlap)
-    rows = []
     vectors = np.vstack(
         [features_mod.extract_features(series, w, config).values for w in windows]
     )
     predictions = svm.predict_batch(model, vectors)
-    for index, (window, label) in enumerate(zip(windows, predictions)):
-        rows.append((index, window.start_index, window.length, label))
-    path = _out_path(args, "predictions.csv", created)
-    formats.write_predictions(path, rows)
-    return [path]
+    rows = [(k, w.start_index, w.length, p) for k, (w, p) in enumerate(zip(windows, predictions))]
+    return "predictions.csv", formats.write_predictions, (rows,)
 
 
-def _cmd_identify(args, created: list[Path]) -> list[Path]:
+def _cmd_identify(args):
     known = formats.read_features(args.known)
     unknown = formats.read_features(args.unknown)
     labels = _require_labels(known, args.known)
@@ -238,19 +212,15 @@ def _cmd_identify(args, created: list[Path]) -> list[Path]:
     grouped = {name: known.values[rows] for name, rows in by_class.items()}
     library = similarity.build_library(grouped, epsilon_scale=args.epsilon_scale)
     report = similarity.rank_unknown(unknown.values, library)
-    path = _out_path(args, "distances.csv", created)
-    formats.write_distance_report(path, report)
-    return [path]
+    return "distances.csv", formats.write_distance_report, (report,)
 
 
-def _cmd_spectrum(args, created: list[Path]) -> list[Path]:
+def _cmd_spectrum(args):
     series = formats.read_dataset(args.input)
     spectrum = signals.dft_magnitude(
         series.channels[args.channel - 1], series.sample_rate_hz
     )
-    path = _out_path(args, "spectrum.csv", created)
-    formats.write_spectrum(path, spectrum)
-    return [path]
+    return "spectrum.csv", formats.write_spectrum, (spectrum,)
 
 
 def _add_seed(parser, help: str = f"64-bit seed (default: ${_SEED_ENV} if set, else 0)") -> None:
@@ -413,19 +383,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    created: list[Path] = []
+    path = None
     try:
-        written = args.handler(args, created)
+        name, writer, payload = args.handler(args)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out {args.out!r} is not a usable directory: {exc}") from exc
+        path = Path(args.out) / name
+        writer(path, *payload)
     except SpokesenseError as exc:
-        for path in created:
-            try:
+        if path is not None:
+            with contextlib.suppress(OSError):  # e.g. the name is taken by a directory
                 path.unlink(missing_ok=True)
-            except OSError:
-                pass
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path in written:
-        print(path)
+    print(path)
     return 0
 
 

@@ -6,16 +6,21 @@ optional trailing ``# key=value`` summary lines.  The one exception is the
 dataset CSV, whose first line is pinned to ``# sample_rate_hz=<float>``;
 its version rides in a ``# format=<name> v<version>`` metadata line and
 files without one are read as version 1.  JSON documents carry
-``format`` and ``version`` fields and are dumped with sorted keys.
+``format`` and ``version`` fields and are dumped with sorted keys.  A
+version is an integer >= 1.
 
-Every real number in CSV is rendered by one rule, ``%.17g``, which
-round-trips IEEE doubles exactly, so write -> read -> write is
-byte-identical; a table's rows are rendered from one row template.  A
-table body is parsed as one block: its rows are joined and split into
-cells once, the cells are converted by Python's ``float()`` rule in one
-call and checked by one finiteness pass.  Only a faulty body is walked row
-by row, to name the line and field of its first fault.  Readers raise
-typed errors with line/field positions and never abort the process.
+Every CSV table is written by one writer, ``_write_table``: head lines, a
+header row, one row template filled in for all rows, tail lines.  Every
+real number is rendered by one rule, ``%.17g``, which round-trips IEEE
+doubles exactly, so write -> read -> write is byte-identical; integer cells
+read as ``str(int)`` does.  A table body is parsed as one block: its rows
+are joined and split into cells once, the cells are converted by Python's
+``float()`` rule in one call and checked by one finiteness pass.  Only a
+faulty body is walked row by row, to name the line and field of its first
+fault.  Every number of a JSON document is read by one checked reader,
+``_array``: JSON numbers only (no booleans), finite and of the expected
+shape.  Readers raise typed errors with line/field positions and never
+abort the process.
 
 Free-text cells (labels, class names) must be encodable as UTF-8 and must
 not contain commas, newlines, a leading ``#`` or leading or trailing
@@ -24,6 +29,7 @@ whitespace.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -57,14 +63,27 @@ def format_float(value: float) -> str:
     return _FLOAT % float(value)
 
 
-def _render_rows(block: np.ndarray, labels: list[str] | None = None) -> str:
-    """One line per row of ``block``, its cells rendered by ``_FLOAT`` and
-    ended by the row's label cell when ``labels`` are given."""
-    row = ",".join([_FLOAT] * block.shape[1])
-    if labels is not None:
-        block = np.column_stack([block.astype(object), labels])
-        row += ",%s"
-    return (f"{row}\n" * block.shape[0]) % tuple(block.ravel().tolist())
+def _render_rows(*columns) -> str:
+    """One line per row of the ``columns`` side by side, in order.
+
+    A column is a numpy block (1-d for one cell per row), rendered by
+    ``_FLOAT`` when it holds floats and as ``str(int)`` when it holds
+    integers, or a list of text cells, written as they are.
+    """
+    blocks, row = [], []
+    for column in columns:
+        if isinstance(column, list):
+            blocks.append(np.array(column, dtype=object).reshape(-1, 1))
+            row.append("%s")
+        else:
+            block = np.asarray(column)
+            blocks.append(block if block.ndim == 2 else block.reshape(-1, 1))
+            row += [_FLOAT if block.dtype.kind == "f" else "%d"] * blocks[-1].shape[1]
+    if len({block.dtype for block in blocks}) > 1:
+        blocks = [block.astype(object) for block in blocks]
+    cells = np.hstack(blocks)
+    template = ",".join(row) + "\n"
+    return (template * cells.shape[0]) % tuple(cells.ravel().tolist())
 
 
 def _check_text_cell(value: str, what: str) -> str:
@@ -89,14 +108,14 @@ def _parse_float(text: str, line: int, field: str) -> float:
 
 
 def _check_document(found: str, tag: str, expected_format: str, bad_tag: str, **position) -> None:
-    """Reject another format's document, a version tag other than ``v<int>``
-    (message ``bad_tag``) or a newer version; errors carry ``position``."""
+    """Reject another format's document, a version tag other than ``v<n>``
+    with an integer n >= 1 (message ``bad_tag``) or a newer version; errors
+    carry ``position``."""
     if found != expected_format:
         raise FormatError(f"expected a {expected_format} document, got {found!r}", **position)
-    try:
-        version = int(tag[1:])
-    except ValueError as exc:
-        raise FormatError(bad_tag, **position) from exc
+    version = int(tag[1:]) if tag[1:].isdecimal() else 0
+    if version < 1:
+        raise FormatError(bad_tag, **position)
     if version > CURRENT_VERSION:
         raise UnsupportedVersionError(
             f"{expected_format} version {version} is newer than supported "
@@ -196,7 +215,7 @@ def _parse_body(lines: list[str], first_line: int, columns: list[str], width: in
 
 
 def _banner(format_name: str) -> str:
-    return f"# {format_name} v{CURRENT_VERSION}\n"
+    return f"# {format_name} v{CURRENT_VERSION}"
 
 
 def check_format_metadata(meta: dict[str, str], expected_format: str) -> None:
@@ -225,24 +244,29 @@ def _write_text(path, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_table(path, head: list[str], header: list[str], *columns, tail=()) -> None:
+    """The ``head`` lines, the ``header`` cells, one row per row of the
+    ``columns`` (see ``_render_rows``) and the ``tail`` lines."""
+    lines = "".join(f"{line}\n" for line in (*head, ",".join(header)))
+    _write_text(path, lines + _render_rows(*columns) + "".join(f"{line}\n" for line in tail))
+
+
 # ---------------------------------------------------------------- dataset
 
 
 def write_dataset(path, series: TimeSeries) -> None:
     # The first line is pinned to the sample rate; the version rides in a
     # format metadata line instead of the usual banner.
-    parts = [f"# sample_rate_hz={format_float(series.sample_rate_hz)}\n"]
-    parts.append(f"# format={DATASET_FORMAT} v{CURRENT_VERSION}\n")
+    head = [f"# sample_rate_hz={format_float(series.sample_rate_hz)}",
+            f"# format={DATASET_FORMAT} v{CURRENT_VERSION}"]
     if series.label is not None:
-        parts.append(f"# label={_check_text_cell(series.label, 'label')}\n")
-    parts.append("t,ch1,ch2,ch3\n")
+        head.append(f"# label={_check_text_cell(series.label, 'label')}")
     if not np.isfinite((series.n_samples - 1) / series.sample_rate_hz):
         raise ValidationError(
             f"sample rate {series.sample_rate_hz!r} Hz is too small: time stamps overflow"
         )
     times = np.arange(series.n_samples) / series.sample_rate_hz
-    parts.append(_render_rows(np.column_stack([times, series.channels.T])))
-    _write_text(path, "".join(parts))
+    _write_table(path, head, ["t", "ch1", "ch2", "ch3"], times, series.channels.T)
 
 
 def read_dataset(path) -> TimeSeries:
@@ -286,17 +310,15 @@ def write_features(path, values, names, labels=None, layout_id: str | None = Non
         raise ValidationError(f"{len(names)} names for {mat.shape[1]} columns")
     if "label" in names:
         raise ValidationError("'label' is reserved for the label column")
+    columns = [mat]
     if labels is not None:
         labels = [_check_text_cell(v, "label") for v in labels]
         if len(labels) != mat.shape[0]:
             raise ValidationError(f"{len(labels)} labels for {mat.shape[0]} rows")
-    parts = [_banner(FEATURES_FORMAT)]
-    if layout_id is not None:
-        parts.append(f"# layout={layout_id}\n")
-    header = ",".join(names) + (",label" if labels is not None else "")
-    parts.append(header + "\n")
-    parts.append(_render_rows(mat, labels))
-    _write_text(path, "".join(parts))
+        columns.append(labels)
+        names.append("label")
+    head = [_banner(FEATURES_FORMAT)] + ([] if layout_id is None else [f"# layout={layout_id}"])
+    _write_table(path, head, names, *columns)
 
 
 def read_features(path) -> FeatureTable:
@@ -316,8 +338,9 @@ def read_features(path) -> FeatureTable:
 # ---------------------------------------------------------------- model
 
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=np.float64).ravel()]
+def _float_list(values) -> list:
+    """(Nested) lists of Python floats, as JSON holds them."""
+    return np.asarray(values, dtype=np.float64).tolist()
 
 
 def write_model(path, model: SvmModel) -> None:
@@ -333,9 +356,7 @@ def write_model(path, model: SvmModel) -> None:
                 "class_b": entry.class_b,
                 "kernel": svm.kernel.name,
                 "params": params,
-                "support_vectors": [
-                    _float_list(row) for row in svm.support_vectors
-                ],
+                "support_vectors": _float_list(svm.support_vectors),
                 "coefficients": _float_list(svm.coefficients),
                 "bias": float(svm.bias),
             }
@@ -363,6 +384,8 @@ def _load_json(path, expected_format: str) -> dict:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+        raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
     if doc.get("format") != expected_format:
@@ -371,8 +394,8 @@ def _load_json(path, expected_format: str) -> dict:
             field="format",
         )
     version = doc.get("version")
-    if not isinstance(version, int):
-        raise FormatError("missing integer 'version'", field="version")
+    if type(version) is not int or version < 1:  # a bool is no version
+        raise FormatError("'version' must be an integer >= 1", field="version")
     if version > CURRENT_VERSION:
         raise UnsupportedVersionError(
             f"{expected_format} version {version} is newer than supported "
@@ -382,48 +405,60 @@ def _load_json(path, expected_format: str) -> dict:
     return doc
 
 
+def _array(value, shape: tuple, field: str, what: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, where ``None`` is any length
+    >= 1; only finite JSON numbers in nested lists of that shape pass."""
+    dims = ", ".join("n" if n is None else str(n) for n in shape)
+    expected = f"finite numbers of shape ({dims})" if shape else "a finite number"
+    error = FormatError(f"{field!r} must be {expected} in {what}", field=field)
+    items = [value]
+    for length in shape:
+        if not all(
+            isinstance(v, list) and (len(v) >= 1 if length is None else len(v) == length)
+            for v in items
+        ):
+            raise error
+        items = [item for v in items for item in v]
+    if not all(type(v) in (int, float) for v in items):  # a bool is no number
+        raise error
+    try:
+        arr = np.array(items, dtype=np.float64)
+    except OverflowError:  # an integer beyond the double range
+        raise error from None
+    if not np.isfinite(arr).all():
+        raise error
+    return arr.reshape([-1 if n is None else n for n in shape])
+
+
 def _require(doc: dict, key: str, kind, what: str):
+    """``doc[key]``, which must be of type ``kind``, or a number (``kind`` is
+    ``float``) or float array (``kind`` is a shape) read by ``_array``."""
     if key not in doc:
         raise FormatError(f"missing {key!r} in {what}", field=key)
     value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FormatError(f"{key!r} must be a number in {what}", field=key)
-        return float(value)
+    if kind is float or isinstance(kind, tuple):
+        arr = _array(value, () if kind is float else kind, key, what)
+        return float(arr) if kind is float else arr
     if not isinstance(value, kind):
         raise FormatError(f"{key!r} has wrong type in {what}", field=key)
     return value
-
-
-def _finite_vector(values, field: str, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or not np.isfinite(arr).all():
-        raise FormatError(f"{field!r} must be a list of finite numbers in {what}", field=field)
-    return arr
 
 
 def read_model(path) -> SvmModel:
     doc = _load_json(path, MODEL_FORMAT)
     layout_id = _require(doc, "feature_layout_id", str, "model")
     class_names = _require(doc, "class_names", list, "model")
-    if len(class_names) < 2 or len(set(class_names)) != len(class_names):
-        raise FormatError("class_names must hold at least 2 unique names", field="class_names")
     if any(not isinstance(n, str) for n in class_names):
         raise FormatError("class_names must be strings", field="class_names")
+    if len(class_names) < 2 or len(set(class_names)) != len(class_names):
+        raise FormatError("class_names must hold at least 2 unique names", field="class_names")
     std_doc = _require(doc, "standardizer", dict, "model")
-    means = _finite_vector(_require(std_doc, "means", list, "standardizer"), "means", "standardizer")
-    stds = _finite_vector(_require(std_doc, "stds", list, "standardizer"), "stds", "standardizer")
-    if means.shape != stds.shape or means.shape[0] == 0:
-        raise FormatError("standardizer means/stds must be equal-length and non-empty")
+    means = _require(std_doc, "means", (None,), "standardizer")
+    stds = _require(std_doc, "stds", means.shape, "standardizer")
     if np.any(stds <= 0.0):
         raise FormatError("standardizer stds must be positive", field="stds")
-    width = means.shape[0]
     entries = _require(doc, "pairwise", list, "model")
-    expected_pairs = {
-        (class_names[a], class_names[b])
-        for a in range(len(class_names))
-        for b in range(a + 1, len(class_names))
-    }
+    expected_pairs = set(itertools.combinations(class_names, 2))
     seen: set[tuple[str, str]] = set()
     pairwise = []
     for k, entry_doc in enumerate(entries):
@@ -449,35 +484,17 @@ def read_model(path) -> SvmModel:
                 kernel = Kernel(kernel_name)
         except ValidationError as exc:
             raise FormatError(f"bad kernel in {what}: {exc}") from exc
-        sv_doc = _require(entry_doc, "support_vectors", list, what)
-        if not sv_doc:
-            raise FormatError(f"{what} has no support vectors")
-        sv = np.asarray(sv_doc, dtype=np.float64)
-        if sv.ndim != 2 or sv.shape[1] != width or not np.isfinite(sv).all():
-            raise FormatError(
-                f"{what} support vectors must be finite rows of width {width}"
-            )
-        coeff = _finite_vector(
-            _require(entry_doc, "coefficients", list, what), "coefficients", what
+        if c <= 0:
+            raise FormatError(f"{what} has non-positive c", field="c")
+        sv = _require(entry_doc, "support_vectors", (None, means.shape[0]), what)
+        svm = BinarySvm(
+            kernel=kernel,
+            support_vectors=sv,
+            coefficients=_require(entry_doc, "coefficients", sv.shape[:1], what),
+            bias=_require(entry_doc, "bias", float, what),
+            c=c,
         )
-        if coeff.shape[0] != sv.shape[0]:
-            raise FormatError(f"{what} has {coeff.shape[0]} coefficients for {sv.shape[0]} vectors")
-        bias = _require(entry_doc, "bias", float, what)
-        if not np.isfinite(bias) or c <= 0:
-            raise FormatError(f"{what} has non-finite bias or non-positive c")
-        pairwise.append(
-            PairwiseEntry(
-                class_a=class_a,
-                class_b=class_b,
-                svm=BinarySvm(
-                    kernel=kernel,
-                    support_vectors=sv,
-                    coefficients=coeff,
-                    bias=float(bias),
-                    c=float(c),
-                ),
-            )
-        )
+        pairwise.append(PairwiseEntry(class_a=class_a, class_b=class_b, svm=svm))
     if len(seen) != len(expected_pairs):
         raise FormatError(
             f"model lists {len(seen)} class pairs, expected {len(expected_pairs)}"
@@ -517,43 +534,28 @@ def write_profile(path, profile: TerrainProfile) -> None:
 
 def read_profile(path) -> TerrainProfile:
     doc = _load_json(path, PROFILE_FORMAT)
-    name = _require(doc, "name", str, "profile")
-    band_rms = _finite_vector(_require(doc, "band_rms", list, "profile"), "band_rms", "profile")
-    if band_rms.shape[0] != 3:
-        raise FormatError("band_rms must list 3 values", field="band_rms")
-    tonal_docs = _require(doc, "tonal_components", list, "profile")
-    tonals = []
-    for k, t_doc in enumerate(tonal_docs):
-        what = f"tonal_components[{k}]"
-        if not isinstance(t_doc, dict):
-            raise FormatError(f"{what} must be an object", field="tonal_components")
-        gains = _finite_vector(
-            _require(t_doc, "channel_gains", list, what), "channel_gains", what
-        )
-        if gains.shape[0] != 3:
-            raise FormatError(f"{what} channel_gains must list 3 values")
-        tonals.append(
-            (
-                _require(t_doc, "freq_hz", float, what),
-                _require(t_doc, "amplitude", float, what),
-                tuple(float(g) for g in gains),
-            )
-        )
-    gain_doc = _require(doc, "channel_band_gains", list, "profile")
-    gain_mat = np.asarray(gain_doc, dtype=np.float64)
-    if gain_mat.shape != (3, 3) or not np.isfinite(gain_mat).all():
-        raise FormatError("channel_band_gains must be a finite 3x3 matrix", field="channel_band_gains")
     try:
+        tonals = []
+        for k, t_doc in enumerate(_require(doc, "tonal_components", list, "profile")):
+            what = f"tonal_components[{k}]"
+            if not isinstance(t_doc, dict):
+                raise FormatError(f"{what} must be an object", field="tonal_components")
+            tonals.append(
+                Tonal(
+                    freq_hz=_require(t_doc, "freq_hz", float, what),
+                    amplitude=_require(t_doc, "amplitude", float, what),
+                    channel_gains=tuple(_require(t_doc, "channel_gains", (3,), what).tolist()),
+                )
+            )
+        gains = _require(doc, "channel_band_gains", (3, 3), "profile")
         return TerrainProfile(
-            name=name,
-            band_rms=tuple(float(v) for v in band_rms),
-            tonal_components=tuple(
-                Tonal(freq_hz=f, amplitude=a, channel_gains=g) for f, a, g in tonals
-            ),
+            name=_require(doc, "name", str, "profile"),
+            band_rms=tuple(_require(doc, "band_rms", (3,), "profile").tolist()),
+            tonal_components=tuple(tonals),
             impulse_rate_hz=_require(doc, "impulse_rate_hz", float, "profile"),
             impulse_amplitude=_require(doc, "impulse_amplitude", float, "profile"),
             noise_floor_rms=_require(doc, "noise_floor_rms", float, "profile"),
-            channel_band_gains=tuple(tuple(float(g) for g in row) for row in gain_mat),
+            channel_band_gains=tuple(map(tuple, gains.tolist())),
         )
     except ValidationError as exc:
         raise FormatError(f"invalid profile: {exc}") from exc
@@ -564,56 +566,44 @@ def read_profile(path) -> TerrainProfile:
 
 def write_confusion(path, confusion, mean_trial_accuracy: float) -> None:
     names = [_check_text_cell(n, "class name") for n in confusion.class_names]
-    parts = [_banner(CONFUSION_FORMAT)]
-    parts.append("class," + ",".join(names) + "\n")
-    for i, name in enumerate(names):
-        row = ",".join(str(int(v)) for v in confusion.counts[i])
-        parts.append(f"{name},{row}\n")
-    parts.append(f"# accuracy={format_float(mean_trial_accuracy)}\n")
-    _write_text(path, "".join(parts))
+    counts = np.asarray(confusion.counts, dtype=np.int64)
+    tail = [f"# accuracy={format_float(mean_trial_accuracy)}"]
+    _write_table(path, [_banner(CONFUSION_FORMAT)], ["class", *names], names, counts, tail=tail)
 
 
 def write_distance_report(path, report) -> None:
     names = [_check_text_cell(n, "class name") for n in report.class_names]
-    parts = [_banner(DISTANCES_FORMAT)]
-    parts.append("class,euclidean,mahalanobis\n")
-    for i, name in enumerate(names):
-        parts.append(
-            f"{name},{format_float(report.euclidean[i])},"
-            f"{format_float(report.mahalanobis[i])}\n"
-        )
-    parts.append(f"# nearest_euclidean={report.nearest_euclidean}\n")
-    parts.append(f"# nearest_mahalanobis={report.nearest_mahalanobis}\n")
-    parts.append(f"# metric_divergence={'true' if report.metric_divergence else 'false'}\n")
-    _write_text(path, "".join(parts))
+    tail = [
+        f"# nearest_euclidean={report.nearest_euclidean}",
+        f"# nearest_mahalanobis={report.nearest_mahalanobis}",
+        f"# metric_divergence={'true' if report.metric_divergence else 'false'}",
+    ]
+    distances = np.column_stack([report.euclidean, report.mahalanobis])
+    header = ["class", "euclidean", "mahalanobis"]
+    _write_table(path, [_banner(DISTANCES_FORMAT)], header, names, distances, tail=tail)
 
 
 def write_eigen_report(path, rows) -> None:
     """Rows of (window_index, EigenSignature, label or None)."""
-    parts = [_banner(EIGEN_FORMAT)]
-    parts.append("window_index,lambda1,lambda2,lambda3,label\n")
-    for index, signature, label in rows:
-        text_label = "" if label is None else _check_text_cell(label, "label")
-        parts.append(
-            f"{int(index)},{format_float(signature.lambda1)},"
-            f"{format_float(signature.lambda2)},{format_float(signature.lambda3)},"
-            f"{text_label}\n"
-        )
-    _write_text(path, "".join(parts))
+    rows = list(rows)
+    labels = ["" if label is None else _check_text_cell(label, "label") for _, _, label in rows]
+    indices = np.array([index for index, _, _ in rows], dtype=np.int64)
+    lambdas = np.array([sig.as_tuple() for _, sig, _ in rows], dtype=np.float64).reshape(-1, 3)
+    header = ["window_index", "lambda1", "lambda2", "lambda3", "label"]
+    _write_table(path, [_banner(EIGEN_FORMAT)], header, indices, lambdas, labels)
 
 
 def write_spectrum(path, spectrum: Spectrum) -> None:
-    parts = [_banner(SPECTRUM_FORMAT)]
-    parts.append(f"# bin_resolution_hz={format_float(spectrum.bin_resolution_hz)}\n")
-    parts.append("frequency_hz,magnitude\n")
-    parts.append(_render_rows(np.column_stack([spectrum.frequencies_hz, spectrum.magnitudes])))
-    _write_text(path, "".join(parts))
+    head = [_banner(SPECTRUM_FORMAT),
+            f"# bin_resolution_hz={format_float(spectrum.bin_resolution_hz)}"]
+    header = ["frequency_hz", "magnitude"]
+    _write_table(path, head, header, spectrum.frequencies_hz, spectrum.magnitudes)
 
 
 def write_predictions(path, rows) -> None:
     """Rows of (window_index, start_index, length, predicted label)."""
-    parts = [_banner(PREDICTIONS_FORMAT)]
-    parts.append("window_index,start_index,length,predicted\n")
-    for index, start, length, label in rows:
-        parts.append(f"{int(index)},{int(start)},{int(length)},{_check_text_cell(label, 'label')}\n")
-    _write_text(path, "".join(parts))
+    rows = list(rows)
+    labels = [_check_text_cell(label, "label") for _, _, _, label in rows]
+    windows = np.array([(i, start, n) for i, start, n, _ in rows], dtype=np.int64).reshape(-1, 3)
+    header = ["window_index", "start_index", "length", "predicted"]
+    _write_table(path, [_banner(PREDICTIONS_FORMAT)], header, windows, labels)

@@ -120,7 +120,6 @@ class TerrainLibrary:
 def build_library(
     features_by_class: Mapping[str, np.ndarray],
     epsilon_scale: float = DEFAULT_EPSILON_SCALE,
-    standardize: bool = True,
 ) -> TerrainLibrary:
     """Pool per-class window features into a terrain library.
 
@@ -150,10 +149,7 @@ def build_library(
             )
         matrices.append(mat)
     pooled_raw = np.vstack(matrices)
-    if standardize:
-        standardizer = fit_standardizer(pooled_raw)
-    else:
-        standardizer = Standardizer(means=np.zeros(width), stds=np.ones(width))
+    standardizer = fit_standardizer(pooled_raw)
     total = pooled_raw.shape[0]
     means = np.empty((len(names), width))
     scatter = np.zeros((width, width))

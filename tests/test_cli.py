@@ -13,6 +13,7 @@ import pytest
 from spokesense import features as features_mod
 from spokesense import formats, signals, svm
 from spokesense.cli import main
+from spokesense.errors import FormatError
 from spokesense.synth import builtin_profile
 
 
@@ -377,6 +378,60 @@ def test_degenerate_training_sets_train(tmp_path, solver_batches):
         assert len(model.pairwise) == classes * (classes - 1) // 2
         assert solver_batches.pop() == len(model.pairwise)
     assert solver_batches == []
+
+
+def test_failing_writer_leaves_no_file(tmp_path, labeled_features, monkeypatch, capsys):
+    # each command's writer writes part of its file and then fails
+    datasets, features = labeled_features
+    assert run("train", features, "--out", tmp_path / "model") == 0
+    model = tmp_path / "model" / "model.json"
+    commands = {
+        "write_dataset": ("flat.csv", ["simulate", "--profile", "flat", "--duration", 1.0]),
+        "write_features": ("features.csv", ["extract", datasets[0]]),
+        "write_model": ("model.json", ["train", features]),
+        "write_confusion": ("confusion.csv", ["evaluate", features, "--trials", 1]),
+        "write_predictions": ("predictions.csv", ["classify", datasets[0], "--model", model]),
+        "write_distance_report": (
+            "distances.csv", ["identify", "--known", features, "--unknown", features]
+        ),
+        "write_spectrum": ("spectrum.csv", ["spectrum", datasets[0], "--channel", 1]),
+    }
+
+    def fail_midway(path, *payload, **options):
+        Path(path).write_text("# partial")
+        raise FormatError(f"cannot write {path}: disk full")
+
+    for writer, (name, argv) in commands.items():
+        out = tmp_path / writer
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, writer, fail_midway)
+            assert run(*argv, "--out", out) == 1, writer
+        assert capsys.readouterr().err == f"error: cannot write {out / name}: disk full\n"
+        assert not (out / name).exists()
+
+
+def test_malformed_json_inputs_fail_typed(tmp_path, labeled_features, capsys):
+    datasets, features = labeled_features
+    assert run("train", features, "--out", tmp_path / "model") == 0
+    model = tmp_path / "model" / "model.json"
+    doc = json.loads(model.read_text())
+    doc["pairwise"][0]["support_vectors"][0].append("x")  # ragged, and not a number
+    model.write_text(json.dumps(doc))
+    profile = tmp_path / "profile.json"
+    formats.write_profile(profile, builtin_profile("flat"))
+    doc = json.loads(profile.read_text())
+    doc["band_rms"] = [[0.1], 0.2, 0.3]
+    profile.write_text(json.dumps(doc))
+    for argv, output in (
+        (["classify", datasets[0], "--model", model], "predictions.csv"),
+        (["simulate", "--profile-file", profile], "flat.csv"),
+    ):
+        out = tmp_path / output
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- identify

@@ -101,6 +101,22 @@ def test_dataset_future_version_rejected(tmp_path):
         read_dataset(path)
 
 
+def test_csv_versions_below_1_rejected(tmp_path):
+    # the version is an integer >= 1, in a banner and in a format metadata line
+    path = tmp_path / "bad.csv"
+    for tag in ("v0", "v-3"):
+        path.write_text(f"# spokesense-features v{tag[1:]}\na,b\n1,2\n")
+        with pytest.raises(FormatError, match="bad version in banner") as info:
+            read_features(path)
+        assert info.value.line == 1
+        path.write_text(
+            f"# sample_rate_hz=720\n# format=spokesense-dataset {tag}\nt,ch1,ch2,ch3\n0,1,2,3\n"
+        )
+        with pytest.raises(FormatError, match="bad version in format metadata") as info:
+            read_dataset(path)
+        assert info.value.field == "format"
+
+
 def test_dataset_nan_cell_names_row_and_column(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text(
@@ -394,6 +410,142 @@ def test_model_malformed_documents(tmp_path):
             read_model(bad)
 
 
+BIG = 10**400  # a JSON integer beyond the double range
+RAGGED = [[1.0, 2.0], [1.0]]
+
+
+def set_in(*keys_and_value):
+    """A mutation that sets the item at the path ``keys`` to ``value``."""
+    *keys, last, value = keys_and_value
+
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+MODEL_MUTATIONS = [
+    set_in("feature_layout_id", 5),
+    set_in("class_names", [["a"], "b"]),
+    set_in("class_names", [1, 2, 3]),
+    set_in("class_names", "hard"),
+    set_in("standardizer", []),
+    set_in("standardizer", "means", ["x", 1.0]),
+    set_in("standardizer", "means", [[1.0], 2.0]),
+    set_in("standardizer", "means", RAGGED),
+    set_in("standardizer", "means", []),
+    set_in("standardizer", "means", [True, 1.0]),
+    set_in("standardizer", "means", [BIG, 1.0]),
+    set_in("standardizer", "means", [float("nan"), 1.0]),
+    set_in("standardizer", "stds", [1.0, float("inf")]),
+    set_in("standardizer", "stds", [1.0, 1.0, 1.0]),
+    set_in("standardizer", "stds", 1.0),
+    set_in("pairwise", "none"),
+    set_in("pairwise", 0, 5),
+    set_in("pairwise", 0, "class_a", 5),
+    set_in("pairwise", 0, "kernel", "poly"),
+    set_in("pairwise", 0, "kernel", 5),
+    set_in("pairwise", 0, "params", []),
+    set_in("pairwise", 0, "params", "c", BIG),
+    set_in("pairwise", 0, "params", "c", 0),
+    set_in("pairwise", 0, "params", "c", True),
+    set_in("pairwise", 0, "params", "gamma", BIG),
+    set_in("pairwise", 0, "params", "gamma", float("nan")),
+    set_in("pairwise", 0, "params", "gamma", "wide"),
+    set_in("pairwise", 0, "support_vectors", RAGGED),
+    set_in("pairwise", 0, "support_vectors", [["a", "b"]]),
+    set_in("pairwise", 0, "support_vectors", [1.0, 2.0]),
+    set_in("pairwise", 0, "support_vectors", [[]]),
+    set_in("pairwise", 0, "support_vectors", [[[1.0, 2.0]]]),
+    set_in("pairwise", 0, "support_vectors", [[BIG, 0.0]]),
+    set_in("pairwise", 0, "support_vectors", [[float("-inf"), 0.0]]),
+    set_in("pairwise", 0, "support_vectors", [[1.0, 2.0, 3.0]]),
+    set_in("pairwise", 0, "coefficients", ["x"]),
+    set_in("pairwise", 0, "coefficients", [[1.0]]),
+    set_in("pairwise", 0, "coefficients", {"a": 1.0}),
+    set_in("pairwise", 0, "bias", BIG),
+    set_in("pairwise", 0, "bias", True),
+    set_in("pairwise", 0, "bias", None),
+    set_in("pairwise", 0, "bias", [1.0]),
+    set_in("pairwise", 0, "bias", float("nan")),
+]
+
+PROFILE_MUTATIONS = [
+    set_in("name", 5),
+    set_in("name", ""),
+    set_in("band_rms", ["a", 0.1, 0.1]),
+    set_in("band_rms", [[0.1], 0.2, 0.3]),
+    set_in("band_rms", [True, 0.1, 0.1]),
+    set_in("band_rms", [BIG, 0.1, 0.1]),
+    set_in("band_rms", [float("nan"), 0.1, 0.1]),
+    set_in("band_rms", 0.1),
+    set_in("tonal_components", "none"),
+    set_in("tonal_components", [5]),
+    set_in("tonal_components", [{"freq_hz": BIG, "amplitude": 1.0, "channel_gains": [1, 1, 1]}]),
+    set_in("tonal_components", [{"freq_hz": 9.0, "amplitude": 1.0, "channel_gains": RAGGED}]),
+    set_in("tonal_components", [{"freq_hz": 9.0, "amplitude": 1.0, "channel_gains": [1, "1", 1]}]),
+    set_in("tonal_components", [{"freq_hz": -9.0, "amplitude": 1.0, "channel_gains": [1, 1, 1]}]),
+    set_in("tonal_components", [{"freq_hz": 9.0, "channel_gains": [1, 1, 1]}]),
+    set_in("impulse_rate_hz", BIG),
+    set_in("impulse_rate_hz", True),
+    set_in("impulse_rate_hz", None),
+    set_in("impulse_rate_hz", float("inf")),
+    set_in("noise_floor_rms", -1.0),
+    set_in("channel_band_gains", [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
+    set_in("channel_band_gains", [["a", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    set_in("channel_band_gains", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0] * 3]),
+    set_in("channel_band_gains", [[BIG, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+]
+
+
+def test_json_mutations_raise_typed_errors(tmp_path):
+    # every fault in a model or profile document is a typed error, never a
+    # bare ValueError, TypeError or OverflowError
+    x, labels, _ = classifier_fixture()
+    documents = [
+        (read_model, lambda path: write_model(path, fit_svm_model(x, labels)), MODEL_MUTATIONS),
+        (read_profile, lambda path: write_profile(path, builtin_profile("small_stone")),
+         PROFILE_MUTATIONS),
+    ]
+    for read, write, mutations in documents:
+        path = tmp_path / "doc.json"
+        write(path)
+        text = path.read_text()
+        for mutate in mutations:
+            doc = json.loads(text)
+            mutate(doc)
+            path.write_text(json.dumps(doc))
+            with pytest.raises((FormatError, ValidationError)):
+                read(path)
+
+
+def test_json_versions_must_be_integers_from_1(tmp_path):
+    path = tmp_path / "doc.json"
+    for write, read, obj in (
+        (write_model, read_model, fit_svm_model(*classifier_fixture()[:2])),
+        (write_profile, read_profile, builtin_profile("flat")),
+    ):
+        write(path, obj)
+        doc = json.loads(path.read_text())
+        for version in (True, 0, -5, 1.0, "1", None):
+            path.write_text(json.dumps({**doc, "version": version}))
+            with pytest.raises(FormatError, match="'version' must be an integer >= 1"):
+                read(path)
+
+
+def test_json_unreadable_numbers_and_nesting_rejected(tmp_path):
+    path = tmp_path / "doc.json"
+    # an integer literal too long to convert, and arrays nested too deep to parse
+    for raw in ('{"format": "spokesense-model", "version": 1' + "0" * 5000 + "}",
+                "[" * 100_000 + "]" * 100_000):
+        path.write_text(raw)
+        for read in (read_model, read_profile):
+            with pytest.raises(FormatError, match="invalid JSON"):
+                read(path)
+
+
 def test_model_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -530,6 +682,95 @@ def test_predictions_layout(tmp_path):
     assert lines[3] == "1,540,1080,sand"
     with pytest.raises(ValidationError):
         write_predictions(path, [(0, 0, 10, "bad,label")])
+
+
+THIRD = 1.0 / 3.0  # needs all 17 significant digits, as does 0.1
+
+# Full file text of every CSV writer, taken from the row-by-row writers the
+# one table writer replaced: integer cells, a missing eigen label, tables with
+# the label first and last, 17-digit floats, -0.0 and empty row lists.
+GOLDEN = {
+    "dataset": (
+        lambda path: write_dataset(path, TimeSeries(
+            sample_rate_hz=3.0,
+            channels=np.array([[0.1, -0.0], [THIRD, 2.5e-300], [-7.0, 1e22]]),
+            label="gravel",
+        )),
+        "# sample_rate_hz=3\n# format=spokesense-dataset v1\n# label=gravel\nt,ch1,ch2,ch3\n"
+        "0,0.10000000000000001,0.33333333333333331,-7\n"
+        "0.33333333333333331,-0,2.5e-300,1e+22\n",
+    ),
+    "features": (
+        lambda path: write_features(
+            path, np.array([[0.1, -0.0], [THIRD, 12.0]]), ("f1", "f2"),
+            labels=["sand", "flat"], layout_id="L1",
+        ),
+        "# spokesense-features v1\n# layout=L1\nf1,f2,label\n"
+        "0.10000000000000001,-0,sand\n0.33333333333333331,12,flat\n",
+    ),
+    "features_unlabeled": (
+        lambda path: write_features(path, np.array([[2.0 / 3.0, -1.5]]), ("a", "b")),
+        "# spokesense-features v1\na,b\n0.66666666666666663,-1.5\n",
+    ),
+    "confusion": (
+        lambda path: write_confusion(path, ConfusionMatrix(
+            class_names=("flat", "sand"),
+            counts=np.array([[12, 0], [3, 1234567]], dtype=np.int64),
+        ), 0.1),
+        "# spokesense-confusion v1\nclass,flat,sand\nflat,12,0\nsand,3,1234567\n"
+        "# accuracy=0.10000000000000001\n",
+    ),
+    "distances": (
+        lambda path: write_distance_report(path, DistanceReport(
+            class_names=("flat", "sand"),
+            euclidean=np.array([THIRD, -0.0]),
+            mahalanobis=np.array([0.1, 2.0]),
+            nearest_euclidean="sand",
+            nearest_mahalanobis="flat",
+            metric_divergence=True,
+        )),
+        "# spokesense-distances v1\nclass,euclidean,mahalanobis\n"
+        "flat,0.33333333333333331,0.10000000000000001\nsand,-0,2\n"
+        "# nearest_euclidean=sand\n# nearest_mahalanobis=flat\n# metric_divergence=true\n",
+    ),
+    "eigen": (
+        lambda path: write_eigen_report(path, [
+            (0, EigenSignature(THIRD, 0.1, -0.0), "flat"),
+            (17, EigenSignature(3.0, 2.0, 1.0), None),
+        ]),
+        "# spokesense-eigen v1\nwindow_index,lambda1,lambda2,lambda3,label\n"
+        "0,0.33333333333333331,0.10000000000000001,-0,flat\n17,3,2,1,\n",
+    ),
+    "eigen_empty": (
+        lambda path: write_eigen_report(path, []),
+        "# spokesense-eigen v1\nwindow_index,lambda1,lambda2,lambda3,label\n",
+    ),
+    "spectrum": (
+        lambda path: write_spectrum(
+            path, Spectrum(bin_resolution_hz=0.1, magnitudes=np.array([THIRD, -0.0, 5.0]))
+        ),
+        "# spokesense-spectrum v1\n# bin_resolution_hz=0.10000000000000001\n"
+        "frequency_hz,magnitude\n0,0.33333333333333331\n0.10000000000000001,-0\n"
+        "0.20000000000000001,5\n",
+    ),
+    "predictions": (
+        lambda path: write_predictions(path, [(0, 0, 1080, "flat"), (1, 540, 1080, "sand")]),
+        "# spokesense-predictions v1\nwindow_index,start_index,length,predicted\n"
+        "0,0,1080,flat\n1,540,1080,sand\n",
+    ),
+    "predictions_empty": (
+        lambda path: write_predictions(path, []),
+        "# spokesense-predictions v1\nwindow_index,start_index,length,predicted\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_csv_writers_golden_bytes(tmp_path, name):
+    write, text = GOLDEN[name]
+    path = tmp_path / f"{name}.csv"
+    write(path)
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_format_float_exact_for_doubles():

@@ -188,10 +188,13 @@ def test_mahalanobis_errors():
 def test_library_means_match_arithmetic():
     a = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]])
     b = np.array([[10.0, 0.0], [14.0, 2.0]])
-    library = build_library({"a": a, "b": b}, standardize=False)
+    library = build_library({"a": a, "b": b})
+    # the arithmetic class means, mapped into standardized space
+    pooled = np.vstack([a, b])
+    mean, std = pooled.mean(axis=0), pooled.std(axis=0)
     assert library.class_names == ("a", "b")
-    assert np.abs(library.class_means[0] - [2.0, 2.0]).max() <= 1e-12
-    assert np.abs(library.class_means[1] - [12.0, 1.0]).max() <= 1e-12
+    assert np.abs(library.class_means[0] - ([2.0, 2.0] - mean) / std).max() <= 1e-12
+    assert np.abs(library.class_means[1] - ([12.0, 1.0] - mean) / std).max() <= 1e-12
 
 
 def test_library_pooled_covariance_oracle():
@@ -238,8 +241,10 @@ def test_library_symmetry_and_positive_definiteness():
 def test_library_identical_windows_epsilon_floor():
     windows = np.tile([3.0, -1.0], (4, 1))
     with pytest.warns(RuntimeWarning, match="zero trace"):
-        library = build_library({"only": windows}, standardize=False)
-    assert np.abs(library.class_means[0] - [3.0, -1.0]).max() == 0.0
+        library = build_library({"only": windows})
+    # constant columns keep std 1, so the class mean [3, -1] centers onto 0
+    assert np.abs(library.standardizer.means - [3.0, -1.0]).max() == 0.0
+    assert np.abs(library.class_means[0] - [0.0, 0.0]).max() == 0.0
     assert np.abs(library.pooled_covariance).max() == 0.0
     assert library.epsilon == 1e-12
 
@@ -325,7 +330,8 @@ def test_rank_matches_single_pair_distances():
 
 def test_rank_metric_divergence_constructed():
     # within-class scatter is tight along x and wide along y, so the
-    # covariance-weighted metric forgives y offsets the euclidean one punishes
+    # covariance-weighted metric forgives y offsets the euclidean one punishes;
+    # the query sits at xtight's x, far out along y toward ywide
     def cross(center, dx, dy):
         cx, cy = center
         return np.array(
@@ -336,8 +342,8 @@ def test_rank_metric_divergence_constructed():
         "xtight": cross((2.0, 0.0), 0.2, 4.0),
         "ywide": cross((0.0, 3.0), 0.2, 4.0),
     }
-    library = build_library(groups, standardize=False)
-    report = rank_unknown(np.array([1.9, 2.9]), library)
+    library = build_library(groups)
+    report = rank_unknown(np.array([1.9, 12.0]), library)
     assert report.nearest_euclidean == "ywide"
     assert report.nearest_mahalanobis == "xtight"
     assert report.metric_divergence
