@@ -58,19 +58,10 @@ def _test_fraction(text: str) -> float:
 
 
 def _bands(text: str) -> tuple[signals.BandSpec, signals.BandSpec, signals.BandSpec]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected 3 bands as lo1:hi1,lo2:hi2,lo3:hi3")
-    out = []
-    for part in parts:
-        lo, sep, hi = part.partition(":")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"band {part!r} is not lo:hi")
-        try:
-            out.append(signals.BandSpec(float(lo), float(hi)))
-        except (ValueError, ValidationError) as exc:
-            raise argparse.ArgumentTypeError(f"bad band {part!r}: {exc}") from exc
-    return tuple(out)
+    try:
+        return features_mod._parse_bands(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _resolve_seed(args) -> int:
@@ -182,8 +173,8 @@ def _cmd_classify(args):
         )
     series = formats.read_dataset(args.input)
     windows = signals.segment_windows(series, args.window_seconds, args.overlap)
-    vectors = np.vstack(
-        [features_mod.extract_features(series, w, config).values for w in windows]
+    vectors, _, _ = features_mod.extract_feature_matrix(
+        [series], config, args.window_seconds, args.overlap
     )
     predictions = svm.predict_batch(model, vectors)
     rows = [(k, w.start_index, w.length, p) for k, (w, p) in enumerate(zip(windows, predictions))]

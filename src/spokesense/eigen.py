@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import LayoutMismatchError, ValidationError
 from .signals import TimeSeries, Window, check_window
 
 
@@ -65,12 +65,12 @@ def _sym3_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
     return tuple(sorted((float(m[0, 0]), float(m[1, 1]), float(m[2, 2])), reverse=True))
 
 
-def _checked_sym3(a, what: str, tol: float) -> np.ndarray:
-    """``a`` as a finite 3x3 float array, symmetrized; asymmetry beyond
+def _checked_symmetric(a, d: int, what: str, tol: float) -> np.ndarray:
+    """``a`` as a finite d x d float array, symmetrized; asymmetry beyond
     ``tol`` relative to max(1, max|a|) is rejected."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.shape != (3, 3):
-        raise ValidationError(f"{what} must be 3x3, got shape {arr.shape}")
+    if arr.shape != (d, d):
+        raise LayoutMismatchError(f"{what} must be {d}x{d}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
     scale = max(1.0, float(np.abs(arr).max()))
@@ -87,7 +87,7 @@ class Covariance3:
     _eigenvalues: tuple[float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = _checked_sym3(self.entries, "covariance", 1e-12)
+        arr = _checked_symmetric(self.entries, 3, "covariance", 1e-12)
         trace = float(np.trace(arr))
         self._eigenvalues = _sym3_eigenvalues(arr)  # kept for eigenvalues_sym3
         smallest = self._eigenvalues[2]
@@ -127,7 +127,7 @@ def eigenvalues_sym3(cov: Covariance3 | np.ndarray) -> EigenSignature:
     returns those its PSD check solved for."""
     if isinstance(cov, Covariance3):
         return EigenSignature(*cov._eigenvalues)
-    return EigenSignature(*_sym3_eigenvalues(_checked_sym3(cov, "matrix", 1e-9)))
+    return EigenSignature(*_sym3_eigenvalues(_checked_symmetric(cov, 3, "matrix", 1e-9)))
 
 
 def eigen_report_rows(series: TimeSeries, windows) -> list[tuple[int, EigenSignature, str | None]]:

@@ -36,7 +36,7 @@ from .signals import (
     Window,
     _as_samples,
     _irfft,
-    _rfft,
+    _padded_rfft,
     bandpass,
     check_window,
     next_pow2,
@@ -51,6 +51,23 @@ DEFAULT_BANDS = (BandSpec(1.0, 50.0), BandSpec(100.0, 400.0), BandSpec(400.0, 70
 DEFAULT_ENTROPY_BINS = 16
 
 _LAYOUT_PREFIX = "ffv1"
+
+
+def _parse_bands(text: str) -> tuple[BandSpec, BandSpec, BandSpec]:
+    """Three bands written as lo1:hi1,lo2:hi2,lo3:hi3."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValidationError(f"expected 3 bands as lo1:hi1,lo2:hi2,lo3:hi3, got {text!r}")
+    bands = []
+    for part in parts:
+        lo, sep, hi = part.partition(":")
+        if not sep:
+            raise ValidationError(f"band {part!r} is not lo:hi")
+        try:
+            bands.append(BandSpec(float(lo), float(hi)))
+        except ValueError as exc:  # float() or BandSpec's ValidationError
+            raise ValidationError(f"bad band {part!r}: {exc}") from exc
+    return tuple(bands)
 
 
 @dataclass(frozen=True)
@@ -94,17 +111,12 @@ class FeatureConfig:
         m = re.match(pattern, layout_id)
         if m is None:
             raise LayoutMismatchError(f"unrecognized feature layout id: {layout_id!r}")
-        edges = []
-        for part in m.group(1).split(","):
-            lo, _, hi = part.partition(":")
-            try:
-                edges.append(BandSpec(float(lo), float(hi)))
-            except ValueError as exc:
-                raise LayoutMismatchError(f"bad band edge in layout id: {part!r}") from exc
-        if len(edges) != 3:
-            raise LayoutMismatchError(f"layout id must list 3 bands, got {len(edges)}")
+        try:
+            bands = _parse_bands(m.group(1))
+        except ValidationError as exc:
+            raise LayoutMismatchError(f"bad bands in layout id: {exc}") from exc
         return FeatureConfig(
-            bands=tuple(edges),
+            bands=bands,
             entropy_bins=int(m.group(2)),
             include_position_extras=m.group(3) == "1",
         )
@@ -216,10 +228,7 @@ def autocorrelation_peak(x) -> AutocorrPeak:
     if denom == 0.0:
         raise DegenerateInputError("autocorrelation undefined for zero-variance input")
     n = centered.shape[0]
-    padded_n = next_pow2(2 * n)
-    padded = np.zeros(padded_n, dtype=np.float64)
-    padded[:n] = centered
-    power = np.abs(_rfft(padded)) ** 2
+    power = np.abs(_padded_rfft(centered, next_pow2(2 * n))) ** 2
     corr = _irfft(power)[:n] / denom
     for lag in range(1, n - 1):
         if corr[lag] > corr[lag - 1] and corr[lag] >= corr[lag + 1]:

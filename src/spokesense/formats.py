@@ -24,7 +24,7 @@ abort the process.
 
 Free-text cells (labels, class names) must be encodable as UTF-8 and must
 not contain commas, newlines, a leading ``#`` or leading or trailing
-whitespace.
+whitespace; a ``# layout=`` value may be empty or hold commas and ``#``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import FormatError, UnsupportedVersionError, ValidationError
 from .signals import Spectrum, TimeSeries
-from .svm import BinarySvm, Kernel, PairwiseEntry, Standardizer, SvmModel
+from .svm import BinarySvm, Kernel, PairwiseEntry, Standardizer, SvmModel, _as_matrix
 from .synth import TerrainProfile, Tonal
 
 DATASET_FORMAT = "spokesense-dataset"
@@ -86,14 +86,18 @@ def _render_rows(*columns) -> str:
     return (template * cells.shape[0]) % tuple(cells.ravel().tolist())
 
 
-def _check_text_cell(value: str, what: str) -> str:
+def _check_line_text(value: str, what: str) -> str:
+    """``value`` as text that a ``# key=value`` line gives back unchanged."""
     text = str(value)
-    if (text == "" or "," in text or "\n" in text or "\r" in text or text.startswith("#")
-            or text != text.strip() or _SURROGATE.search(text)):
-        raise ValidationError(
-            f"{what} {text!r} cannot be stored: must be non-empty, encodable as UTF-8 and "
-            "free of commas, newlines, a leading '#' and leading or trailing whitespace"
-        )
+    if "\n" in text or "\r" in text or text != text.strip() or _SURROGATE.search(text):
+        raise ValidationError(f"{what} {text!r} is not UTF-8 or has newlines or outer whitespace")
+    return text
+
+
+def _check_text_cell(value: str, what: str) -> str:
+    text = _check_line_text(value, what)
+    if text == "" or "," in text or text.startswith("#"):
+        raise ValidationError(f"{what} {text!r} is empty or has a comma or a leading '#'")
     return text
 
 
@@ -300,11 +304,7 @@ class FeatureTable:
 
 
 def write_features(path, values, names, labels=None, layout_id: str | None = None) -> None:
-    mat = np.asarray(values, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] == 0:
-        raise ValidationError(f"feature matrix must be 2-d and non-empty, got {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValidationError("feature matrix contains non-finite values")
+    mat = _as_matrix(values, "feature matrix")
     names = [_check_text_cell(n, "column name") for n in names]
     if len(names) != mat.shape[1]:
         raise ValidationError(f"{len(names)} names for {mat.shape[1]} columns")
@@ -317,8 +317,8 @@ def write_features(path, values, names, labels=None, layout_id: str | None = Non
             raise ValidationError(f"{len(labels)} labels for {mat.shape[0]} rows")
         columns.append(labels)
         names.append("label")
-    head = [_banner(FEATURES_FORMAT)] + ([] if layout_id is None else [f"# layout={layout_id}"])
-    _write_table(path, head, names, *columns)
+    layout = [] if layout_id is None else [f"# layout={_check_line_text(layout_id, 'layout id')}"]
+    _write_table(path, [_banner(FEATURES_FORMAT), *layout], names, *columns)
 
 
 def read_features(path) -> FeatureTable:

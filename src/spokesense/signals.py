@@ -1,14 +1,15 @@
 """Sampled vibration records, windowing, Fourier analysis, and band filtering.
 
 Records carry three synchronized sensor channels at a single sample rate.
-Spectral operations zero-pad to the next power of two and use an iterative
-radix-2 transform; reported bin resolutions always reflect the padded
-length.  Real signals are transformed at half length: the N real samples
-are read as N/2 complex ones, transformed by one N/2-point radix-2 FFT and
-split into bins 0..N/2 (Sorensen et al., IEEE TASSP 1987); the inverse
-merges the bins back and makes one N/2-point inverse FFT.  Band-pass
-filtering is zero-phase: a frequency-domain mask over bins 0..N/2 keeps
-the output real, and the result is truncated back to the input length.
+Spectral operations zero-pad to the next power of two and use a
+self-sorting radix-2 transform (Stockham order; Cochran et al., Proc. IEEE
+1967); bin resolutions reflect the padded length.  Real signals are
+transformed at half length: the N real samples are read as N/2 complex
+ones, transformed by one N/2-point FFT and split into bins 0..N/2
+(Sorensen et al., IEEE TASSP 1987); the inverse merges the bins back and
+makes one N/2-point inverse FFT.  Band-pass filtering is zero-phase: a
+frequency-domain mask over bins 0..N/2 keeps the output real, and the
+result is truncated back to the input length.
 """
 
 from __future__ import annotations
@@ -140,20 +141,7 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-_REV_CACHE: dict[int, np.ndarray] = {}
 _TWIDDLE_CACHE: dict[int, list[np.ndarray]] = {}
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    perm = _REV_CACHE.get(n)
-    if perm is None:
-        levels = n.bit_length() - 1
-        idx = np.arange(n)
-        perm = np.zeros(n, dtype=np.int64)
-        for b in range(levels):
-            perm |= ((idx >> b) & 1) << (levels - 1 - b)
-        _REV_CACHE[n] = perm
-    return perm
 
 
 def _twiddles(n: int) -> list[np.ndarray]:
@@ -170,11 +158,11 @@ def _twiddles(n: int) -> list[np.ndarray]:
 
 
 def fft_radix2(x) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time transform.
-
-    Input length must be a power of two.  Returns the full complex spectrum.
-    """
-    arr = np.asarray(x, dtype=np.complex128)
+    """Full complex spectrum of ``x`` (power-of-two length) by a self-sorting
+    radix-2 loop on a copy: column s of the (m, n/m) block is the m-point
+    transform of x[s::n/m]; stage m merges columns s and s + n/2m into
+    column s of a (2m, n/2m) block in the other buffer."""
+    arr = np.array(x, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValidationError(f"transform input must be one-dimensional, got shape {arr.shape}")
     n = arr.shape[0]
@@ -182,17 +170,17 @@ def fft_radix2(x) -> np.ndarray:
         raise EmptyInputError("transform input is empty")
     if n & (n - 1):
         raise ValidationError(f"transform length must be a power of two, got {n}")
-    if n == 1:
-        return arr.copy()
-    out = arr[_bit_reversal(n)]
+    spare = np.empty_like(arr)
     for tw in _twiddles(n):
-        half = tw.shape[0]
-        pairs = out.reshape(-1, 2 * half)
-        even = pairs[:, :half]
-        odd = pairs[:, half:] * tw
-        np.subtract(even, odd, out=pairs[:, half:])
-        even += odd
-    return out
+        m = tw.shape[0]
+        block = arr.reshape(m, -1)
+        half = block.shape[1] // 2
+        out = spare.reshape(2 * m, half)
+        odd = np.multiply(block[:, half:], tw[:, None], out=out[m:])
+        np.add(block[:, :half], odd, out=out[:m])
+        np.subtract(block[:, :half], odd, out=odd)
+        arr, spare = spare, arr
+    return arr
 
 
 def ifft_radix2(x) -> np.ndarray:
@@ -229,6 +217,13 @@ def _rfft(x: np.ndarray) -> np.ndarray:
     return spec
 
 
+def _padded_rfft(arr: np.ndarray, padded_n: int) -> np.ndarray:
+    """Bins 0..padded_n/2 of ``arr`` zero-padded to ``padded_n``, a power of two."""
+    padded = np.zeros(padded_n, dtype=np.float64)
+    padded[: arr.shape[0]] = arr
+    return _rfft(padded)
+
+
 def _irfft(spec: np.ndarray) -> np.ndarray:
     """Real N-point inverse of bins 0..N/2 (N a power of two >= 2), from a
     merge step plus one N/2-point complex inverse transform."""
@@ -256,11 +251,8 @@ def dft_magnitude(samples, sample_rate_hz: float) -> Spectrum:
     arr = _as_samples(samples, min_len=2)
     if not np.isfinite(sample_rate_hz) or sample_rate_hz <= 0:
         raise ValidationError(f"sample rate must be positive, got {sample_rate_hz}")
-    n = arr.shape[0]
-    padded_n = next_pow2(n)
-    padded = np.zeros(padded_n, dtype=np.float64)
-    padded[:n] = arr
-    magnitudes = np.abs(_rfft(padded))
+    padded_n = next_pow2(arr.shape[0])
+    magnitudes = np.abs(_padded_rfft(arr, padded_n))
     return Spectrum(bin_resolution_hz=sample_rate_hz / padded_n, magnitudes=magnitudes)
 
 
@@ -278,9 +270,7 @@ def bandpass(samples, sample_rate_hz: float, band: BandSpec) -> np.ndarray:
     band.check_nyquist(sample_rate_hz)
     n = arr.shape[0]
     padded_n = next_pow2(n)
-    padded = np.zeros(padded_n, dtype=np.float64)
-    padded[:n] = arr
-    spectrum = _rfft(padded)
+    spectrum = _padded_rfft(arr, padded_n)
     freqs = np.arange(padded_n // 2 + 1) * (sample_rate_hz / padded_n)
     spectrum *= (freqs >= band.low_hz) & (freqs <= band.high_hz)
     return _irfft(spectrum)[:n].copy()

@@ -24,6 +24,7 @@ from .errors import (
     NotPositiveDefiniteError,
     ValidationError,
 )
+from .eigen import _checked_symmetric
 from .signals import _as_samples
 from .svm import Standardizer, _as_matrix, apply_standardizer, fit_standardizer
 
@@ -87,17 +88,8 @@ def _norms(columns: np.ndarray) -> np.ndarray:
 def mahalanobis_distance(x, y, covariance) -> float:
     """sqrt((x - y)^T S^{-1} (x - y)) via Cholesky and forward substitution."""
     diff = _difference(x, y)
-    cov = np.asarray(covariance, dtype=np.float64)
-    d = diff.shape[0]
-    if cov.shape != (d, d):
-        raise LayoutMismatchError(f"covariance of shape {cov.shape} for {d}-d operands")
-    scale = max(1.0, float(np.abs(cov).max()))
-    with np.errstate(invalid="ignore"):  # inf - inf; cholesky_spd rejects non-finite entries
-        asymmetry = float(np.abs(cov - cov.T).max())
-    if asymmetry > 1e-9 * scale:
-        raise ValidationError("covariance is not symmetric")
-    lower = cholesky_spd((cov + cov.T) / 2.0)
-    return float(_norms(_solve_lower(lower, diff)))
+    cov = _checked_symmetric(covariance, diff.shape[0], "covariance", 1e-9)
+    return float(_norms(_solve_lower(cholesky_spd(cov), diff)))
 
 
 @dataclass(eq=False)
@@ -125,13 +117,14 @@ def build_library(
 
     The pooled covariance is the population average of squared deviations
     from each row's own class mean; the ridge is epsilon_scale * trace / d
-    with a 1e-12 floor (a warning marks the degenerate zero-trace case).
-    Class order follows the mapping's iteration order.
+    with epsilon_scale finite and > 0.  Only a zero-trace pooled covariance
+    falls back to a 1e-12 ridge, with a warning.  Class order follows the
+    mapping's iteration order.
     """
     if not features_by_class:
         raise EmptyInputError("no classes given")
-    if not np.isfinite(epsilon_scale) or epsilon_scale < 0:
-        raise ValidationError(f"epsilon_scale must be >= 0, got {epsilon_scale}")
+    if not np.isfinite(epsilon_scale) or epsilon_scale <= 0:
+        raise ValidationError(f"epsilon_scale must be positive, got {epsilon_scale}")
     names = tuple(str(k) for k in features_by_class.keys())
     matrices = []
     width = None

@@ -113,12 +113,15 @@ def kernel_matrix(kernel: Kernel, a, b) -> np.ndarray:
         raise LayoutMismatchError(
             f"kernel operands disagree on dimension: {av.shape[1]} vs {bv.shape[1]}"
         )
-    cross = av @ bv.T
     if kernel.name == "linear":
-        return cross
-    sq = np.sum(av * av, axis=1)[:, None] + np.sum(bv * bv, axis=1)[None, :] - 2.0 * cross
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-kernel.gamma * sq)
+        return av @ bv.T
+    return np.exp(-kernel.gamma * _squared_distances(av, bv))
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 as |a_i|^2 + |b_j|^2 - 2 a_i.b_j, clamped at 0."""
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def median_heuristic_gamma(x) -> float:
@@ -134,11 +137,7 @@ def median_heuristic_gamma(x) -> float:
         raise ValidationError("gamma heuristic needs at least 2 rows")
     step = -(-m // 256)  # ceil
     sub = arr[::step]
-    cross = sub @ sub.T
-    norms = np.sum(sub * sub, axis=1)
-    sq = norms[:, None] + norms[None, :] - 2.0 * cross
-    pairs = sq[np.triu_indices(sub.shape[0], k=1)]
-    pairs = np.maximum(pairs, 0.0)
+    pairs = _squared_distances(sub, sub)[np.triu_indices(sub.shape[0], k=1)]
     scale = float(np.median(pairs))
     if scale == 0.0:
         scale = float(np.mean(pairs))
@@ -429,7 +428,7 @@ def fit_svm_model(
     Class names are the sorted unique labels; pair (a, b) with a earlier
     in that order takes y = +1 for a.  With kernel_name == "rbf" and no
     explicit gamma, the median heuristic is evaluated once on the full
-    standardized training matrix.
+    standardized training matrix; the linear kernel takes no gamma.
     """
     arr = _as_matrix(x)
     rows_by_class = _rows_by_class(arr, labels, "train a classifier")
@@ -438,7 +437,7 @@ def fit_svm_model(
     xs = apply_standardizer(standardizer, arr)
     if kernel_name == "rbf" and gamma is None:
         gamma = median_heuristic_gamma(xs)
-    kernel = Kernel(kernel_name, gamma if kernel_name == "rbf" else None)
+    kernel = Kernel(kernel_name, gamma)
     full_k = kernel_matrix(kernel, xs, xs)
     pair_names = list(itertools.combinations(class_names, 2))
     width = max(rows_by_class[a].size + rows_by_class[b].size for a, b in pair_names)

@@ -137,6 +137,10 @@ def test_argparse_errors_exit_2(tmp_path):
     assert run("simulate") == 2  # profile choice is required
     assert run("simulate", "--profile", "flat", "--duration", "-1") == 2
     assert run("spectrum", "x.csv", "--channel", "4") == 2
+    # two bands, a band without ':', a reversed band
+    for bands in ("1:50,100:400", "1:50,100,400:700", "1:50,400:100,400:700"):
+        assert run("extract", "x.csv", "--bands", bands, "--out", tmp_path) == 2
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------- extract
@@ -227,6 +231,16 @@ def test_train_ignores_seed(tmp_path, labeled_features):
     assert run("train", features, "--seed", 8, "--out", tmp_path / "b") == 0
     first = (tmp_path / "a" / "model.json").read_bytes()
     assert first == (tmp_path / "b" / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_linear_kernel_with_gamma_fails(tmp_path, labeled_features, capsys, command):
+    _, features = labeled_features
+    out = tmp_path / "out"
+    assert run(command, features, "--kernel", "linear", "--gamma", 0.5, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "gamma" in err[0]
+    assert not out.exists()
 
 
 def test_classify_layout_contradiction_fails(tmp_path, labeled_features, capsys):

@@ -521,6 +521,10 @@ def test_layout_id_round_trip():
         assert back == config
     with pytest.raises(LayoutMismatchError):
         FeatureConfig.from_layout_id("bogus;layout")
+    # two bands, a band without ':', a reversed band
+    for bands in ("1:50,100:400", "1:50,100,400:700", "1:50,400:100,400:700"):
+        with pytest.raises(LayoutMismatchError):
+            FeatureConfig.from_layout_id(f"ffv1;bands={bands};entropy_bins=16;extras=0")
 
 
 def test_layout_id_shape():

@@ -31,6 +31,7 @@ from spokesense.formats import (
     write_dataset,
     write_features,
 )
+from spokesense.features import FeatureConfig
 from spokesense.signals import TimeSeries
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -409,6 +410,37 @@ def test_features_round_trip_any_finite_doubles(workdir, values, cols, labelled)
     assert loaded.labels == labels and loaded.names == names
     write_table(second, loaded)
     assert first.read_bytes() == second.read_bytes()
+
+
+def storable_layout(layout):
+    """Whether ``write_features`` must accept ``layout`` as a layout id."""
+    return not ("\n" in layout or "\r" in layout or layout != layout.strip()
+                or any("\ud800" <= ch <= "\udfff" for ch in layout))
+
+
+@PROPERTY
+@given(layout=st.one_of(st.text(max_size=12), st.text(ANY_CHAR, max_size=8)))
+@example(layout=FeatureConfig(include_position_extras=True).layout_id())
+@example(layout="")
+@example(layout="#a=b,c")
+# Once written unchecked: the next two made files the reader rejects, the
+# two after read back as "x", and the last raised a bare UnicodeEncodeError
+# from a file already opened.
+@example(layout="x\ny,z")
+@example(layout="a\rb")
+@example(layout="x\n# k=v")
+@example(layout="x ")
+@example(layout="\ud800")
+def test_features_layout_id_round_trips_or_is_rejected(workdir, layout):
+    path = workdir / "layout.csv"
+    path.unlink(missing_ok=True)
+    if not storable_layout(layout):
+        with pytest.raises(ValidationError):
+            write_features(path, [[1.0]], ("a",), layout_id=layout)
+        assert not path.exists()
+        return
+    write_features(path, [[1.0]], ("a",), layout_id=layout)
+    assert read_features(path).layout_id == layout
 
 
 @PROPERTY

@@ -262,8 +262,9 @@ def test_band_spec_validation():
 
 
 def loop_fft(x):
-    """The butterfly loop with a copied even half, as it was before the
-    in-place stage; bit reversal and twiddles rebuilt from their formulas."""
+    """The bit-reversed decimation-in-time loop (copied even half) that the
+    self-sorting loop replaced; bit reversal and twiddles rebuilt from their
+    formulas."""
     out = np.asarray(x, dtype=np.complex128).copy()
     n = out.shape[0]
     levels = n.bit_length() - 1
@@ -320,19 +321,27 @@ def complex_autocorrelation_peak(x, min_lag=1):
 REAL_LENGTHS = (2, 3, 5, 2160, 4096, 5000, 86400)
 
 
-def test_fft_in_place_stages_bit_identical_to_copying_loop():
+def test_fft_self_sorting_bit_identical_to_bit_reversed_loop():
+    # Complex, real and strided inputs from length 1 (no stage) to 2^17;
+    # the transform never writes into its input.
     rng = np.random.RandomState(20)
     for levels in range(18):
         n = 1 << levels
-        x = rng.randn(n) + 1j * rng.randn(n)
-        assert np.array_equal(fft_radix2(x).view(np.uint64), loop_fft(x).view(np.uint64)), n
+        wide = rng.randn(2 * n) + 1j * rng.randn(2 * n)
+        for x in (wide[:n].copy(), rng.randn(n), wide[::2]):
+            before = x.copy()
+            fast = fft_radix2(x).view(np.uint64)
+            assert np.array_equal(fast, loop_fft(x).view(np.uint64)), (n, x.dtype)
+            assert np.array_equal(x, before), (n, x.dtype)
 
 
 def test_rfft_round_trip():
     rng = np.random.RandomState(21)
     for levels in range(1, 18):
         x = rng.randn(1 << levels) * 10.0 ** rng.uniform(-3, 3)
-        spectrum = _rfft(x)
+        before = x.copy()
+        spectrum = _rfft(x)  # transforms a complex view of x's buffer
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
         assert spectrum.shape == (x.shape[0] // 2 + 1,)
         assert np.abs(_irfft(spectrum) - x).max() <= 1e-12 * np.abs(x).max()
 

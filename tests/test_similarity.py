@@ -271,8 +271,10 @@ def test_library_validation_errors():
         build_library({"a": np.zeros((2, 3)), "b": np.ones((2, 4))})
     with pytest.raises(ValidationError):
         build_library({"a": np.full((2, 3), np.nan)})
-    with pytest.raises(ValidationError):
-        build_library({"a": np.zeros((2, 3)), "b": np.ones((2, 3))}, epsilon_scale=-1.0)
+    # a zero scale once fell back to the zero-trace floor and its warning
+    for scale in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="epsilon_scale"):
+            build_library({"a": np.eye(3)[:2], "b": np.eye(3)[1:]}, epsilon_scale=scale)
 
 
 # ---------------------------------------------------------------- ranking

@@ -685,6 +685,8 @@ def test_fit_model_validation():
         fit_svm_model([[0.0], [1.0]], ["only", "only"])
     with pytest.raises(ValidationError):
         fit_svm_model([[0.0], [1.0]], ["a"])
+    with pytest.raises(ValidationError, match="gamma"):
+        fit_svm_model([[0.0], [1.0]], ["a", "b"], kernel_name="linear", gamma=0.5)
 
 
 def test_fit_model_rejects_bad_solver_settings():
@@ -756,3 +758,5 @@ def test_evaluate_validation_errors():
         evaluate_trials(x, ["a", "a", "b", "b"], test_fraction=1.0)
     with pytest.raises(ValidationError):
         evaluate_trials(x, ["a", "a", "a", "a"])
+    with pytest.raises(ValidationError, match="gamma"):
+        evaluate_trials(x, ["a", "a", "b", "b"], n_trials=1, kernel_name="linear", gamma=0.5)
