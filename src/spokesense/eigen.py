@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayoutMismatchError, ValidationError
+from .errors import ValidationError, _finite_array
 from .signals import TimeSeries, Window, check_window
 
 
@@ -68,11 +68,7 @@ def _sym3_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
 def _checked_symmetric(a, d: int, what: str, tol: float) -> np.ndarray:
     """``a`` as a finite d x d float array, symmetrized; asymmetry beyond
     ``tol`` relative to max(1, max|a|) is rejected."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.shape != (d, d):
-        raise LayoutMismatchError(f"{what} must be {d}x{d}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contains non-finite entries")
+    arr = _finite_array(a, what, (d, d))
     scale = max(1.0, float(np.abs(arr).max()))
     if float(np.abs(arr - arr.T).max()) > tol * scale:
         raise ValidationError(f"{what} is not symmetric")

@@ -27,6 +27,8 @@ from .errors import (
     EmptyInputError,
     LayoutMismatchError,
     ValidationError,
+    _count,
+    _finite_array,
 )
 from .signals import (
     DEFAULT_OVERLAP,
@@ -34,7 +36,6 @@ from .signals import (
     BandSpec,
     TimeSeries,
     Window,
-    _as_samples,
     _irfft,
     _padded_rfft,
     bandpass,
@@ -81,8 +82,7 @@ class FeatureConfig:
     def __post_init__(self):
         if len(self.bands) != 3:
             raise ValidationError(f"exactly 3 bands required, got {len(self.bands)}")
-        if self.entropy_bins < 2:
-            raise ValidationError(f"entropy_bins must be >= 2, got {self.entropy_bins}")
+        object.__setattr__(self, "entropy_bins", _count(self.entropy_bins, "entropy_bins", 2))
 
     @property
     def n_features(self) -> int:
@@ -150,17 +150,17 @@ def _central_moments(arr: np.ndarray) -> _Moments:
 
 
 def rms(x) -> float:
-    return _central_moments(_as_samples(x, min_len=1)).rms
+    return _central_moments(_finite_array(x, "samples", (None,))).rms
 
 
 def std_dev(x) -> float:
     """Population standard deviation (1/n normalization)."""
-    return _central_moments(_as_samples(x, min_len=2)).std
+    return _central_moments(_finite_array(x, "samples", (None,), min_len=2)).std
 
 
 def kurtosis(x) -> float:
     """Excess kurtosis m4 / m2**2 - 3; zero for a Gaussian in expectation."""
-    moments = _central_moments(_as_samples(x, min_len=4))
+    moments = _central_moments(_finite_array(x, "samples", (None,), min_len=4))
     if moments.degenerate:
         raise DegenerateInputError("kurtosis undefined for zero-variance input")
     return moments.kurtosis
@@ -168,14 +168,14 @@ def kurtosis(x) -> float:
 
 def skewness(x) -> float:
     """Third standardized moment m3 / m2**1.5."""
-    moments = _central_moments(_as_samples(x, min_len=3))
+    moments = _central_moments(_finite_array(x, "samples", (None,), min_len=3))
     if moments.degenerate:
         raise DegenerateInputError("skewness undefined for zero-variance input")
     return moments.skewness
 
 
 def signal_energy(x) -> float:
-    return _central_moments(_as_samples(x, min_len=1)).energy
+    return _central_moments(_finite_array(x, "samples", (None,))).energy
 
 
 def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
@@ -185,10 +185,7 @@ def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
     contribute zero.  A constant signal has a single occupied bin and
     entropy 0.
     """
-    arr = _as_samples(x, min_len=1)
-    if bins < 2:
-        raise ValidationError(f"entropy needs at least 2 bins, got {bins}")
-    return _entropy(arr, bins)
+    return _entropy(_finite_array(x, "samples", (None,)), _count(bins, "entropy bins", 2))
 
 
 def _entropy(arr: np.ndarray, bins: int) -> float:
@@ -222,7 +219,7 @@ def autocorrelation_peak(x) -> AutocorrPeak:
     t >= 1 for the first r(t) with r(t) > r(t-1) and r(t) >= r(t+1).
     Returns (0, 1.0, False) when no local maximum exists.
     """
-    arr = _as_samples(x, min_len=8)
+    arr = _finite_array(x, "samples", (None,), min_len=8)
     centered = arr - arr.mean()
     denom = float(np.sum(centered * centered))
     if denom == 0.0:
@@ -242,7 +239,7 @@ def amplitude_smoothness(x) -> float:
     The envelope is a moving rms with sub-window min(32, n) and stride 1;
     the score is 1 / (1 + mean|diff(envelope)| / (mean(envelope) + 1e-12)).
     """
-    arr = _as_samples(x, min_len=2)
+    arr = _finite_array(x, "samples", (None,), min_len=2)
     w = min(32, arr.shape[0])
     squares = arr * arr
     csum = np.concatenate(([0.0], np.cumsum(squares)))
@@ -273,8 +270,7 @@ def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) 
     set the degenerate flag instead of raising.
     """
     check_window(series, window)
-    if window.length < 4:
-        raise ValidationError(f"kurtosis needs at least 4 samples, got {window.length}")
+    _count(window.length, "window length for kurtosis", 4)
     values: list[float] = []
     degenerate = False
     filtered_by_channel: list[np.ndarray] = []

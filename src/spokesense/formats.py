@@ -37,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, UnsupportedVersionError, ValidationError
+from .errors import FormatError, UnsupportedVersionError, ValidationError, _finite_array
 from .signals import Spectrum, TimeSeries
-from .svm import BinarySvm, Kernel, PairwiseEntry, Standardizer, SvmModel, _as_matrix
+from .svm import BinarySvm, Kernel, PairwiseEntry, Standardizer, SvmModel
 from .synth import TerrainProfile, Tonal
 
 DATASET_FORMAT = "spokesense-dataset"
@@ -304,7 +304,7 @@ class FeatureTable:
 
 
 def write_features(path, values, names, labels=None, layout_id: str | None = None) -> None:
-    mat = _as_matrix(values, "feature matrix")
+    mat = _finite_array(values, "feature matrix", (None, None))
     names = [_check_text_cell(n, "column name") for n in names]
     if len(names) != mat.shape[1]:
         raise ValidationError(f"{len(names)} names for {mat.shape[1]} columns")

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _count
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -66,8 +66,7 @@ class Prng:
 
     def u64_block(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit draws as a uint64 array."""
-        if n < 0:
-            raise ValidationError("block size must be non-negative")
+        n = _count(n, "block size", 0)
         base = self._counter
         self._counter += n
         idx = np.arange(base + 1, base + n + 1, dtype=np.uint64)
@@ -101,8 +100,7 @@ class Prng:
         Consumes ``2 * ceil(n / 2)`` raw draws so the counter advance is a
         function of ``n`` alone.
         """
-        if n < 0:
-            raise ValidationError("block size must be non-negative")
+        n = _count(n, "block size", 0)
         pairs = (n + 1) // 2
         u1 = self.uniform_block(pairs)
         u2 = self.uniform_block(pairs)

@@ -18,24 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, ValidationError
+from .errors import EmptyInputError, ValidationError, _count, _finite_array, _positive
 
 N_CHANNELS = 3
 DEFAULT_WINDOW_SECONDS = 1.5
 DEFAULT_OVERLAP = 0.5
-
-
-def _as_samples(x, min_len: int, name: str = "samples") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise EmptyInputError(f"{name} is empty")
-    if arr.shape[0] < min_len:
-        raise ValidationError(f"{name} needs at least {min_len} samples, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    return arr
 
 
 @dataclass(eq=False)
@@ -47,20 +34,8 @@ class TimeSeries:
     label: str | None = None
 
     def __post_init__(self):
-        rate = float(self.sample_rate_hz)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ValidationError(f"sample rate must be positive and finite, got {rate}")
-        arr = np.asarray(self.channels, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != N_CHANNELS:
-            raise ValidationError(
-                f"channels must have shape ({N_CHANNELS}, n), got {arr.shape}"
-            )
-        if arr.shape[1] == 0:
-            raise EmptyInputError("record has no samples")
-        if not np.isfinite(arr).all():
-            raise ValidationError("record contains non-finite samples")
-        self.sample_rate_hz = rate
-        self.channels = arr
+        self.sample_rate_hz = _positive(self.sample_rate_hz, "sample rate")
+        self.channels = _finite_array(self.channels, "channels", (N_CHANNELS, None))
 
     @property
     def n_samples(self) -> int:
@@ -79,10 +54,8 @@ class Window:
     length: int
 
     def __post_init__(self):
-        if self.start_index < 0:
-            raise ValidationError(f"window start must be >= 0, got {self.start_index}")
-        if self.length < 2:
-            raise ValidationError(f"window length must be >= 2, got {self.length}")
+        object.__setattr__(self, "start_index", _count(self.start_index, "window start", 0))
+        object.__setattr__(self, "length", _count(self.length, "window length", 2))
 
     @property
     def stop_index(self) -> int:
@@ -105,14 +78,12 @@ class BandSpec:
     high_hz: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.low_hz) and np.isfinite(self.high_hz)):
-            raise ValidationError("band edges must be finite")
-        if self.low_hz < 0:
-            raise ValidationError(f"band low edge must be >= 0, got {self.low_hz}")
-        if not self.low_hz < self.high_hz:
-            raise ValidationError(
-                f"band low edge must be below high edge, got [{self.low_hz}, {self.high_hz}]"
-            )
+        low = _positive(self.low_hz, "band low edge", zero_ok=True)
+        high = _positive(self.high_hz, "band high edge")
+        if not low < high:
+            raise ValidationError(f"band low edge must be below high edge, got [{low}, {high}]")
+        object.__setattr__(self, "low_hz", low)
+        object.__setattr__(self, "high_hz", high)
 
     def check_nyquist(self, sample_rate_hz: float) -> None:
         if self.high_hz > sample_rate_hz / 2.0:
@@ -136,9 +107,7 @@ class Spectrum:
 
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n (n >= 1)."""
-    if n < 1:
-        raise ValidationError(f"next_pow2 requires n >= 1, got {n}")
-    return 1 << (n - 1).bit_length()
+    return 1 << (_count(n, "next_pow2 input", 1) - 1).bit_length()
 
 
 _TWIDDLE_CACHE: dict[int, list[np.ndarray]] = {}
@@ -157,12 +126,19 @@ def _twiddles(n: int) -> list[np.ndarray]:
     return stages
 
 
+def _complex_copy(x) -> np.ndarray:
+    try:
+        return np.array(x, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"transform input is not a numeric array: {exc}") from None
+
+
 def fft_radix2(x) -> np.ndarray:
     """Full complex spectrum of ``x`` (power-of-two length) by a self-sorting
     radix-2 loop on a copy: column s of the (m, n/m) block is the m-point
     transform of x[s::n/m]; stage m merges columns s and s + n/2m into
     column s of a (2m, n/2m) block in the other buffer."""
-    arr = np.array(x, dtype=np.complex128)
+    arr = _complex_copy(x)
     if arr.ndim != 1:
         raise ValidationError(f"transform input must be one-dimensional, got shape {arr.shape}")
     n = arr.shape[0]
@@ -185,8 +161,8 @@ def fft_radix2(x) -> np.ndarray:
 
 def ifft_radix2(x) -> np.ndarray:
     """Inverse of fft_radix2 via conjugation."""
-    arr = np.asarray(x, dtype=np.complex128)
-    out = fft_radix2(np.conj(arr))
+    arr = _complex_copy(x)
+    out = fft_radix2(np.conj(arr, out=arr))
     np.conj(out, out=out)
     out /= arr.shape[0]
     return out
@@ -248,12 +224,11 @@ def dft_magnitude(samples, sample_rate_hz: float) -> Spectrum:
     The input is zero-padded to the next power of two N; bins 0..N/2 are
     returned with resolution sample_rate_hz / N.
     """
-    arr = _as_samples(samples, min_len=2)
-    if not np.isfinite(sample_rate_hz) or sample_rate_hz <= 0:
-        raise ValidationError(f"sample rate must be positive, got {sample_rate_hz}")
+    arr = _finite_array(samples, "samples", (None,), min_len=2)
+    rate = _positive(sample_rate_hz, "sample rate")
     padded_n = next_pow2(arr.shape[0])
     magnitudes = np.abs(_padded_rfft(arr, padded_n))
-    return Spectrum(bin_resolution_hz=sample_rate_hz / padded_n, magnitudes=magnitudes)
+    return Spectrum(bin_resolution_hz=rate / padded_n, magnitudes=magnitudes)
 
 
 def bandpass(samples, sample_rate_hz: float, band: BandSpec) -> np.ndarray:
@@ -264,42 +239,42 @@ def bandpass(samples, sample_rate_hz: float, band: BandSpec) -> np.ndarray:
     0..N/2 are masked, so the output is real.  The input is zero-padded to
     a power of two N and the result truncated back to the input length.
     """
-    arr = _as_samples(samples, min_len=2)
-    if not np.isfinite(sample_rate_hz) or sample_rate_hz <= 0:
-        raise ValidationError(f"sample rate must be positive, got {sample_rate_hz}")
-    band.check_nyquist(sample_rate_hz)
+    arr = _finite_array(samples, "samples", (None,), min_len=2)
+    rate = _positive(sample_rate_hz, "sample rate")
+    band.check_nyquist(rate)
     n = arr.shape[0]
     padded_n = next_pow2(n)
     spectrum = _padded_rfft(arr, padded_n)
-    freqs = np.arange(padded_n // 2 + 1) * (sample_rate_hz / padded_n)
+    freqs = np.arange(padded_n // 2 + 1) * (rate / padded_n)
     spectrum *= (freqs >= band.low_hz) & (freqs <= band.high_hz)
     return _irfft(spectrum)[:n].copy()
 
 
 def remove_mean(samples) -> np.ndarray:
-    arr = _as_samples(samples, min_len=1)
+    arr = _finite_array(samples, "samples", (None,))
     return arr - arr.mean()
 
 
-def window_geometry(sample_rate_hz: float, window_seconds: float, overlap_fraction: float) -> tuple[int, int]:
+def window_geometry(
+    sample_rate_hz: float, window_seconds: float, overlap_fraction: float
+) -> tuple[int, int]:
     """Window length and stride, in samples, for the given segmentation."""
-    if not np.isfinite(window_seconds) or window_seconds <= 0:
-        raise ValidationError(f"window_seconds must be positive, got {window_seconds}")
-    if not 0.0 <= overlap_fraction < 1.0:
+    window_seconds = _positive(window_seconds, "window_seconds")
+    overlap_fraction = _positive(overlap_fraction, "overlap fraction", zero_ok=True)
+    if overlap_fraction >= 1.0:
         raise ValidationError(f"overlap fraction must lie in [0, 1), got {overlap_fraction}")
-    length = int(round(window_seconds * sample_rate_hz))
-    if length < 2:
-        raise ValidationError(
-            f"window of {window_seconds} s at {sample_rate_hz} Hz spans {length} "
-            "samples; need at least 2"
-        )
+    rate = _positive(sample_rate_hz, "sample rate")
+    span = _positive(window_seconds * rate, "window span")
+    length = _count(int(round(span)), f"samples in {window_seconds} s at {rate} Hz", 2)
     # Floor with a tiny nudge so exact products (e.g. 1080 * 0.1) are not
     # pushed below the integer they represent by float rounding.
     stride = int(np.floor(length * (1.0 - overlap_fraction) + 1e-9))
     return length, max(1, stride)
 
 
-def segment_windows(series: TimeSeries, window_seconds: float, overlap_fraction: float) -> list[Window]:
+def segment_windows(
+    series: TimeSeries, window_seconds: float, overlap_fraction: float
+) -> list[Window]:
     """Maximal run of equally strided windows covering the record from sample 0.
 
     Stride is floor(length * (1 - overlap)) clamped to at least 1; a final

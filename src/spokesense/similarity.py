@@ -23,10 +23,11 @@ from .errors import (
     LayoutMismatchError,
     NotPositiveDefiniteError,
     ValidationError,
+    _finite_array,
+    _positive,
 )
 from .eigen import _checked_symmetric
-from .signals import _as_samples
-from .svm import Standardizer, _as_matrix, apply_standardizer, fit_standardizer
+from .svm import Standardizer, apply_standardizer, fit_standardizer
 
 DEFAULT_EPSILON_SCALE = 1e-6
 _EPSILON_FLOOR = 1e-12
@@ -34,13 +35,8 @@ _EPSILON_FLOOR = 1e-12
 
 def _difference(x, y) -> np.ndarray:
     """x - y of two finite, non-empty vectors of equal length."""
-    xv = _as_samples(x, min_len=1, name="distance operand")
-    yv = _as_samples(y, min_len=1, name="distance operand")
-    if xv.shape[0] != yv.shape[0]:
-        raise LayoutMismatchError(
-            f"distance operands disagree on dimension: {xv.shape[0]} vs {yv.shape[0]}"
-        )
-    return xv - yv
+    xv = _finite_array(x, "distance operand", (None,))
+    return xv - _finite_array(y, "distance operand", xv.shape)
 
 
 def euclidean_distance(x, y) -> float:
@@ -53,12 +49,10 @@ def cholesky_spd(a) -> np.ndarray:
     Raises NotPositiveDefiniteError naming the 1-based leading principal
     minor at which positivity first fails.
     """
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("matrix contains non-finite entries")
+    arr = _finite_array(a, "matrix", (None, None), min_len=0)
     d = arr.shape[0]
+    if arr.shape[1] != d:
+        raise LayoutMismatchError(f"matrix must be square, got shape {arr.shape}")
     lower = np.zeros((d, d))
     for j in range(d):
         pivot = arr[j, j] - np.dot(lower[j, :j], lower[j, :j])
@@ -123,23 +117,15 @@ def build_library(
     """
     if not features_by_class:
         raise EmptyInputError("no classes given")
-    if not np.isfinite(epsilon_scale) or epsilon_scale <= 0:
-        raise ValidationError(f"epsilon_scale must be positive, got {epsilon_scale}")
+    epsilon_scale = _positive(epsilon_scale, "epsilon_scale")
     names = tuple(str(k) for k in features_by_class.keys())
     matrices = []
     width = None
     for name in names:
-        mat = _as_matrix(features_by_class[name], f"class {name!r} features")
+        mat = _finite_array(features_by_class[name], f"class {name!r} features", (None, width))
         if mat.shape[0] < 2:
-            raise ValidationError(
-                f"class {name!r} has {mat.shape[0]} windows; need at least 2"
-            )
-        if width is None:
-            width = mat.shape[1]
-        elif mat.shape[1] != width:
-            raise LayoutMismatchError(
-                f"class {name!r} has {mat.shape[1]} feature columns, expected {width}"
-            )
+            raise ValidationError(f"class {name!r} has {mat.shape[0]} windows; need at least 2")
+        width = mat.shape[1]
         matrices.append(mat)
     pooled_raw = np.vstack(matrices)
     standardizer = fit_standardizer(pooled_raw)
@@ -198,12 +184,11 @@ class DistanceReport:
 
 def rank_unknown(unknown_windows, library: TerrainLibrary) -> DistanceReport:
     """Rank an unknown recording's mean feature vector against every class."""
-    mat = np.asarray(unknown_windows, dtype=np.float64)
-    mat = _as_matrix(mat[None, :] if mat.ndim == 1 else mat, "unknown features")
-    if mat.shape[1] != library.n_features:
+    mat = np.atleast_2d(_finite_array(unknown_windows, "unknown features", None))
+    if mat.ndim != 2 or mat.shape[1] != library.n_features:
         raise LayoutMismatchError(
-            f"unknown features have {mat.shape[1]} columns, library expects "
-            f"{library.n_features}"
+            f"unknown features have shape {mat.shape}, library expects "
+            f"{library.n_features} columns"
         )
     query = apply_standardizer(library.standardizer, mat.mean(axis=0))
     diffs = (query - library.class_means).T  # (d, k): one column per class

@@ -29,9 +29,11 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
-    EmptyInputError,
     LayoutMismatchError,
     ValidationError,
+    _count,
+    _finite_array,
+    _positive,
 )
 from .rng import Prng, derive_seed
 
@@ -43,17 +45,6 @@ DEFAULT_MAX_ITER = 100000
 # Grace added on top of the training tolerance when re-verifying optimality
 # conditions from recomputed margins; absorbs kernel recomputation rounding.
 _KKT_GRACE = 1e-9
-
-
-def _as_matrix(x, name: str = "features") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise EmptyInputError(f"{name} is empty")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    return arr
 
 
 @dataclass(eq=False)
@@ -73,19 +64,17 @@ class Standardizer:
 
 
 def fit_standardizer(x) -> Standardizer:
-    arr = _as_matrix(x)
+    arr = _finite_array(x, "features", (None, None))
     means = arr.mean(axis=0)
     stds = arr.std(axis=0)
     return Standardizer(means=means, stds=np.where(stds < 1e-12, 1.0, stds))
 
 
 def apply_standardizer(standardizer: Standardizer, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    width = arr.shape[-1] if arr.ndim in (1, 2) else -1
-    if width != standardizer.n_features:
+    arr = _finite_array(x, "features", None, min_len=0)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != standardizer.n_features:
         raise LayoutMismatchError(
-            f"expected {standardizer.n_features} feature columns, got "
-            f"{width if width >= 0 else arr.shape}"
+            f"expected {standardizer.n_features} feature columns, got shape {arr.shape}"
         )
     return (arr - standardizer.means) / standardizer.stds
 
@@ -99,20 +88,17 @@ class Kernel:
         if self.name not in KERNEL_NAMES:
             raise ValidationError(f"kernel must be one of {KERNEL_NAMES}, got {self.name!r}")
         if self.name == "rbf":
-            if self.gamma is None or not np.isfinite(self.gamma) or self.gamma <= 0:
-                raise ValidationError(f"rbf kernel needs gamma > 0, got {self.gamma}")
+            object.__setattr__(self, "gamma", _positive(self.gamma, "rbf kernel gamma"))
         elif self.gamma is not None:
             raise ValidationError("linear kernel takes no gamma")
 
 
 def kernel_matrix(kernel: Kernel, a, b) -> np.ndarray:
     """Gram matrix K[i, j] = k(a_i, b_j)."""
-    av = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    bv = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if av.shape[1] != bv.shape[1]:
-        raise LayoutMismatchError(
-            f"kernel operands disagree on dimension: {av.shape[1]} vs {bv.shape[1]}"
-        )
+    av = np.atleast_2d(_finite_array(a, "kernel operand", None, min_len=0))
+    bv = np.atleast_2d(_finite_array(b, "kernel operand", None, min_len=0))
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1]:
+        raise LayoutMismatchError(f"kernel operands disagree: shapes {av.shape} and {bv.shape}")
     if kernel.name == "linear":
         return av @ bv.T
     return np.exp(-kernel.gamma * _squared_distances(av, bv))
@@ -131,10 +117,9 @@ def median_heuristic_gamma(x) -> float:
     distance when the median is zero; raises when every sampled pair
     coincides.
     """
-    arr = _as_matrix(x)
+    arr = _finite_array(x, "features", (None, None))
     m, d = arr.shape
-    if m < 2:
-        raise ValidationError("gamma heuristic needs at least 2 rows")
+    _count(m, "rows for the gamma heuristic", 2)
     step = -(-m // 256)  # ceil
     sub = arr[::step]
     pairs = _squared_distances(sub, sub)[np.triu_indices(sub.shape[0], k=1)]
@@ -160,13 +145,6 @@ class BinarySvm:
     sv_indices: np.ndarray | None = None
 
 
-def _as_queries(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValidationError("queries contain non-finite values")
-    return arr
-
-
 def _decision_values(svm: BinarySvm, xs: np.ndarray) -> np.ndarray:
     """Decision values of finite (possibly overflowed) queries.
 
@@ -183,7 +161,7 @@ def _decision_values(svm: BinarySvm, xs: np.ndarray) -> np.ndarray:
 
 def decision_function(svm: BinarySvm, x) -> float | np.ndarray:
     """Signed decision value(s); positive means the +1 class."""
-    arr = _as_queries(x)
+    arr = _finite_array(x, "queries", None, min_len=0)
     values = _decision_values(svm, np.atleast_2d(arr))
     return float(values[0]) if arr.ndim == 1 else values
 
@@ -226,8 +204,7 @@ def _train_machines(
     machine stops; kernel rows are gathered from ``full_k`` as needed, so
     no per-pair kernel block is copied.
     """
-    if not np.isfinite(c) or c <= 0:
-        raise ValidationError(f"c must be positive, got {c}")
+    c = _positive(c, "c")
     machines: list[BinarySvm | None] = [None] * y.shape[0]
     active = np.arange(y.shape[0])  # batch index of each block row
     at = np.arange(y.shape[0])
@@ -311,16 +288,10 @@ def train_binary_svm(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BinarySvm:
     """Train one soft-margin machine on labels in {-1, +1}."""
-    if not np.isfinite(tol) or tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if max_iter < 0:
-        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
-    arr = _as_matrix(x)
-    yv = np.asarray(y, dtype=np.float64)
-    if yv.ndim != 1 or yv.shape[0] != arr.shape[0]:
-        raise ValidationError(
-            f"labels must be one per row: {yv.shape} labels for {arr.shape[0]} rows"
-        )
+    tol = _positive(tol, "tol")
+    max_iter = _count(max_iter, "max_iter", 0)
+    arr = _finite_array(x, "features", (None, None))
+    yv = _finite_array(y, "labels", arr.shape[:1])
     if not np.all(np.isin(yv, (-1.0, 1.0))):
         raise ValidationError("binary labels must be -1 or +1")
     if not (np.any(yv == 1.0) and np.any(yv == -1.0)):
@@ -351,8 +322,8 @@ def kkt_report(svm: BinarySvm, x, y, tol: float = DEFAULT_TOL) -> KktReport:
     """
     if svm.sv_indices is None:
         raise ValidationError("kkt_report needs a machine trained in this process")
-    arr = _as_matrix(x)
-    yv = np.asarray(y, dtype=np.float64)
+    arr = _finite_array(x, "features", (None, None))
+    yv = _finite_array(y, "labels", arr.shape[:1])
     alphas = np.zeros(arr.shape[0])
     alphas[svm.sv_indices] = svm.coefficients * yv[svm.sv_indices]
     if np.any(alphas < 0.0) or np.any(alphas > svm.c):
@@ -430,7 +401,7 @@ def fit_svm_model(
     explicit gamma, the median heuristic is evaluated once on the full
     standardized training matrix; the linear kernel takes no gamma.
     """
-    arr = _as_matrix(x)
+    arr = _finite_array(x, "features", (None, None))
     rows_by_class = _rows_by_class(arr, labels, "train a classifier")
     class_names = tuple(rows_by_class)
     standardizer = fit_standardizer(arr)
@@ -466,9 +437,7 @@ def predict_batch(model: SvmModel, x) -> list[str]:
     Vote ties break by the larger sum of |decision value| over the pairs
     each tied class won, then by class order.
     """
-    arr = _as_queries(x)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a 2-d query matrix, got shape {arr.shape}")
+    arr = _finite_array(x, "queries", (None, None), min_len=0)
     with np.errstate(over="ignore"):
         xs = apply_standardizer(model.standardizer, arr)
     n = xs.shape[0]
@@ -492,10 +461,7 @@ def predict_batch(model: SvmModel, x) -> list[str]:
 
 
 def predict(model: SvmModel, x) -> str:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"expected a single feature vector, got shape {arr.shape}")
-    return predict_batch(model, arr[None, :])[0]
+    return predict_batch(model, _finite_array(x, "query", (None,))[None, :])[0]
 
 
 @dataclass(eq=False)
@@ -533,19 +499,19 @@ def evaluate_trials(
     Returns the mean of per-trial accuracies and the confusion matrix
     pooled over all trials.
     """
-    arr = _as_matrix(x)
-    label_list = [str(v) for v in labels]
-    rows_by_class = _rows_by_class(arr, label_list, "evaluate")
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    if not 0.0 < test_fraction < 1.0:
+    arr = _finite_array(x, "features", (None, None))
+    rows_by_class = _rows_by_class(arr, labels, "evaluate")
+    n_trials = _count(n_trials, "n_trials", 1)
+    test_fraction = _positive(test_fraction, "test_fraction")
+    if test_fraction >= 1.0:
         raise ValidationError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     class_names = tuple(rows_by_class)
-    for name, rows in rows_by_class.items():
+    names = np.asarray(class_names, dtype=object)
+    class_of = np.empty(arr.shape[0], dtype=np.intp)  # row -> index into class_names
+    for i, (name, rows) in enumerate(rows_by_class.items()):
         if rows.size < 2:
             raise ValidationError(f"class {name!r} has {rows.size} rows; need at least 2")
-    index_of = {name: i for i, name in enumerate(class_names)}
-    labels_arr = np.asarray(label_list)
+        class_of[rows] = i
     counts = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
     accuracies = np.empty(n_trials)
     for trial in range(n_trials):
@@ -564,16 +530,15 @@ def evaluate_trials(
         train_rows = np.concatenate(train_parts)
         model = fit_svm_model(
             arr[train_rows],
-            labels_arr[train_rows],
+            names[class_of[train_rows]],
             kernel_name=kernel_name,
             c=c,
             gamma=gamma,
         )
-        predictions = predict_batch(model, arr[test_rows])
-        correct = 0
-        for row, pred in zip(test_rows, predictions):
-            true_i = index_of[labels_arr[row]]
-            counts[true_i, index_of[pred]] += 1
-            correct += pred == labels_arr[row]
-        accuracies[trial] = correct / test_rows.size
+        predictions = np.asarray(predict_batch(model, arr[test_rows]), dtype=object)
+        # Every class keeps a training row, so the model's classes are class_names.
+        predicted = np.searchsorted(names, predictions)
+        truth = class_of[test_rows]
+        np.add.at(counts, (truth, predicted), 1)
+        accuracies[trial] = np.count_nonzero(truth == predicted) / test_rows.size
     return float(accuracies.mean()), ConfusionMatrix(class_names=class_names, counts=counts)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _count, _finite_array, _positive
 from .features import DEFAULT_BANDS
 from .rng import Prng, derive_seed
 from .signals import DEFAULT_OVERLAP, DEFAULT_WINDOW_SECONDS, TimeSeries, bandpass, window_geometry
@@ -33,6 +33,20 @@ KNOWN_TERRAIN_NAMES = ("flat", "fine_sand", "small_stone", "small_pebble", "larg
 UNKNOWN_TERRAIN_NAME = "mixture"
 
 
+def _check_fields(frozen, check, *names, **options) -> None:
+    """Replace each named field of a frozen dataclass by its checked value."""
+    for name in names:
+        object.__setattr__(frozen, name, check(getattr(frozen, name), name, **options))
+
+
+def _nonnegative(values, what: str, shape: tuple):
+    """Non-negative finite reals of the given shape, as (nested) tuples of floats."""
+    arr = _finite_array(values, what, shape)
+    if (arr < 0.0).any():
+        raise ValidationError(f"{what} must be >= 0")
+    return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+
+
 @dataclass(frozen=True)
 class Tonal:
     freq_hz: float
@@ -40,12 +54,9 @@ class Tonal:
     channel_gains: tuple[float, float, float]
 
     def __post_init__(self):
-        if not np.isfinite(self.freq_hz) or self.freq_hz <= 0:
-            raise ValidationError(f"tonal frequency must be positive, got {self.freq_hz}")
-        if not np.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ValidationError(f"tonal amplitude must be >= 0, got {self.amplitude}")
-        if len(self.channel_gains) != 3 or any(g < 0 for g in self.channel_gains):
-            raise ValidationError("tonal needs 3 non-negative channel gains")
+        _check_fields(self, _positive, "freq_hz")
+        _check_fields(self, _positive, "amplitude", zero_ok=True)
+        _check_fields(self, _nonnegative, "channel_gains", shape=(3,))
 
 
 @dataclass(frozen=True)
@@ -63,23 +74,11 @@ class TerrainProfile:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("profile needs a name")
-        if len(self.band_rms) != 3 or any(
-            not np.isfinite(v) or v < 0 for v in self.band_rms
-        ):
-            raise ValidationError("band_rms must be 3 non-negative reals")
-        if not np.isfinite(self.impulse_rate_hz) or self.impulse_rate_hz < 0:
-            raise ValidationError(f"impulse rate must be >= 0, got {self.impulse_rate_hz}")
-        if not np.isfinite(self.impulse_amplitude) or self.impulse_amplitude < 0:
-            raise ValidationError(
-                f"impulse amplitude must be >= 0, got {self.impulse_amplitude}"
-            )
-        if not np.isfinite(self.noise_floor_rms) or self.noise_floor_rms < 0:
-            raise ValidationError(f"noise floor must be >= 0, got {self.noise_floor_rms}")
-        gains = self.channel_band_gains
-        if len(gains) != 3 or any(len(row) != 3 for row in gains):
-            raise ValidationError("channel_band_gains must be a 3x3 matrix")
-        if any(not np.isfinite(g) or g < 0 for row in gains for g in row):
-            raise ValidationError("channel_band_gains entries must be non-negative reals")
+        _check_fields(self, _nonnegative, "band_rms", shape=(3,))
+        _check_fields(self, _nonnegative, "channel_band_gains", shape=(3, 3))
+        _check_fields(
+            self, _positive, "impulse_rate_hz", "impulse_amplitude", "noise_floor_rms", zero_ok=True
+        )
 
     def max_tonal_hz(self) -> float:
         return max((t.freq_hz for t in self.tonal_components), default=0.0)
@@ -93,12 +92,7 @@ class GenSpec:
     seed: int
 
     def __post_init__(self):
-        if not np.isfinite(self.duration_s) or self.duration_s <= 0:
-            raise ValidationError(f"duration must be positive, got {self.duration_s}")
-        if not np.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0:
-            raise ValidationError(
-                f"sample rate must be positive, got {self.sample_rate_hz}"
-            )
+        _check_fields(self, _positive, "duration_s", "sample_rate_hz")
         if self.sample_rate_hz <= 2.0 * self.profile.max_tonal_hz():
             raise ValidationError(
                 f"sample rate {self.sample_rate_hz} Hz cannot represent a "
@@ -207,7 +201,9 @@ def mix_profiles(a: TerrainProfile, b: TerrainProfile, name: str) -> TerrainProf
     )
 
 
-def _impulse_track(rng: Prng, n: int, rate_hz: float, sample_rate_hz: float, amplitude: float) -> np.ndarray:
+def _impulse_track(
+    rng: Prng, n: int, rate_hz: float, sample_rate_hz: float, amplitude: float
+) -> np.ndarray:
     """Poisson-timed spikes with exponential decay and amplitude jitter.
 
     Inter-arrival gaps are exponential draws; each strike has a random sign
@@ -238,11 +234,10 @@ def generate(spec: GenSpec) -> TimeSeries:
     """Synthesize one labeled record; bit-identical for equal specs."""
     profile = spec.profile
     rate = spec.sample_rate_hz
-    n = int(round(spec.duration_s * rate))
-    if n < 2:
-        raise ValidationError(
-            f"duration {spec.duration_s} s at {rate} Hz spans {n} samples; need at least 2"
-        )
+    span = spec.duration_s * rate
+    if not 24.0 * span <= np.iinfo(np.intp).max:  # 3 float64 channels must fit one array
+        raise ValidationError(f"duration {spec.duration_s} s at {rate} Hz is too many samples")
+    n = _count(int(round(span)), f"samples in {spec.duration_s} s at {rate} Hz", 2)
     for band in DEFAULT_BANDS:
         band.check_nyquist(rate)
     band_noise = np.zeros((3, n))
@@ -297,8 +292,7 @@ def generate_dataset(
     profiles = list(profiles)
     if not profiles:
         raise ValidationError("need at least one profile")
-    if windows_per_class < 2:
-        raise ValidationError(f"windows_per_class must be >= 2, got {windows_per_class}")
+    windows_per_class = _count(windows_per_class, "windows_per_class", 2)
     rate = DEFAULT_SAMPLE_RATE_HZ
     length, stride = window_geometry(rate, DEFAULT_WINDOW_SECONDS, DEFAULT_OVERLAP)
     n = length + (windows_per_class - 1) * stride

@@ -83,6 +83,20 @@ def test_simulate_rejects_path_like_profile_name(tmp_path, capsys):
     assert not (tmp_path / "escape.csv").exists()
 
 
+# Only sizes far beyond numpy's largest array: a size that fits would be
+# allocated for real.
+@pytest.mark.parametrize(
+    "flags", [("--duration", "1e300"), ("--duration", "1e20"), ("--rate", "1e300")]
+)
+def test_simulate_absurd_size_fails_typed(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert run("simulate", "--profile", "flat", *flags, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_out_path_that_is_a_file_fails_typed(tmp_path, capsys):
     blocker = tmp_path / "F"
     blocker.write_text("keep\n")

@@ -39,6 +39,7 @@ from spokesense.svm import (
     predict_batch,
     train_binary_svm,
 )
+from spokesense.rng import Prng, derive_seed
 from spokesense.synth import UNKNOWN_TERRAIN_NAME, builtin_profiles, generate_dataset
 
 
@@ -735,6 +736,45 @@ def test_evaluate_deterministic():
     assert first[0] == second[0]
     assert np.array_equal(first[1].counts, second[1].counts)
     assert first[1].class_names == second[1].class_names
+
+
+def loop_evaluate(x, labels, n_trials, test_fraction, seed):
+    """evaluate_trials' split rule with a per-row tally loop, as reference."""
+    class_names = tuple(sorted(set(labels)))
+    index_of = {name: i for i, name in enumerate(class_names)}
+    labels_arr = np.asarray(labels)
+    counts = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
+    accuracies = np.empty(n_trials)
+    for trial in range(n_trials):
+        split_rng = Prng(derive_seed((seed ^ trial) & 0xFFFFFFFFFFFFFFFF, "split"))
+        test_parts, train_parts = [], []
+        for name in class_names:
+            idx = np.flatnonzero(labels_arr == name)
+            split_rng.shuffle(idx)
+            n_test = min(max(int(round(test_fraction * idx.size)), 1), idx.size - 1)
+            test_parts.append(idx[:n_test])
+            train_parts.append(idx[n_test:])
+        test_rows, train_rows = np.concatenate(test_parts), np.concatenate(train_parts)
+        model = fit_svm_model(x[train_rows], labels_arr[train_rows])
+        correct = 0
+        for row, pred in zip(test_rows, predict_batch(model, x[test_rows])):
+            counts[index_of[labels_arr[row]], index_of[pred]] += 1
+            correct += pred == labels_arr[row]
+        accuracies[trial] = correct / test_rows.size
+    return float(accuracies.mean()), counts
+
+
+def test_evaluate_tally_matches_per_row_loop():
+    rng = np.random.RandomState(44)
+    x = rng.randn(45, 3) + np.repeat(np.arange(5), 9)[:, None] * 0.6
+    labels = [["zeta", "b", "c10", "c2", "a"][i] for i in np.repeat(np.arange(5), 9)]
+    order = rng.permutation(45)
+    x, labels = x[order], [labels[i] for i in order]
+    accuracy, confusion = evaluate_trials(x, labels, n_trials=8, test_fraction=0.3, seed=12)
+    ref_accuracy, ref_counts = loop_evaluate(x, labels, 8, 0.3, 12)
+    assert accuracy == ref_accuracy
+    assert np.array_equal(confusion.counts, ref_counts)
+    assert 0 < np.trace(ref_counts) < ref_counts.sum()  # both right and wrong votes occur
 
 
 def test_shuffled_labels_chance_level():
