@@ -1,6 +1,6 @@
 """Exception types shared across the package, and its argument checks.
 
-Public functions convert their arguments through the three checkers here,
+Public functions convert their arguments through the checkers here,
 each inside a ``try``, and use the value it returns: a ragged list, a text
 cell, ``None`` or a float count raises a ``ValidationError`` subclass, not
 a bare numpy or Python error.
@@ -118,3 +118,11 @@ def _count(value, what: str, minimum: int) -> int:
     if number < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {number}")
     return number
+
+
+def _seed(value, what: str = "seed") -> int:
+    """``value`` as an integer (``operator.index``) reduced mod 2^64."""
+    try:
+        return operator.index(value) & 0xFFFFFFFFFFFFFFFF
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None

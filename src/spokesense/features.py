@@ -80,8 +80,16 @@ class FeatureConfig:
     include_position_extras: bool = False
 
     def __post_init__(self):
-        if len(self.bands) != 3:
-            raise ValidationError(f"exactly 3 bands required, got {len(self.bands)}")
+        try:
+            bands = tuple(self.bands)
+        except TypeError:
+            raise ValidationError(f"bands must be a sequence, got {self.bands!r}") from None
+        if len(bands) != 3:
+            raise ValidationError(f"exactly 3 bands required, got {len(bands)}")
+        for band in bands:
+            if not isinstance(band, BandSpec):
+                raise ValidationError(f"each band must be a BandSpec, got {band!r}")
+        object.__setattr__(self, "bands", bands)
         object.__setattr__(self, "entropy_bins", _count(self.entropy_bins, "entropy_bins", 2))
 
     @property

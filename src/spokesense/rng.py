@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _count
+from .errors import ValidationError, _count, _seed
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -35,13 +35,13 @@ def mix64(value: int) -> int:
 
 def derive_seed(seed: int, *salts: int | str) -> int:
     """Fold integer or string salts into ``seed`` to name an independent substream."""
-    h = mix64(seed)
+    h = mix64(_seed(seed))
     for salt in salts:
         if isinstance(salt, str):
             for ch in salt:
                 h = mix64(h ^ ord(ch))
         else:
-            h = mix64(h ^ (int(salt) & _MASK))
+            h = mix64(h ^ _seed(salt, "salt"))
     return h
 
 
@@ -53,7 +53,7 @@ class Prng:
     """
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK
+        self._seed = _seed(seed)
         self._counter = 0
 
     @property

@@ -1,9 +1,12 @@
 """Sampled vibration records, windowing, Fourier analysis, and band filtering.
 
 Records carry three synchronized sensor channels at a single sample rate.
-Spectral operations zero-pad to the next power of two and use a
-self-sorting radix-2 transform (Stockham order; Cochran et al., Proc. IEEE
-1967); bin resolutions reflect the padded length.  Real signals are
+Spectral operations zero-pad to the next power of two and use a four-step
+transform (Bailey, "FFTs in external or hierarchical memory", J.
+Supercomputing 1990) whose legs of at most 64 points are matrix products
+with cached DFT matrices; bin resolutions reflect the padded length.  The
+products run in the BLAS numpy links (OpenBLAS ``zgemm``), so results are
+bit-reproducible on one machine, not across CPU models.  Real signals are
 transformed at half length: the N real samples are read as N/2 complex
 ones, transformed by one N/2-point FFT and split into bins 0..N/2
 (Sorensen et al., IEEE TASSP 1987); the inverse merges the bins back and
@@ -110,20 +113,43 @@ def next_pow2(n: int) -> int:
     return 1 << (_count(n, "next_pow2 input", 1) - 1).bit_length()
 
 
-_TWIDDLE_CACHE: dict[int, list[np.ndarray]] = {}
+_LEAF_LEVELS = 6  # a leaf transform of at most 2^6 = 64 points is one matmul
+_ROOTS_CACHE: dict[tuple[int, range, int], np.ndarray] = {}
 
 
-def _twiddles(n: int) -> list[np.ndarray]:
-    """Butterfly twiddles of each stage; the last, exp(-2 pi i k / n) for
-    k < n/2, is also the split step of a real n-point transform.  A length
-    shares its stage arrays with half that length."""
-    stages = _TWIDDLE_CACHE.get(n)
-    if stages is None:
-        stages = []
-        if n > 1:
-            stages = _twiddles(n // 2) + [np.exp(-2j * np.pi * np.arange(n // 2) / n)]
-        _TWIDDLE_CACHE[n] = stages
-    return stages
+def _roots(n: int, rows: range, cols: int) -> np.ndarray:
+    """exp(-2 pi i (j k mod n) / n) for j in ``rows`` and k < ``cols``, cached.
+    Reducing the exponent first keeps every angle below 2 pi, so the error
+    of a root does not grow with j k."""
+    key = (n, rows, cols)
+    table = _ROOTS_CACHE.get(key)
+    if table is None:
+        exponents = np.outer(rows, np.arange(cols)) % n
+        table = _ROOTS_CACHE[key] = np.exp(-2j * np.pi * exponents / n)
+    return table
+
+
+def _fft(x: np.ndarray, out: np.ndarray) -> None:
+    """Transform the last axis of the C-contiguous (..., n) block ``x`` into
+    ``out``, overwriting ``x``.  Four-step (Bailey 1990): read a row as an
+    (n1, m) matrix, j = m j1 + j2 and k = k1 + n1 k2; transform the columns,
+    multiply by W_n^(k1 j2), transform the rows (recursively, into ``x``) and
+    read the result transposed.  Legs of at most 64 points are matmuls with
+    a DFT matrix, and n1 splits the levels of n evenly over them."""
+    n = x.shape[-1]
+    if n <= 1 << _LEAF_LEVELS:
+        np.matmul(x, _roots(n, range(n), n), out=out)
+        return
+    levels = n.bit_length() - 1
+    legs = -(-levels // _LEAF_LEVELS)
+    n1 = 1 << -(-levels // legs)
+    m = n // n1
+    cols = x.reshape(*x.shape[:-1], n1, m)
+    rows = out.reshape(cols.shape)
+    np.matmul(_roots(n1, range(n1), n1), cols, out=rows)
+    rows *= _roots(n, range(n1), m)
+    _fft(rows, cols)
+    np.copyto(out.reshape(*x.shape[:-1], m, n1), cols.swapaxes(-1, -2))
 
 
 def _complex_copy(x) -> np.ndarray:
@@ -134,10 +160,8 @@ def _complex_copy(x) -> np.ndarray:
 
 
 def fft_radix2(x) -> np.ndarray:
-    """Full complex spectrum of ``x`` (power-of-two length) by a self-sorting
-    radix-2 loop on a copy: column s of the (m, n/m) block is the m-point
-    transform of x[s::n/m]; stage m merges columns s and s + n/2m into
-    column s of a (2m, n/2m) block in the other buffer."""
+    """Full complex spectrum of ``x`` (power-of-two length) by the four-step
+    recursion of ``_fft`` on a copy of ``x`` and one output buffer."""
     arr = _complex_copy(x)
     if arr.ndim != 1:
         raise ValidationError(f"transform input must be one-dimensional, got shape {arr.shape}")
@@ -146,17 +170,9 @@ def fft_radix2(x) -> np.ndarray:
         raise EmptyInputError("transform input is empty")
     if n & (n - 1):
         raise ValidationError(f"transform length must be a power of two, got {n}")
-    spare = np.empty_like(arr)
-    for tw in _twiddles(n):
-        m = tw.shape[0]
-        block = arr.reshape(m, -1)
-        half = block.shape[1] // 2
-        out = spare.reshape(2 * m, half)
-        odd = np.multiply(block[:, half:], tw[:, None], out=out[m:])
-        np.add(block[:, :half], odd, out=out[:m])
-        np.subtract(block[:, :half], odd, out=odd)
-        arr, spare = spare, arr
-    return arr
+    out = np.empty_like(arr)
+    _fft(arr, out)
+    return out
 
 
 def ifft_radix2(x) -> np.ndarray:
@@ -166,6 +182,11 @@ def ifft_radix2(x) -> np.ndarray:
     np.conj(out, out=out)
     out /= arr.shape[0]
     return out
+
+
+def _split_twiddles(n: int) -> np.ndarray:
+    """exp(-2 pi i k / n) for k < n/2: the split step of a real n-point transform."""
+    return _roots(n, range(1, 2), n // 2)[0]
 
 
 def _rfft(x: np.ndarray) -> np.ndarray:
@@ -186,7 +207,7 @@ def _rfft(x: np.ndarray) -> np.ndarray:
     np.add(z, mirror, out=spec[:half])
     spec[:half] *= 0.5
     z -= mirror
-    z *= _twiddles(2 * half)[-1]
+    z *= _split_twiddles(2 * half)
     z *= -0.5j
     spec[:half] += z
     spec[half] = nyquist
@@ -209,7 +230,7 @@ def _irfft(spec: np.ndarray) -> np.ndarray:
     tail = np.conj(spec[half:0:-1])
     # Z[k] = (X[k] + tail[k]) / 2 + (i/2) conj(w^k) (X[k] - tail[k])
     diff = spec[:half] - tail
-    diff *= np.conj(_twiddles(2 * half)[-1])
+    diff *= np.conj(_split_twiddles(2 * half))
     diff *= 0.5j
     tail += spec[:half]
     tail *= 0.5

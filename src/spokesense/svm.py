@@ -34,6 +34,7 @@ from .errors import (
     _count,
     _finite_array,
     _positive,
+    _seed,
 )
 from .rng import Prng, derive_seed
 
@@ -324,6 +325,11 @@ def kkt_report(svm: BinarySvm, x, y, tol: float = DEFAULT_TOL) -> KktReport:
         raise ValidationError("kkt_report needs a machine trained in this process")
     arr = _finite_array(x, "features", (None, None))
     yv = _finite_array(y, "labels", arr.shape[:1])
+    if svm.sv_indices.size and svm.sv_indices[-1] >= arr.shape[0]:
+        raise ValidationError(
+            f"kkt_report needs the machine's training rows: support vector at row "
+            f"{svm.sv_indices[-1]}, but {arr.shape[0]} rows given"
+        )
     alphas = np.zeros(arr.shape[0])
     alphas[svm.sv_indices] = svm.coefficients * yv[svm.sv_indices]
     if np.any(alphas < 0.0) or np.any(alphas > svm.c):
@@ -371,7 +377,10 @@ class SvmModel:
 def _rows_by_class(arr: np.ndarray, labels, purpose: str) -> dict[str, np.ndarray]:
     """Row indices of each class, keyed by label in sorted order; needs one
     label per row and at least 2 classes."""
-    label_list = [str(v) for v in labels]
+    try:
+        label_list = [str(v) for v in labels]
+    except TypeError:
+        raise ValidationError(f"labels must be a sequence, got {labels!r}") from None
     if len(label_list) != arr.shape[0]:
         raise ValidationError(
             f"labels must be one per row: {len(label_list)} labels for {arr.shape[0]} rows"
@@ -505,6 +514,7 @@ def evaluate_trials(
     test_fraction = _positive(test_fraction, "test_fraction")
     if test_fraction >= 1.0:
         raise ValidationError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    seed = _seed(seed)
     class_names = tuple(rows_by_class)
     names = np.asarray(class_names, dtype=object)
     class_of = np.empty(arr.shape[0], dtype=np.intp)  # row -> index into class_names
@@ -515,8 +525,7 @@ def evaluate_trials(
     counts = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
     accuracies = np.empty(n_trials)
     for trial in range(n_trials):
-        trial_seed = (int(seed) ^ trial) & 0xFFFFFFFFFFFFFFFF
-        split_rng = Prng(derive_seed(trial_seed, "split"))
+        split_rng = Prng(derive_seed(seed ^ trial, "split"))
         test_parts = []
         train_parts = []
         for name in class_names:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _count, _finite_array, _positive
+from .errors import ValidationError, _count, _finite_array, _positive, _seed
 from .features import DEFAULT_BANDS
 from .rng import Prng, derive_seed
 from .signals import DEFAULT_OVERLAP, DEFAULT_WINDOW_SECONDS, TimeSeries, bandpass, window_geometry
@@ -93,6 +93,7 @@ class GenSpec:
 
     def __post_init__(self):
         _check_fields(self, _positive, "duration_s", "sample_rate_hz")
+        _check_fields(self, _seed, "seed")
         if self.sample_rate_hz <= 2.0 * self.profile.max_tonal_hz():
             raise ValidationError(
                 f"sample rate {self.sample_rate_hz} Hz cannot represent a "
@@ -293,12 +294,12 @@ def generate_dataset(
     if not profiles:
         raise ValidationError("need at least one profile")
     windows_per_class = _count(windows_per_class, "windows_per_class", 2)
+    seed = _seed(seed)
     rate = DEFAULT_SAMPLE_RATE_HZ
     length, stride = window_geometry(rate, DEFAULT_WINDOW_SECONDS, DEFAULT_OVERLAP)
     n = length + (windows_per_class - 1) * stride
     out = []
     for index, profile in enumerate(profiles):
-        sub_seed = (int(seed) ^ index) & 0xFFFFFFFFFFFFFFFF
-        spec = GenSpec(profile=profile, duration_s=n / rate, sample_rate_hz=rate, seed=sub_seed)
+        spec = GenSpec(profile=profile, duration_s=n / rate, sample_rate_hz=rate, seed=seed ^ index)
         out.append(generate(spec))
     return out

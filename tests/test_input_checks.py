@@ -1,10 +1,10 @@
 """Malformed arguments raise typed errors.
 
-Every public entry point converts its arguments through the three checkers
-in ``spokesense.errors``: a float array of a given shape, a finite real
-> 0 (or >= 0), and an integer count.  Ragged lists, text cells, ``None``
-or text where a number belongs, non-integral or float counts and short
-label vectors must all raise a ``ValidationError`` subclass, never a bare
+Every public entry point converts its arguments through the checkers in
+``spokesense.errors``: a float array of a given shape, a finite real > 0
+(or >= 0), an integer count and an integer seed.  Ragged lists, text
+cells, ``None`` or text where a number belongs, non-integral or float
+counts and seeds, short label vectors and training sets must all raise a ``ValidationError`` subclass, never a bare
 ``ValueError``, ``TypeError``, ``IndexError`` or ``AttributeError`` from
 numpy or from Python, and never succeed only to fail later.
 """
@@ -24,7 +24,7 @@ from spokesense.features import (
     rms,
     shannon_entropy,
 )
-from spokesense.rng import Prng
+from spokesense.rng import Prng, derive_seed
 from spokesense.signals import (
     BandSpec,
     TimeSeries,
@@ -100,6 +100,8 @@ PROBES = {
     # features
     "config_float_bins": lambda: FeatureConfig(entropy_bins=16.0),
     "config_text_bins": lambda: FeatureConfig(entropy_bins="x"),
+    "config_none_bands": lambda: FeatureConfig(bands=None),
+    "config_int_bands": lambda: FeatureConfig(bands=(1, 2, 3)),
     "rms_ragged": lambda: rms(RAGGED),
     "entropy_float_bins": lambda: shannon_entropy(np.arange(8.0), bins=3.5),
     "autocorr_text_cells": lambda: autocorrelation_peak(["x"] * 8),
@@ -107,6 +109,7 @@ PROBES = {
     "eigen_ragged": lambda: eigenvalues_sym3([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]),
     # svm
     "fit_ragged": lambda: fit_svm_model(RAGGED, ["a", "b"]),
+    "fit_none_labels": lambda: fit_svm_model(X2, None),
     "standardize_ragged": lambda: apply_standardizer(fit_standardizer(X2), RAGGED),
     "kernel_ragged": lambda: kernel_matrix(Kernel("linear"), RAGGED, [[1.0]]),
     "kernel_text_gamma": lambda: Kernel("rbf", "x"),
@@ -114,10 +117,13 @@ PROBES = {
     "train_float_max_iter": lambda: train_binary_svm(X2, Y2, max_iter=2.5),
     "train_short_labels": lambda: train_binary_svm(X2, Y2[:1]),
     "kkt_short_labels": lambda: kkt_report(machine(), X2, Y2[:1]),
+    "kkt_short_training_set": lambda: kkt_report(machine(), X2[:2], Y2[:2]),
     "decision_ragged": lambda: decision_function(machine(), RAGGED),
     "predict_text_cells": lambda: predict_batch(model(), [["x", "y"]]),
     "evaluate_float_trials": lambda: evaluate_trials(X2, LABELS, n_trials=2.5),
     "evaluate_text_fraction": lambda: evaluate_trials(X2, LABELS, test_fraction="x"),
+    "evaluate_text_seed": lambda: evaluate_trials(X2, LABELS, seed="x"),
+    "evaluate_float_seed": lambda: evaluate_trials(X2, LABELS, seed=3.7),
     # similarity
     "euclidean_text_cell": lambda: euclidean_distance([1.0, "x"], [0.0, 0.0]),
     "cholesky_ragged": lambda: cholesky_spd(RAGGED),
@@ -127,9 +133,13 @@ PROBES = {
     "tonal_none_gains": lambda: Tonal(100.0, 0.1, None),
     "profile_text_rate": lambda: dataclasses.replace(flat(), impulse_rate_hz="x"),
     "genspec_none_duration": lambda: GenSpec(flat(), None, 1440.0, 0),
+    "genspec_none_seed": lambda: GenSpec(flat(), 1.0, 1440.0, None),
     "dataset_float_windows": lambda: generate_dataset([flat()], 3.0),
+    "dataset_float_seed": lambda: generate_dataset([flat()], 3, seed=3.7),
     # rng
     "u64_block_float": lambda: Prng(1).u64_block(4.0),
+    "prng_float_seed": lambda: Prng(3.7),
+    "derive_none_seed": lambda: derive_seed(None, "a"),
 }
 
 
@@ -140,7 +150,7 @@ def test_malformed_argument_raises_validation_error(call):
 
 
 def test_probe_table_size():
-    assert len(PROBES) == 39
+    assert len(PROBES) == 49
 
 
 @pytest.mark.parametrize(

@@ -2,17 +2,25 @@
 
 The independent oracle throughout is the direct O(n^2) DFT written from
 the definition; the fast path must agree with it to 1e-9 relative.  The
-real-input transforms are also checked against the full-length complex
-path they replaced, kept below as ``complex_*``.
+four-step transform is also checked against the self-sorting radix-2 loop
+it replaced (``stockham_fft``), and the real-input transforms against the
+full-length complex path they replaced, kept below as ``complex_*``.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spokesense import signals
 from spokesense.errors import EmptyInputError, ValidationError
-from spokesense.features import AutocorrPeak, autocorrelation_peak
+from spokesense.features import (
+    AutocorrPeak,
+    FeatureConfig,
+    autocorrelation_peak,
+    extract_feature_matrix,
+)
 from spokesense.signals import (
     BandSpec,
     Spectrum,
@@ -30,6 +38,7 @@ from spokesense.signals import (
     _irfft,
     _rfft,
 )
+from spokesense.synth import KNOWN_TERRAIN_NAMES, builtin_profile, generate_dataset
 
 
 @functools.cache
@@ -263,8 +272,8 @@ def test_band_spec_validation():
 
 def loop_fft(x):
     """The bit-reversed decimation-in-time loop (copied even half) that the
-    self-sorting loop replaced; bit reversal and twiddles rebuilt from their
-    formulas."""
+    self-sorting loop below replaced; bit reversal and twiddles rebuilt from
+    their formulas."""
     out = np.asarray(x, dtype=np.complex128).copy()
     n = out.shape[0]
     levels = n.bit_length() - 1
@@ -283,6 +292,33 @@ def loop_fft(x):
         pairs[:, half:] = even - odd
         half *= 2
     return out
+
+
+@functools.cache
+def stockham_twiddles(n: int) -> tuple[np.ndarray, ...]:
+    """Butterfly twiddles exp(-2 pi i k / 2m), k < m, of each stage m < n."""
+    return tuple(
+        np.exp(-2j * np.pi * np.arange(1 << b) / (2 << b)) for b in range(n.bit_length() - 1)
+    )
+
+
+def stockham_fft(x):
+    """The self-sorting radix-2 loop the four-step transform replaced: column
+    s of the (m, n/m) block is the m-point transform of x[s::n/m]; stage m
+    merges columns s and s + n/2m into column s of a (2m, n/2m) block in the
+    other buffer.  Bit-identical to ``loop_fft``."""
+    arr = np.array(x, dtype=np.complex128)
+    spare = np.empty_like(arr)
+    for tw in stockham_twiddles(arr.shape[0]):
+        m = tw.shape[0]
+        block = arr.reshape(m, -1)
+        half = block.shape[1] // 2
+        out = spare.reshape(2 * m, half)
+        odd = np.multiply(block[:, half:], tw[:, None], out=out[m:])
+        np.add(block[:, :half], odd, out=out[:m])
+        np.subtract(block[:, :half], odd, out=odd)
+        arr, spare = spare, arr
+    return arr
 
 
 def zero_padded(x, n):
@@ -321,18 +357,55 @@ def complex_autocorrelation_peak(x, min_lag=1):
 REAL_LENGTHS = (2, 3, 5, 2160, 4096, 5000, 86400)
 
 
-def test_fft_self_sorting_bit_identical_to_bit_reversed_loop():
-    # Complex, real and strided inputs from length 1 (no stage) to 2^17;
-    # the transform never writes into its input.
+def test_fft_matches_stockham_oracle():
+    # Complex, real and strided inputs from length 1 to 2^17; the oracle is
+    # bit-identical to the bit-reversed loop, and the transform never
+    # writes into its input.
     rng = np.random.RandomState(20)
     for levels in range(18):
         n = 1 << levels
         wide = rng.randn(2 * n) + 1j * rng.randn(2 * n)
         for x in (wide[:n].copy(), rng.randn(n), wide[::2]):
             before = x.copy()
-            fast = fft_radix2(x).view(np.uint64)
-            assert np.array_equal(fast, loop_fft(x).view(np.uint64)), (n, x.dtype)
+            oracle = stockham_fft(x)
+            assert np.array_equal(oracle.view(np.uint64), loop_fft(x).view(np.uint64))
+            fast = fft_radix2(x)
+            assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max(), (n, x.dtype)
             assert np.array_equal(x, before), (n, x.dtype)
+
+
+def test_fft_working_memory_within_oracle():
+    # One copy of the input and one output buffer: the traced peak of a
+    # call, root tables already cached, is no higher than the radix-2 loop's.
+    rng = np.random.RandomState(26)
+    for levels in (16, 17):
+        x = rng.randn(1 << levels) + 1j * rng.randn(1 << levels)
+        peaks = []
+        for transform in (fft_radix2, stockham_fft):
+            transform(x)
+            tracemalloc.start()
+            try:
+                transform(x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], (levels, peaks)
+
+
+def test_features_match_stockham_path(monkeypatch):
+    # Criterion-1 data extracted as shipped and with the radix-2 loop in
+    # place of the transform.  Entropy is a step function of its input: a
+    # filtered value within rounding of a bin edge can change bins and move
+    # a cell by about 1e-3 bits, so moved entropy cells are counted instead.
+    records = generate_dataset([builtin_profile(n) for n in KNOWN_TERRAIN_NAMES], 80, seed=42)
+    new, _, names = extract_feature_matrix(records, FeatureConfig())
+    monkeypatch.setattr(signals, "fft_radix2", stockham_fft)
+    old, _, _ = extract_feature_matrix(records, FeatureConfig())
+    entropy = np.array(["entropy" in name for name in names])
+    scale = np.abs(old[:, ~entropy]).max(axis=0)
+    assert (np.abs(new[:, ~entropy] - old[:, ~entropy]).max(axis=0) <= 1e-13 * scale).all()
+    moved = np.count_nonzero(new[:, entropy] != old[:, entropy])
+    assert moved <= 0.01 * old[:, entropy].size, moved
 
 
 def test_rfft_round_trip():
