@@ -43,13 +43,6 @@ def _positive(text: str) -> float:
     return value
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text!r}")
-    return value
-
-
 def _test_fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -76,14 +69,6 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _feature_config(args) -> features_mod.FeatureConfig:
-    return features_mod.FeatureConfig(
-        bands=args.bands,
-        entropy_bins=args.entropy_bins,
-        include_position_extras=args.extras,
-    )
-
-
 def _load_profile(args) -> synth.TerrainProfile:
     if args.profile_file is not None:
         return formats.read_profile(args.profile_file)
@@ -106,11 +91,15 @@ def _cmd_simulate(args):
 
 
 def _cmd_extract(args):
-    config = _feature_config(args)
-    series_list = [formats.read_dataset(p) for p in args.inputs]
-    values, labels, names = features_mod.extract_feature_matrix(
-        series_list, config, args.window_seconds, args.overlap
+    config = features_mod.FeatureConfig(
+        bands=args.bands,
+        entropy_bins=args.entropy_bins,
+        include_position_extras=args.extras,
+        window_seconds=args.window_seconds,
+        overlap=args.overlap,
     )
+    series_list = [formats.read_dataset(p) for p in args.inputs]
+    values, labels, names = features_mod.extract_feature_matrix(series_list, config)
     labeled = [v for v in labels if v is not None]
     if labeled and len(labeled) != len(labels):
         raise ValidationError(
@@ -172,10 +161,8 @@ def _cmd_classify(args):
             f"{model.standardizer.n_features}"
         )
     series = formats.read_dataset(args.input)
-    windows = signals.segment_windows(series, args.window_seconds, args.overlap)
-    vectors, _, _ = features_mod.extract_feature_matrix(
-        [series], config, args.window_seconds, args.overlap
-    )
+    windows = signals.segment_windows(series, config.window_seconds, config.overlap)
+    vectors, _, _ = features_mod.extract_feature_matrix([series], config)
     predictions = svm.predict_batch(model, vectors)
     rows = [(k, w.start_index, w.length, p) for k, (w, p) in enumerate(zip(windows, predictions))]
     return "predictions.csv", formats.write_predictions, (rows,)
@@ -189,13 +176,10 @@ def _cmd_identify(args):
         raise LayoutMismatchError(
             f"{args.known} and {args.unknown} disagree on feature columns"
         )
-    if (
-        known.layout_id is not None
-        and unknown.layout_id is not None
-        and known.layout_id != unknown.layout_id
-    ):
+    if _require_layout(known, args.known) != _require_layout(unknown, args.unknown):
         raise LayoutMismatchError(
-            f"{args.known} and {args.unknown} were extracted with different layouts"
+            f"{args.known} and {args.unknown} were extracted with different layouts; "
+            "re-extract both with the same settings"
         )
     by_class: dict[str, list[int]] = {}
     for row, label in enumerate(labels):
@@ -221,21 +205,6 @@ def _add_seed(parser, help: str = f"64-bit seed (default: ${_SEED_ENV} if set, e
 def _add_out(parser) -> None:
     parser.add_argument(
         "--out", default=".", help="output directory (default: current directory)"
-    )
-
-
-def _add_feature_flags(parser) -> None:
-    parser.add_argument(
-        "--window-seconds",
-        type=_positive,
-        default=signals.DEFAULT_WINDOW_SECONDS,
-        help="analysis window length in seconds (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--overlap",
-        type=_fraction,
-        default=signals.DEFAULT_OVERLAP,
-        help="window overlap fraction in [0, 1) (default: %(default)s)",
     )
 
 
@@ -293,7 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract per-window features from dataset CSVs")
     p.add_argument("inputs", nargs="+", help="dataset CSV paths")
-    _add_feature_flags(p)
+    p.add_argument(
+        "--window-seconds",
+        type=_positive,
+        default=signals.DEFAULT_WINDOW_SECONDS,
+        help="analysis window length in seconds (default: %(default)s)",
+    )
+    p.add_argument(
+        "--overlap",
+        type=float,
+        default=signals.DEFAULT_OVERLAP,
+        help="window overlap fraction in [0, 1) (default: %(default)s)",
+    )
     p.add_argument(
         "--bands",
         type=_bands,
@@ -340,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="predict a terrain per window of a dataset CSV")
     p.add_argument("input", help="dataset CSV")
     p.add_argument("--model", required=True, help="model JSON from 'train'")
-    _add_feature_flags(p)
     _add_out(p)
     p.set_defaults(handler=_cmd_classify)
 

@@ -38,6 +38,7 @@ from .signals import (
     Window,
     _irfft,
     _padded_rfft,
+    _window_spec,
     bandpass,
     check_window,
     next_pow2,
@@ -51,7 +52,7 @@ EXTRA_NAMES = ("autocorr_peak", "amplitude_smoothness", "highfreq_std", "spike_k
 DEFAULT_BANDS = (BandSpec(1.0, 50.0), BandSpec(100.0, 400.0), BandSpec(400.0, 700.0))
 DEFAULT_ENTROPY_BINS = 16
 
-_LAYOUT_PREFIX = "ffv1"
+_LAYOUT_BODY = r"bands=([^;]+);entropy_bins=(\d+);extras=([01])"
 
 
 def _parse_bands(text: str) -> tuple[BandSpec, BandSpec, BandSpec]:
@@ -73,11 +74,14 @@ def _parse_bands(text: str) -> tuple[BandSpec, BandSpec, BandSpec]:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Extraction settings; fully encoded by its layout id."""
+    """Extraction settings, window geometry included; fully encoded by its
+    layout id, from which ``classify`` and ``identify`` read every setting."""
 
     bands: tuple[BandSpec, BandSpec, BandSpec] = DEFAULT_BANDS
     entropy_bins: int = DEFAULT_ENTROPY_BINS
     include_position_extras: bool = False
+    window_seconds: float = DEFAULT_WINDOW_SECONDS
+    overlap: float = DEFAULT_OVERLAP
 
     def __post_init__(self):
         try:
@@ -91,6 +95,13 @@ class FeatureConfig:
                 raise ValidationError(f"each band must be a BandSpec, got {band!r}")
         object.__setattr__(self, "bands", bands)
         object.__setattr__(self, "entropy_bins", _count(self.entropy_bins, "entropy_bins", 2))
+        extras = self.include_position_extras
+        if not isinstance(extras, (bool, np.bool_)):
+            raise ValidationError(f"include_position_extras must be a bool, got {extras!r}")
+        object.__setattr__(self, "include_position_extras", bool(extras))
+        window_seconds, overlap = _window_spec(self.window_seconds, self.overlap)
+        object.__setattr__(self, "window_seconds", window_seconds)
+        object.__setattr__(self, "overlap", overlap)
 
     @property
     def n_features(self) -> int:
@@ -99,7 +110,10 @@ class FeatureConfig:
     def layout_id(self) -> str:
         bands = ",".join(f"{b.low_hz!r}:{b.high_hz!r}" for b in self.bands)
         extras = 1 if self.include_position_extras else 0
-        return f"{_LAYOUT_PREFIX};bands={bands};entropy_bins={self.entropy_bins};extras={extras}"
+        return (
+            f"ffv2;bands={bands};entropy_bins={self.entropy_bins};extras={extras};"
+            f"window_s={self.window_seconds!r};overlap={self.overlap!r}"
+        )
 
     def feature_names(self) -> tuple[str, ...]:
         names = [
@@ -113,21 +127,24 @@ class FeatureConfig:
 
     @staticmethod
     def from_layout_id(layout_id: str) -> "FeatureConfig":
-        pattern = (
-            rf"^{_LAYOUT_PREFIX};bands=([^;]+);entropy_bins=(\d+);extras=([01])$"
+        m = re.fullmatch(f"ffv1;{_LAYOUT_BODY}", layout_id) or re.fullmatch(
+            f"ffv2;{_LAYOUT_BODY};window_s=([^;]+);overlap=([^;]+)", layout_id
         )
-        m = re.match(pattern, layout_id)
         if m is None:
             raise LayoutMismatchError(f"unrecognized feature layout id: {layout_id!r}")
+        bands, bins, extras, *geometry = m.groups()
+        # ffv1 ids predate the recorded geometry; their features used the defaults.
+        window_s, overlap = geometry or (DEFAULT_WINDOW_SECONDS, DEFAULT_OVERLAP)
         try:
-            bands = _parse_bands(m.group(1))
-        except ValidationError as exc:
-            raise LayoutMismatchError(f"bad bands in layout id: {exc}") from exc
-        return FeatureConfig(
-            bands=bands,
-            entropy_bins=int(m.group(2)),
-            include_position_extras=m.group(3) == "1",
-        )
+            return FeatureConfig(
+                bands=_parse_bands(bands),
+                entropy_bins=int(bins),
+                include_position_extras=extras == "1",
+                window_seconds=float(window_s),
+                overlap=float(overlap),
+            )
+        except ValueError as exc:  # float() or FeatureConfig's ValidationError
+            raise LayoutMismatchError(f"bad layout id {layout_id!r}: {exc}") from exc
 
 
 class _Moments(NamedTuple):
@@ -314,12 +331,9 @@ def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) 
 
 
 def extract_feature_matrix(
-    series_list,
-    config: FeatureConfig,
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    overlap_fraction: float = DEFAULT_OVERLAP,
+    series_list, config: FeatureConfig
 ) -> tuple[np.ndarray, list[str | None], tuple[str, ...]]:
-    """Stack per-window feature vectors for a list of records.
+    """Stack per-window feature vectors of records, windowed by the config's geometry.
 
     Returns (matrix, row labels, column names); a row's label is the
     label of the record it came from.
@@ -328,7 +342,7 @@ def extract_feature_matrix(
     labels: list[str | None] = []
     names = config.feature_names()
     for series in series_list:
-        for window in segment_windows(series, window_seconds, overlap_fraction):
+        for window in segment_windows(series, config.window_seconds, config.overlap):
             rows.append(extract_features(series, window, config).values)
             labels.append(series.label)
     if not rows:

@@ -10,7 +10,7 @@ chunked.  All arithmetic is modulo 2**64.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -276,14 +276,20 @@ def remove_mean(samples) -> np.ndarray:
     return arr - arr.mean()
 
 
-def window_geometry(
-    sample_rate_hz: float, window_seconds: float, overlap_fraction: float
-) -> tuple[int, int]:
-    """Window length and stride, in samples, for the given segmentation."""
+def _window_spec(window_seconds, overlap_fraction) -> tuple[float, float]:
+    """Window length in seconds (> 0) and overlap fraction (in [0, 1)) as floats."""
     window_seconds = _positive(window_seconds, "window_seconds")
     overlap_fraction = _positive(overlap_fraction, "overlap fraction", zero_ok=True)
     if overlap_fraction >= 1.0:
         raise ValidationError(f"overlap fraction must lie in [0, 1), got {overlap_fraction}")
+    return window_seconds, overlap_fraction
+
+
+def window_geometry(
+    sample_rate_hz: float, window_seconds: float, overlap_fraction: float
+) -> tuple[int, int]:
+    """Window length and stride, in samples, for the given segmentation."""
+    window_seconds, overlap_fraction = _window_spec(window_seconds, overlap_fraction)
     rate = _positive(sample_rate_hz, "sample rate")
     span = _positive(window_seconds * rate, "window span")
     length = _count(int(round(span)), f"samples in {window_seconds} s at {rate} Hz", 2)

@@ -325,11 +325,12 @@ def kkt_report(svm: BinarySvm, x, y, tol: float = DEFAULT_TOL) -> KktReport:
         raise ValidationError("kkt_report needs a machine trained in this process")
     arr = _finite_array(x, "features", (None, None))
     yv = _finite_array(y, "labels", arr.shape[:1])
-    if svm.sv_indices.size and svm.sv_indices[-1] >= arr.shape[0]:
-        raise ValidationError(
-            f"kkt_report needs the machine's training rows: support vector at row "
-            f"{svm.sv_indices[-1]}, but {arr.shape[0]} rows given"
-        )
+    # The stored support vectors are exactly these rows of the training set.
+    if svm.sv_indices.size and (
+        svm.sv_indices[-1] >= arr.shape[0]
+        or arr[svm.sv_indices].tobytes() != svm.support_vectors.tobytes()
+    ):
+        raise ValidationError("kkt_report needs the machine's training rows, bit for bit")
     alphas = np.zeros(arr.shape[0])
     alphas[svm.sv_indices] = svm.coefficients * yv[svm.sv_indices]
     if np.any(alphas < 0.0) or np.any(alphas > svm.c):

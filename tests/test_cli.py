@@ -175,6 +175,23 @@ def test_extract_window_count_and_columns(tmp_path):
     assert wide.layout_id != table.layout_id
 
 
+def test_extract_records_window_geometry(tmp_path, capsys):
+    dataset = simulate(tmp_path, "flat", 5, duration=10.0)
+    path = extract(tmp_path, [dataset], "short", "--window-seconds", 1.0, "--overlap", 0.0)
+    table = formats.read_features(path)
+    assert table.values.shape == (10, 18)  # 14400 samples, 1440-sample windows, no overlap
+    assert table.layout_id.endswith(";window_s=1.0;overlap=0.0")
+    config = features_mod.FeatureConfig.from_layout_id(table.layout_id)
+    assert (config.window_seconds, config.overlap) == (1.0, 0.0)
+    capsys.readouterr()
+    for overlap in ("1.0", "-0.1", "nan"):
+        out = tmp_path / "bad"
+        assert run("extract", dataset, "--overlap", overlap, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "overlap" in err[0]
+        assert not out.exists()
+
+
 def test_extract_failure_leaves_no_output(tmp_path, capsys):
     dataset = simulate(tmp_path, "flat", 5, duration=1.0)  # shorter than one window
     out = tmp_path / "f"
@@ -237,6 +254,47 @@ def test_train_then_classify_matches_library(tmp_path, labeled_features):
     assert all(int(r[2]) == windows[0].length for r in rows)
     # the two source recordings are far apart; training windows classify cleanly
     assert set(expected) == {"small_stone"}
+
+
+def test_classify_windows_by_model_layout(tmp_path, labeled_features):
+    datasets, _ = labeled_features
+    features = extract(tmp_path, datasets, "features_1s", "--window-seconds", 1.0)
+    assert run("train", features, "--out", tmp_path / "model") == 0
+    out = tmp_path / "pred"
+    assert run("classify", datasets[0], "--model", tmp_path / "model" / "model.json",
+               "--out", out) == 0
+    rows = [ln.split(",") for ln in read_lines(out / "predictions.csv")[2:]]
+    # 6 s at 1440 Hz = 8640 samples; 1440-sample windows, 720-sample stride
+    assert len(rows) == 11
+    assert [int(r[1]) for r in rows] == [720 * k for k in range(11)]
+    assert all(int(r[2]) == 1440 for r in rows)
+
+
+def test_classify_takes_no_window_flags(tmp_path, labeled_features):
+    datasets, features = labeled_features
+    assert run("train", features, "--out", tmp_path / "model") == 0
+    model = tmp_path / "model" / "model.json"
+    for flag, value in (("--window-seconds", 0.2), ("--overlap", 0.5)):
+        out = tmp_path / "pred"
+        assert run("classify", datasets[0], "--model", model, flag, value, "--out", out) == 2
+        assert not out.exists()
+
+
+def test_classify_ffv1_model_uses_default_geometry(tmp_path, labeled_features):
+    datasets, features = labeled_features
+    assert run("train", features, "--out", tmp_path / "model") == 0
+    model_path = tmp_path / "model" / "model.json"
+    assert run("classify", datasets[1], "--model", model_path, "--out", tmp_path / "v2") == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["feature_layout_id"].endswith(";window_s=1.5;overlap=0.5")
+    doc["feature_layout_id"] = (
+        "ffv1;bands=1.0:50.0,100.0:400.0,400.0:700.0;entropy_bins=16;extras=0"
+    )
+    v1_model = tmp_path / "v1_model.json"
+    v1_model.write_text(json.dumps(doc))
+    assert run("classify", datasets[1], "--model", v1_model, "--out", tmp_path / "v1") == 0
+    v1 = (tmp_path / "v1" / "predictions.csv").read_bytes()
+    assert v1 == (tmp_path / "v2" / "predictions.csv").read_bytes()
 
 
 def test_train_ignores_seed(tmp_path, labeled_features):
@@ -484,6 +542,29 @@ def test_identify_layout_mismatch_fails(tmp_path, labeled_features, capsys):
     assert run("identify", "--known", features, "--unknown", unknown, "--out", out) == 1
     assert "error:" in capsys.readouterr().err
     assert not (out / "distances.csv").exists()
+
+
+def test_identify_window_geometry_mismatch_fails(tmp_path, labeled_features, capsys):
+    datasets, features = labeled_features
+    unknown = extract(tmp_path, [datasets[0]], "short_unknown", "--window-seconds", 0.2)
+    capsys.readouterr()
+    out = tmp_path / "ident"
+    assert run("identify", "--known", features, "--unknown", unknown, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "re-extract" in err[0]
+    assert not out.exists()
+
+
+def test_identify_requires_layout_on_both_files(tmp_path, labeled_features, capsys):
+    datasets, features = labeled_features
+    table = formats.read_features(features)
+    bare = tmp_path / "bare.csv"
+    formats.write_features(bare, table.values, table.names)
+    for known, unknown in ((features, bare), (bare, features)):
+        out = tmp_path / "ident"
+        code = run("identify", "--known", known, "--unknown", unknown, "--out", out)
+        assert code == 1 and "layout" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_identify_requires_known_labels(tmp_path, labeled_features, capsys):

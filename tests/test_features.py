@@ -516,6 +516,9 @@ def test_layout_id_round_trip():
     for config in (
         FeatureConfig(),
         FeatureConfig(entropy_bins=32, include_position_extras=True),
+        FeatureConfig(window_seconds=1.0, overlap=0.0),
+        FeatureConfig(window_seconds=0.2, overlap=0.75, include_position_extras=True),
+        FeatureConfig(window_seconds=1 / 3, overlap=0.1),
     ):
         back = FeatureConfig.from_layout_id(config.layout_id())
         assert back == config
@@ -529,7 +532,29 @@ def test_layout_id_round_trip():
 
 def test_layout_id_shape():
     lid = FeatureConfig().layout_id()
-    assert lid == "ffv1;bands=1.0:50.0,100.0:400.0,400.0:700.0;entropy_bins=16;extras=0"
+    assert lid == (
+        "ffv2;bands=1.0:50.0,100.0:400.0,400.0:700.0;entropy_bins=16;extras=0;"
+        "window_s=1.5;overlap=0.5"
+    )
+
+
+def test_ffv1_layout_id_reads_as_default_geometry():
+    # Files written before the geometry was recorded carry ffv1 ids; they
+    # were extracted (and classified) with 1.5 s windows at 0.5 overlap.
+    v1 = "ffv1;bands=1.0:50.0,100.0:400.0,400.0:700.0;entropy_bins=16;extras=0"
+    config = FeatureConfig.from_layout_id(v1)
+    assert (config.window_seconds, config.overlap) == (1.5, 0.5)
+    assert config == FeatureConfig()
+    assert FeatureConfig.from_layout_id(v1.replace("extras=0", "extras=1")).n_features == 22
+    for bad in (
+        v1 + ";window_s=1.5;overlap=0.5",  # ffv1 carries no geometry
+        FeatureConfig().layout_id().replace(";window_s=1.5", ""),  # ffv2 needs it
+        FeatureConfig().layout_id().replace("window_s=1.5", "window_s=x"),
+        FeatureConfig().layout_id().replace("overlap=0.5", "overlap=1.0"),
+        FeatureConfig().layout_id().replace("window_s=1.5", "window_s=0.0"),
+    ):
+        with pytest.raises(LayoutMismatchError):
+            FeatureConfig.from_layout_id(bad)
 
 
 def test_extract_feature_matrix_labels_and_shape():
@@ -537,7 +562,7 @@ def test_extract_feature_matrix_labels_and_shape():
     labeled = TimeSeries(
         sample_rate_hz=series.sample_rate_hz, channels=series.channels, label="t1"
     )
-    mat, labels, names = extract_feature_matrix([labeled], FeatureConfig(), 1.5, 0.5)
+    mat, labels, names = extract_feature_matrix([labeled], FeatureConfig())
     assert mat.shape == (3, 18)  # 4320 samples -> windows at 0, 1080, 2160
     assert labels == ["t1", "t1", "t1"]
     assert names == FeatureConfig().feature_names()
@@ -553,3 +578,19 @@ def test_feature_config_validation():
         FeatureConfig(entropy_bins=1)
     with pytest.raises(ValidationError):
         FeatureConfig(bands=(DEFAULT_BANDS[0], DEFAULT_BANDS[1]))
+
+
+def test_extract_feature_matrix_windows_by_config_geometry():
+    series = tone_series()  # 4320 samples at 1440 Hz
+    config = FeatureConfig(window_seconds=0.5, overlap=0.0)
+    mat, _, _ = extract_feature_matrix([series], config)
+    windows = segment_windows(series, 0.5, 0.0)
+    assert len(windows) == 6 and mat.shape == (6, 18)
+    expected = np.vstack([extract_features(series, w, config).values for w in windows])
+    np.testing.assert_array_equal(mat, expected)
+
+
+def test_feature_config_accepts_numpy_bool_extras():
+    assert FeatureConfig(include_position_extras=np.bool_(True)).n_features == 22
+    stored = FeatureConfig(include_position_extras=np.bool_(False)).include_position_extras
+    assert stored is False

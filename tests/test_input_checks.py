@@ -4,7 +4,8 @@ Every public entry point converts its arguments through the checkers in
 ``spokesense.errors``: a float array of a given shape, a finite real > 0
 (or >= 0), an integer count and an integer seed.  Ragged lists, text
 cells, ``None`` or text where a number belongs, non-integral or float
-counts and seeds, short label vectors and training sets must all raise a ``ValidationError`` subclass, never a bare
+counts and seeds, short label vectors, other training sets and non-bool
+flags must all raise a ``ValidationError`` subclass, never a bare
 ``ValueError``, ``TypeError``, ``IndexError`` or ``AttributeError`` from
 numpy or from Python, and never succeed only to fail later.
 """
@@ -102,6 +103,9 @@ PROBES = {
     "config_text_bins": lambda: FeatureConfig(entropy_bins="x"),
     "config_none_bands": lambda: FeatureConfig(bands=None),
     "config_int_bands": lambda: FeatureConfig(bands=(1, 2, 3)),
+    "config_text_extras": lambda: FeatureConfig(include_position_extras="no"),
+    "config_text_window_seconds": lambda: FeatureConfig(window_seconds="x"),
+    "config_overlap_one": lambda: FeatureConfig(overlap=1.0),
     "rms_ragged": lambda: rms(RAGGED),
     "entropy_float_bins": lambda: shannon_entropy(np.arange(8.0), bins=3.5),
     "autocorr_text_cells": lambda: autocorrelation_peak(["x"] * 8),
@@ -118,6 +122,7 @@ PROBES = {
     "train_short_labels": lambda: train_binary_svm(X2, Y2[:1]),
     "kkt_short_labels": lambda: kkt_report(machine(), X2, Y2[:1]),
     "kkt_short_training_set": lambda: kkt_report(machine(), X2[:2], Y2[:2]),
+    "kkt_other_training_set": lambda: kkt_report(machine(), X2 + 10.0, Y2),
     "decision_ragged": lambda: decision_function(machine(), RAGGED),
     "predict_text_cells": lambda: predict_batch(model(), [["x", "y"]]),
     "evaluate_float_trials": lambda: evaluate_trials(X2, LABELS, n_trials=2.5),
@@ -150,7 +155,7 @@ def test_malformed_argument_raises_validation_error(call):
 
 
 def test_probe_table_size():
-    assert len(PROBES) == 49
+    assert len(PROBES) == 53
 
 
 @pytest.mark.parametrize(
@@ -209,7 +214,7 @@ def test_converted_arguments_are_stored():
     assert TimeSeries(np.float64(720.0), np.zeros((3, 4))).sample_rate_hz == 720.0
     band = BandSpec(np.float64(1.0), 50)
     assert type(band.low_hz) is float and type(band.high_hz) is float
-    assert FeatureConfig(bands=(band, BAND, BAND)).layout_id().startswith("ffv1;bands=1.0:50.0,")
+    assert FeatureConfig(bands=(band, BAND, BAND)).layout_id().startswith("ffv2;bands=1.0:50.0,")
     assert type(Window(np.int64(3), np.int64(8)).start_index) is int
     gamma = Kernel("rbf", np.float32(0.5)).gamma
     assert type(gamma) is float and gamma == 0.5
