@@ -5,7 +5,10 @@ to the SPOKESENSE_SEED environment variable, then 0; ``train`` ignores it) and
 writes one fixed-named file into ``--out``.  A command's handler computes its
 result and returns the file's name, its ``formats`` writer and what to write;
 ``main`` alone creates ``--out`` and writes the file.  Exit code 0 means the
-output was written; on failure, no partially written output is left.
+output was written, 2 that argparse, which only converts text, could not
+parse the command line, and 1 that a rule failed (every range and layout
+rule is the library's; ``train`` and ``identify`` reject a features file
+whose layout does not name its columns): one ``error:`` line, no output file.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import contextlib
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import features as features_mod
 from . import formats, signals, similarity, svm, synth
@@ -33,20 +34,6 @@ def _u64(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if not 0 <= value <= _U64_MAX:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
-
-
-def _test_fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
     return value
 
 
@@ -100,12 +87,8 @@ def _cmd_extract(args):
     )
     series_list = [formats.read_dataset(p) for p in args.inputs]
     values, labels, names = features_mod.extract_feature_matrix(series_list, config)
-    labeled = [v for v in labels if v is not None]
-    if labeled and len(labeled) != len(labels):
-        raise ValidationError(
-            "inputs mix labeled and unlabeled records; label all or none"
-        )
-    payload = (values, names, labels if labeled else None, config.layout_id())
+    labels = None if all(v is None for v in labels) else labels
+    payload = (values, names, labels, config.layout_id())
     return "features.csv", formats.write_features, payload
 
 
@@ -118,6 +101,8 @@ def _require_labels(table: formats.FeatureTable, path: str) -> list[str]:
 def _require_layout(table: formats.FeatureTable, path: str) -> str:
     if table.layout_id is None:
         raise ValidationError(f"{path} has no '# layout=' metadata; re-extract features")
+    if features_mod.FeatureConfig.from_layout_id(table.layout_id).feature_names() != table.names:
+        raise LayoutMismatchError(f"{path}: columns do not match the layout; re-extract features")
     return table.layout_id
 
 
@@ -155,11 +140,6 @@ def _cmd_evaluate(args):
 def _cmd_classify(args):
     model = formats.read_model(args.model)
     config = features_mod.FeatureConfig.from_layout_id(model.feature_layout_id)
-    if config.n_features != model.standardizer.n_features:
-        raise LayoutMismatchError(
-            f"model declares layout with {config.n_features} features but stores "
-            f"{model.standardizer.n_features}"
-        )
     series = formats.read_dataset(args.input)
     windows = signals.segment_windows(series, config.window_seconds, config.overlap)
     vectors, _, _ = features_mod.extract_feature_matrix([series], config)
@@ -172,10 +152,6 @@ def _cmd_identify(args):
     known = formats.read_features(args.known)
     unknown = formats.read_features(args.unknown)
     labels = _require_labels(known, args.known)
-    if known.names != unknown.names:
-        raise LayoutMismatchError(
-            f"{args.known} and {args.unknown} disagree on feature columns"
-        )
     if _require_layout(known, args.known) != _require_layout(unknown, args.unknown):
         raise LayoutMismatchError(
             f"{args.known} and {args.unknown} were extracted with different layouts; "
@@ -217,13 +193,13 @@ def _add_svm_flags(parser) -> None:
     )
     parser.add_argument(
         "--c",
-        type=_positive,
+        type=float,
         default=svm.DEFAULT_C,
         help="soft-margin box constraint (default: %(default)s)",
     )
     parser.add_argument(
         "--gamma",
-        type=_positive,
+        type=float,
         default=None,
         help="rbf width (default: median pairwise-distance heuristic)",
     )
@@ -248,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument("--profile-file", help="path to a profile JSON document")
     p.add_argument(
-        "--duration", type=_positive, default=10.0, help="seconds (default: %(default)s)"
+        "--duration", type=float, default=10.0, help="seconds (default: %(default)s)"
     )
     p.add_argument(
         "--rate",
-        type=_positive,
+        type=float,
         default=synth.DEFAULT_SAMPLE_RATE_HZ,
         help="sample rate in Hz (default: %(default)s)",
     )
@@ -264,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="dataset CSV paths")
     p.add_argument(
         "--window-seconds",
-        type=_positive,
+        type=float,
         default=signals.DEFAULT_WINDOW_SECONDS,
         help="analysis window length in seconds (default: %(default)s)",
     )
@@ -308,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--test-fraction",
-        type=_test_fraction,
+        type=float,
         default=0.2,
         help="held-out fraction per class (default: %(default)s)",
     )
@@ -330,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unknown", required=True, help="feature CSV of the unknown recording")
     p.add_argument(
         "--epsilon-scale",
-        type=_positive,
+        type=float,
         default=similarity.DEFAULT_EPSILON_SCALE,
         help="covariance ridge scale (default: %(default)s)",
     )

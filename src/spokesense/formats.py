@@ -88,6 +88,8 @@ def _render_rows(*columns) -> str:
 
 def _check_line_text(value: str, what: str) -> str:
     """``value`` as text that a ``# key=value`` line gives back unchanged."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} {value!r} is not text")
     text = str(value)
     if "\n" in text or "\r" in text or text != text.strip() or _SURROGATE.search(text):
         raise ValidationError(f"{what} {text!r} is not UTF-8 or has newlines or outer whitespace")
@@ -330,6 +332,8 @@ def read_features(path) -> FeatureTable:
         raise FormatError("feature file has no feature columns", line=header_line)
     empty = "feature file has no rows"
     values, labels = _parse_body(body, header_line + 1, names, len(header), empty)
+    if "label" in names:
+        raise FormatError("'label' is reserved for the label column", line=header_line)
     return FeatureTable(
         values=values, names=tuple(names), labels=labels, layout_id=meta.get("layout")
     )

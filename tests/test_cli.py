@@ -149,7 +149,7 @@ def test_seed_env_invidious_value_fails(tmp_path, monkeypatch, capsys):
 def test_argparse_errors_exit_2(tmp_path):
     assert run("nonsense") == 2
     assert run("simulate") == 2  # profile choice is required
-    assert run("simulate", "--profile", "flat", "--duration", "-1") == 2
+    assert run("simulate", "--profile", "flat", "--duration", "abc") == 2
     assert run("spectrum", "x.csv", "--channel", "4") == 2
     # two bands, a band without ':', a reversed band
     for bands in ("1:50,100:400", "1:50,100,400:700", "1:50,400:100,400:700"):
@@ -297,6 +297,68 @@ def test_classify_ffv1_model_uses_default_geometry(tmp_path, labeled_features):
     assert v1 == (tmp_path / "v2" / "predictions.csv").read_bytes()
 
 
+# Argparse only converts text; every range rule is the library's, so each of
+# these values fails like any other broken rule.  (command, flag, value, the
+# name the error gives)
+OUT_OF_RANGE = [
+    ("simulate", "--duration", "-1", "duration_s"),
+    ("simulate", "--rate", "0", "sample_rate_hz"),
+    ("extract", "--window-seconds", "0", "window_seconds"),
+    ("extract", "--overlap", "1", "overlap"),
+    ("extract", "--entropy-bins", "1", "entropy_bins"),
+    ("train", "--c", "0", "c must"),
+    ("train", "--gamma", "0", "gamma"),
+    ("evaluate", "--test-fraction", "1", "test_fraction"),
+    ("evaluate", "--trials", "0", "n_trials"),
+    ("identify", "--epsilon-scale", "0", "epsilon_scale"),
+]
+
+
+def test_out_of_range_values_exit_1(tmp_path, labeled_features, capsys):
+    datasets, features = labeled_features
+    inputs = {
+        "simulate": ["--profile", "flat"],
+        "extract": [datasets[0]],
+        "train": [features],
+        "evaluate": [features],
+        "identify": ["--known", features, "--unknown", features],
+    }
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for command, flag, value, named in OUT_OF_RANGE:
+        assert run(command, *inputs[command], flag, value, "--out", out) == 1, flag
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+        assert not out.exists(), flag
+    assert run("train", features, "--c", "abc", "--out", out) == 2  # not a number at all
+    assert not out.exists()
+
+
+def with_layout(tmp_path, features, name, layout_id):
+    table = formats.read_features(features)
+    path = tmp_path / name
+    formats.write_features(
+        path, table.values, table.names, labels=table.labels, layout_id=layout_id
+    )
+    return path
+
+
+def test_layout_must_name_the_columns(tmp_path, labeled_features, capsys):
+    _, features = labeled_features
+    layout_id = formats.read_features(features).layout_id
+    junk = with_layout(tmp_path, features, "junk.csv", "junk")
+    # declares the 22 columns of --extras over the 18 stored ones
+    wide = with_layout(tmp_path, features, "wide.csv", layout_id.replace("extras=0", "extras=1"))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    identify = ["identify", "--known", wide, "--unknown", wide]
+    for argv in (["train", junk], ["train", wide], identify):
+        assert run(*argv, "--out", out) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "layout" in err[0], err
+        assert not out.exists()
+
+
 def test_train_ignores_seed(tmp_path, labeled_features):
     _, features = labeled_features
     assert run("train", features, "--seed", 7, "--out", tmp_path / "a") == 0
@@ -329,6 +391,22 @@ def test_classify_layout_contradiction_fails(tmp_path, labeled_features, capsys)
     assert run("classify", datasets[0], "--model", model_path, "--out", out) == 1
     assert "error:" in capsys.readouterr().err
     assert not (out / "predictions.csv").exists()
+
+
+def test_classify_wide_layout_over_narrow_model_fails(tmp_path, labeled_features, capsys):
+    datasets, features = labeled_features
+    assert run("train", features, "--out", tmp_path / "model") == 0
+    model = tmp_path / "model" / "model.json"
+    doc = json.loads(model.read_text())
+    doc["feature_layout_id"] = doc["feature_layout_id"].replace("extras=0", "extras=1")
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "pred"
+    assert run("classify", datasets[0], "--model", model, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    # the standardizer refuses the 22-wide windows for its 18 columns
+    assert len(err) == 1 and err[0].startswith("error: expected 18 feature columns"), err
+    assert not out.exists()
 
 
 def test_classify_non_utf8_model_fails_typed(tmp_path, capsys):

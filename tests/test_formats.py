@@ -223,6 +223,32 @@ def test_labels_utf8_cannot_encode_rejected_before_open(tmp_path):
     assert read_dataset(path).label == "gr\u00e4vel \U0001F30B"
 
 
+# Each once went through str(): a None label was written as the class "None"
+# and read back as text, an int layout id as "7".
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_features(path, [[1.0], [2.0]], ("a",), labels=[None, "x"]),
+        lambda path: write_features(path, [[1.0]], ("a",), labels=[3]),
+        lambda path: write_features(path, [[1.0]], ("a",), layout_id=7),
+        lambda path: write_dataset(path, TimeSeries(720.0, np.zeros((3, 2)), label=5)),
+    ],
+    ids=["none_label", "int_label", "int_layout_id", "int_dataset_label"],
+)
+def test_text_cells_must_be_text(tmp_path, write):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValidationError, match="is not text"):
+        write(path)
+    assert not path.exists()
+
+
+def test_numpy_text_is_text(tmp_path):
+    path = tmp_path / "t.csv"
+    write_features(path, [[1.0]], ("a",), labels=[np.str_("x")], layout_id=np.str_("l"))
+    table = read_features(path)
+    assert (table.labels, table.layout_id) == (["x"], "l")
+
+
 # ---------------------------------------------------------------- features
 
 
@@ -308,6 +334,16 @@ def test_features_write_validation(tmp_path):
         write_features(path, [[1.0]], ("a", "b"))
     with pytest.raises(ValidationError):
         write_features(path, np.empty((0, 2)), ("a", "b"))
+
+
+def test_features_reader_rejects_feature_column_named_label(tmp_path):
+    # The writer refuses such a table, so the reader must not return one.
+    path = tmp_path / "label.csv"
+    for header, row in (("a,label,label", "1,2,x"), ("label,b", "1,2")):
+        path.write_text(f"# spokesense-features v1\n{header}\n{row}\n")
+        with pytest.raises(FormatError, match="reserved") as info:
+            read_features(path)
+        assert info.value.line == 2
 
 
 # ---------------------------------------------------------------- model

@@ -1,10 +1,12 @@
-"""No line of the package's source is longer than 100 characters, and no
-module imports a name it never uses.
+"""No line of the package's source is longer than 100 characters, no
+module imports a name it never uses, and no private module-level name is
+left that the package never reads.
 
 These tests read every module under ``src/spokesense`` and fail on any line
-over the limit, naming the file and line number, and on any imported name
-that the module's syntax tree never reads, so neither needs checking by
-hand.  ``__init__`` is skipped by the import check: its imports are the
+over the limit, naming the file and line number, on any imported name that
+the module's syntax tree never reads, and on any private function, class or
+constant that no module's syntax tree reads, so none of these needs checking
+by hand.  ``__init__`` is skipped by the import check: its imports are the
 package's re-exports.
 """
 
@@ -82,3 +84,72 @@ def test_package_has_no_unused_imports():
 )
 def test_unused_import_detector(source, expected):
     assert unused_imports(source) == expected
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:line: name`` of each module-level private function, class or
+    constant in ``sources`` (module name -> source) that no module reads.
+
+    A module reads its own names by name, another module's through
+    ``from .module import name`` (whose use the import check ensures) or as
+    an attribute of the module bound by ``from . import module``.  Names
+    are resolved per module, so one module's unread ``_f`` is found even
+    where another module defines and reads an ``_f`` of its own.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for module, tree in trees.items():
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        read.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    read.add((modules[node.value.id], node.attr))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and (module, name) not in read:
+                    found.append(f"{module}:{node.lineno}: {name}")
+    return found
+
+
+def test_package_has_no_unread_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) >= 10
+    assert unread_private_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    ("sources", "expected"),
+    [
+        ({"a": "def _f():\n    pass\n"}, ["a:1: _f"]),
+        ({"a": "def _f():\n    pass\n\n\n_f()\n"}, []),
+        ({"a": "x = 1\n_K: int = 2\n__all__ = []\n"}, ["a:2: _K"]),
+        ({"a": "class _C:\n    pass\n", "b": "from .a import _C\n_C()\n"}, []),
+        ({"a": "_K = 1\n", "b": "from . import a as m\nm._K\n"}, []),
+        ({"a": "_K = 1\n", "b": "import a\na._K\n"}, ["a:1: _K"]),
+        (
+            {"a": "def _f():\n    pass\n", "b": "def _f():\n    pass\n\n\n_f()\n"},
+            ["a:1: _f"],
+        ),
+    ],
+)
+def test_unread_private_name_detector(sources, expected):
+    assert unread_private_names(sources) == expected
