@@ -3,79 +3,7 @@
 The pipeline: synthesize or load three-channel vibration records, window
 them, extract band-specific statistics, classify with one-vs-one support
 vector machines, and rank unknown terrains against known classes under
-Euclidean and Mahalanobis distances.
+Euclidean and Mahalanobis distances.  Import each name from its module.
 """
 
-from .eigen import Covariance3, EigenSignature, covariance3, eigen_report_rows, eigenvalues_sym3
-from .errors import (
-    DegenerateInputError,
-    EmptyInputError,
-    FormatError,
-    LayoutMismatchError,
-    NotPositiveDefiniteError,
-    SpokesenseError,
-    UnsupportedVersionError,
-    ValidationError,
-)
-from .features import (
-    DEFAULT_BANDS,
-    DEFAULT_ENTROPY_BINS,
-    FeatureConfig,
-    FeatureVector,
-    amplitude_smoothness,
-    autocorrelation_peak,
-    extract_feature_matrix,
-    extract_features,
-    kurtosis,
-    rms,
-    shannon_entropy,
-    signal_energy,
-    skewness,
-    std_dev,
-)
-from .rng import Prng, derive_seed, mix64
-from .signals import (
-    BandSpec,
-    Spectrum,
-    TimeSeries,
-    Window,
-    bandpass,
-    dft_magnitude,
-    remove_mean,
-    segment_windows,
-)
-from .similarity import (
-    DistanceReport,
-    TerrainLibrary,
-    build_library,
-    cholesky_spd,
-    euclidean_distance,
-    mahalanobis_distance,
-    rank_unknown,
-)
-from .svm import (
-    BinarySvm,
-    ConfusionMatrix,
-    Kernel,
-    SvmModel,
-    decision_function,
-    evaluate_trials,
-    fit_svm_model,
-    kkt_report,
-    predict,
-    predict_batch,
-    train_binary_svm,
-)
-from .synth import (
-    GenSpec,
-    KNOWN_TERRAIN_NAMES,
-    TerrainProfile,
-    Tonal,
-    builtin_profile,
-    builtin_profiles,
-    generate,
-    generate_dataset,
-    mix_profiles,
-)
-
-__version__ = "0.1.0"
+from . import eigen, errors, features, rng, signals, similarity, svm, synth

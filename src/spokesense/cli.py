@@ -5,10 +5,13 @@ to the SPOKESENSE_SEED environment variable, then 0; ``train`` ignores it) and
 writes one fixed-named file into ``--out``.  A command's handler computes its
 result and returns the file's name, its ``formats`` writer and what to write;
 ``main`` alone creates ``--out`` and writes the file.  Exit code 0 means the
-output was written, 2 that argparse, which only converts text, could not
-parse the command line, and 1 that a rule failed (every range and layout
-rule is the library's; ``train`` and ``identify`` reject a features file
-whose layout does not name its columns): one ``error:`` line, no output file.
+output was written, 2 only that argparse could not convert the command line's
+text (``--seed abc``, ``--c abc``, an unknown flag, a value outside
+``choices``), and 1 that a rule failed: one ``error:`` line, no output file.
+Every seed, band, range and layout rule is the library's, so a decimal seed
+outside [0, 2^64), from the flag or the environment, exits 1, as does any
+``--bands`` fault; ``train`` and ``identify`` also reject a features file
+whose layout does not name its columns.
 """
 
 from __future__ import annotations
@@ -24,24 +27,6 @@ from . import formats, signals, similarity, svm, synth
 from .errors import LayoutMismatchError, SpokesenseError, ValidationError
 
 _SEED_ENV = "SPOKESENSE_SEED"
-_U64_MAX = (1 << 64) - 1
-
-
-def _u64(text: str) -> int:
-    try:
-        value = int(text, 0)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if not 0 <= value <= _U64_MAX:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
-
-
-def _bands(text: str) -> tuple[signals.BandSpec, signals.BandSpec, signals.BandSpec]:
-    try:
-        return features_mod._parse_bands(text)
-    except ValidationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _resolve_seed(args) -> int:
@@ -50,9 +35,9 @@ def _resolve_seed(args) -> int:
     env = os.environ.get(_SEED_ENV)
     if env is not None:
         try:
-            return _u64(env)
-        except argparse.ArgumentTypeError as exc:
-            raise ValidationError(f"bad {_SEED_ENV}: {exc}") from exc
+            return int(env)
+        except ValueError:
+            raise ValidationError(f"bad {_SEED_ENV}: not an integer: {env!r}") from None
     return 0
 
 
@@ -78,8 +63,11 @@ def _cmd_simulate(args):
 
 
 def _cmd_extract(args):
+    bands = features_mod.DEFAULT_BANDS
+    if args.bands is not None:
+        bands = features_mod._parse_bands(args.bands)
     config = features_mod.FeatureConfig(
-        bands=args.bands,
+        bands=bands,
         entropy_bins=args.entropy_bins,
         include_position_extras=args.extras,
         window_seconds=args.window_seconds,
@@ -101,7 +89,11 @@ def _require_labels(table: formats.FeatureTable, path: str) -> list[str]:
 def _require_layout(table: formats.FeatureTable, path: str) -> str:
     if table.layout_id is None:
         raise ValidationError(f"{path} has no '# layout=' metadata; re-extract features")
-    if features_mod.FeatureConfig.from_layout_id(table.layout_id).feature_names() != table.names:
+    try:
+        config = features_mod.FeatureConfig.from_layout_id(table.layout_id)
+    except LayoutMismatchError as exc:
+        raise LayoutMismatchError(f"{path}: {exc}; re-extract features") from exc
+    if config.feature_names() != table.names:
         raise LayoutMismatchError(f"{path}: columns do not match the layout; re-extract features")
     return table.layout_id
 
@@ -175,7 +167,7 @@ def _cmd_spectrum(args):
 
 
 def _add_seed(parser, help: str = f"64-bit seed (default: ${_SEED_ENV} if set, else 0)") -> None:
-    parser.add_argument("--seed", type=_u64, default=None, help=help)
+    parser.add_argument("--seed", type=int, default=None, help=help)
 
 
 def _add_out(parser) -> None:
@@ -252,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--bands",
-        type=_bands,
-        default=features_mod.DEFAULT_BANDS,
         help="three bands as lo1:hi1,lo2:hi2,lo3:hi3 (default: 1:50,100:400,400:700)",
     )
     p.add_argument(

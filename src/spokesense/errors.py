@@ -121,8 +121,9 @@ def _count(value, what: str, minimum: int) -> int:
 
 
 def _seed(value, what: str = "seed") -> int:
-    """``value`` as an integer (``operator.index``) reduced mod 2^64."""
-    try:
-        return operator.index(value) & 0xFFFFFFFFFFFFFFFF
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an integer (``operator.index``) in [0, 2^64), the one
+    seed rule: a seed outside the range raises, it is never reduced."""
+    number = _count(value, what, 0)
+    if number >> 64:
+        raise ValidationError(f"{what} must be < 2^64, got {number}")
+    return number

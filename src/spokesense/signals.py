@@ -152,17 +152,13 @@ def _fft(x: np.ndarray, out: np.ndarray) -> None:
     np.copyto(out.reshape(*x.shape[:-1], m, n1), cols.swapaxes(-1, -2))
 
 
-def _complex_copy(x) -> np.ndarray:
+def _transform_copy(x) -> np.ndarray:
+    """A complex copy of ``x``, checked to be one-dimensional, non-empty and
+    of power-of-two length: the one buffer a transform may overwrite."""
     try:
-        return np.array(x, dtype=np.complex128)
+        arr = np.array(x, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"transform input is not a numeric array: {exc}") from None
-
-
-def fft_radix2(x) -> np.ndarray:
-    """Full complex spectrum of ``x`` (power-of-two length) by the four-step
-    recursion of ``_fft`` on a copy of ``x`` and one output buffer."""
-    arr = _complex_copy(x)
     if arr.ndim != 1:
         raise ValidationError(f"transform input must be one-dimensional, got shape {arr.shape}")
     n = arr.shape[0]
@@ -170,15 +166,23 @@ def fft_radix2(x) -> np.ndarray:
         raise EmptyInputError("transform input is empty")
     if n & (n - 1):
         raise ValidationError(f"transform length must be a power of two, got {n}")
+    return arr
+
+
+def fft_radix2(x) -> np.ndarray:
+    """Full complex spectrum of ``x`` (power-of-two length) by the four-step
+    recursion of ``_fft`` on a copy of ``x`` and one output buffer."""
+    arr = _transform_copy(x)
     out = np.empty_like(arr)
     _fft(arr, out)
     return out
 
 
 def ifft_radix2(x) -> np.ndarray:
-    """Inverse of fft_radix2 via conjugation."""
-    arr = _complex_copy(x)
-    out = fft_radix2(np.conj(arr, out=arr))
+    """Inverse of fft_radix2 via conjugation, in the same two buffers."""
+    arr = _transform_copy(x)
+    out = np.empty_like(arr)
+    _fft(np.conj(arr, out=arr), out)
     np.conj(out, out=out)
     out /= arr.shape[0]
     return out

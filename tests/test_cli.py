@@ -146,14 +146,27 @@ def test_seed_env_invidious_value_fails(tmp_path, monkeypatch, capsys):
     assert "SPOKESENSE_SEED" in capsys.readouterr().err
 
 
+def test_seed_env_out_of_range_fails_like_the_flag(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    simulate = ("simulate", "--profile", "flat", "--duration", 1.0, "--out", out)
+    assert run(*simulate, "--seed", "-1") == 1
+    flag_err = capsys.readouterr().err.splitlines()
+    monkeypatch.setenv("SPOKESENSE_SEED", "-1")
+    assert run(*simulate) == 1
+    env_err = capsys.readouterr().err.splitlines()
+    assert len(env_err) == 1 and env_err[0].startswith("error:") and "seed" in env_err[0]
+    assert env_err == flag_err
+    assert not out.exists()
+
+
 def test_argparse_errors_exit_2(tmp_path):
     assert run("nonsense") == 2
     assert run("simulate") == 2  # profile choice is required
     assert run("simulate", "--profile", "flat", "--duration", "abc") == 2
     assert run("spectrum", "x.csv", "--channel", "4") == 2
-    # two bands, a band without ':', a reversed band
-    for bands in ("1:50,100:400", "1:50,100,400:700", "1:50,400:100,400:700"):
-        assert run("extract", "x.csv", "--bands", bands, "--out", tmp_path) == 2
+    # seeds are decimal integers
+    for seed in ("abc", "0x10"):
+        assert run("simulate", "--profile", "flat", "--seed", seed, "--out", tmp_path) == 2
     assert not any(tmp_path.iterdir())
 
 
@@ -311,6 +324,12 @@ OUT_OF_RANGE = [
     ("evaluate", "--test-fraction", "1", "test_fraction"),
     ("evaluate", "--trials", "0", "n_trials"),
     ("identify", "--epsilon-scale", "0", "epsilon_scale"),
+    ("simulate", "--seed", "-1", "seed"),
+    ("evaluate", "--seed", str(1 << 64), "seed"),
+    # two bands, a band without ':', a reversed band
+    ("extract", "--bands", "1:50,100:400", "band"),
+    ("extract", "--bands", "1:50,100,400:700", "band"),
+    ("extract", "--bands", "1:50,400:100,400:700", "band"),
 ]
 
 
@@ -359,12 +378,27 @@ def test_layout_must_name_the_columns(tmp_path, labeled_features, capsys):
         assert not out.exists()
 
 
+def test_unparseable_layout_names_its_file(tmp_path, labeled_features, capsys):
+    _, features = labeled_features
+    junk = with_layout(tmp_path, features, "junk.csv", "junk")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for known, unknown in ((junk, features), (features, junk)):
+        assert run("identify", "--known", known, "--unknown", unknown, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {junk}: "), err
+        assert "re-extract" in err[0], err
+        assert not out.exists()
+
+
 def test_train_ignores_seed(tmp_path, labeled_features):
     _, features = labeled_features
     assert run("train", features, "--seed", 7, "--out", tmp_path / "a") == 0
     assert run("train", features, "--seed", 8, "--out", tmp_path / "b") == 0
+    assert run("train", features, "--seed", -1, "--out", tmp_path / "c") == 0  # never checked
     first = (tmp_path / "a" / "model.json").read_bytes()
     assert first == (tmp_path / "b" / "model.json").read_bytes()
+    assert first == (tmp_path / "c" / "model.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

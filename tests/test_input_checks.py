@@ -4,8 +4,8 @@ Every public entry point converts its arguments through the checkers in
 ``spokesense.errors``: a float array of a given shape, a finite real > 0
 (or >= 0), an integer count and an integer seed.  Ragged lists, text
 cells, ``None`` or text where a number belongs, non-integral or float
-counts and seeds, short label vectors, other training sets and non-bool
-flags must all raise a ``ValidationError`` subclass, never a bare
+counts and seeds, seeds outside [0, 2^64), short label vectors, other
+training sets and non-bool flags must all raise a ``ValidationError`` subclass, never a bare
 ``ValueError``, ``TypeError``, ``IndexError`` or ``AttributeError`` from
 numpy or from Python, and never succeed only to fail later.
 """
@@ -139,12 +139,15 @@ PROBES = {
     "profile_text_rate": lambda: dataclasses.replace(flat(), impulse_rate_hz="x"),
     "genspec_none_duration": lambda: GenSpec(flat(), None, 1440.0, 0),
     "genspec_none_seed": lambda: GenSpec(flat(), 1.0, 1440.0, None),
+    "genspec_huge_seed": lambda: GenSpec(flat(), 1.0, 1440.0, 1 << 64),
     "dataset_float_windows": lambda: generate_dataset([flat()], 3.0),
     "dataset_float_seed": lambda: generate_dataset([flat()], 3, seed=3.7),
     # rng
     "u64_block_float": lambda: Prng(1).u64_block(4.0),
     "prng_float_seed": lambda: Prng(3.7),
+    "prng_negative_seed": lambda: Prng(-1),
     "derive_none_seed": lambda: derive_seed(None, "a"),
+    "derive_negative_salt": lambda: derive_seed(0, -1),
 }
 
 
@@ -155,7 +158,7 @@ def test_malformed_argument_raises_validation_error(call):
 
 
 def test_probe_table_size():
-    assert len(PROBES) == 53
+    assert len(PROBES) == 56
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 """No line of the package's source is longer than 100 characters, no
-module imports a name it never uses, and no private module-level name is
-left that the package never reads.
+module imports a name it never uses, no private module-level name is left
+that the package never reads, and the package root declares no name.
 
 These tests read every module under ``src/spokesense`` and fail on any line
 over the limit, naming the file and line number, on any imported name that
-the module's syntax tree never reads, and on any private function, class or
-constant that no module's syntax tree reads, so none of these needs checking
-by hand.  ``__init__`` is skipped by the import check: its imports are the
-package's re-exports.
+the module's syntax tree never reads, on any private function, class or
+constant that no module's syntax tree reads, and on any statement of
+``__init__`` other than its docstring and ``from . import <module>``, so none
+of these needs checking by hand.  ``__init__`` is skipped by the import
+check: it loads the package's modules without reading them.
 """
 
 import ast
@@ -153,3 +154,46 @@ def test_package_has_no_unread_private_names():
 )
 def test_unread_private_name_detector(sources, expected):
     assert unread_private_names(sources) == expected
+
+
+def root_declarations(source: str) -> list[str]:
+    """Line-numbered statements of a package root other than its docstring,
+    ``from __future__`` imports and unaliased ``from . import <module>``:
+    each public name is declared once, in its module."""
+    found = []
+    for index, node in enumerate(ast.parse(source).body):
+        docstring = (
+            index == 0
+            and isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+        )
+        loads_modules = isinstance(node, ast.ImportFrom) and (
+            node.module == "__future__"
+            or (node.level == 1 and node.module is None and all(not a.asname for a in node.names))
+        )
+        if not (docstring or loads_modules):
+            found.append(f"line {node.lineno}: {ast.unparse(node).splitlines()[0]}")
+    return found
+
+
+def test_package_root_only_imports_modules():
+    assert root_declarations((PACKAGE / "__init__.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    ("source", "expected"),
+    [
+        ('"""Doc."""\nfrom __future__ import annotations\nfrom . import a, b\n', []),
+        ("", []),
+        (
+            '"""Doc."""\nfrom .a import f, g\n__version__ = "0.1.0"\n',
+            ["line 2: from .a import f, g", "line 3: __version__ = \'0.1.0\'"],
+        ),
+        ("from . import a as b\n", ["line 1: from . import a as b"]),
+        ("import os\n", ["line 1: import os"]),
+        ('x = 1\n"""not a docstring"""\n', ["line 1: x = 1", "line 2: \'not a docstring\'"]),
+    ],
+)
+def test_root_declaration_detector(source, expected):
+    assert root_declarations(source) == expected

@@ -375,21 +375,23 @@ def test_fft_matches_stockham_oracle():
 
 
 def test_fft_working_memory_within_oracle():
-    # One copy of the input and one output buffer: the traced peak of a
-    # call, root tables already cached, is no higher than the radix-2 loop's.
+    # One copy of the input and one output buffer, forward or inverse: the
+    # traced peak of a call, root tables already cached, is no higher than
+    # the radix-2 loop's.
     rng = np.random.RandomState(26)
     for levels in (16, 17):
         x = rng.randn(1 << levels) + 1j * rng.randn(1 << levels)
-        peaks = []
-        for transform in (fft_radix2, stockham_fft):
+        peaks = {}
+        for transform in (fft_radix2, ifft_radix2, stockham_fft):
             transform(x)
             tracemalloc.start()
             try:
                 transform(x)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks[transform.__name__] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= peaks[1], (levels, peaks)
+        assert peaks["fft_radix2"] <= peaks["stockham_fft"], (levels, peaks)
+        assert peaks["ifft_radix2"] <= peaks["stockham_fft"], (levels, peaks)
 
 
 def test_features_match_stockham_path(monkeypatch):
