@@ -63,11 +63,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_extract(args):
-    bands = features_mod.DEFAULT_BANDS
-    if args.bands is not None:
-        bands = features_mod._parse_bands(args.bands)
     config = features_mod.FeatureConfig(
-        bands=bands,
+        bands=features_mod._parse_bands(args.bands),
         entropy_bins=args.entropy_bins,
         include_position_extras=args.extras,
         window_seconds=args.window_seconds,
@@ -180,7 +177,7 @@ def _add_svm_flags(parser) -> None:
     parser.add_argument(
         "--kernel",
         choices=svm.KERNEL_NAMES,
-        default="rbf",
+        default=svm.DEFAULT_KERNEL,
         help="kernel type (default: %(default)s)",
     )
     parser.add_argument(
@@ -244,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--bands",
-        help="three bands as lo1:hi1,lo2:hi2,lo3:hi3 (default: 1:50,100:400,400:700)",
+        default=",".join(f"{b.low_hz:g}:{b.high_hz:g}" for b in features_mod.DEFAULT_BANDS),
+        help="three bands as lo1:hi1,lo2:hi2,lo3:hi3 (default: %(default)s)",
     )
     p.add_argument(
         "--entropy-bins",
@@ -270,12 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="repeated stratified-split evaluation")
     p.add_argument("features", help="labeled feature CSV")
     p.add_argument(
-        "--trials", type=int, default=120, help="number of random splits (default: %(default)s)"
+        "--trials",
+        type=int,
+        default=svm.DEFAULT_TRIALS,
+        help="number of random splits (default: %(default)s)",
     )
     p.add_argument(
         "--test-fraction",
         type=float,
-        default=0.2,
+        default=svm.DEFAULT_TEST_FRACTION,
         help="held-out fraction per class (default: %(default)s)",
     )
     _add_svm_flags(p)

@@ -29,12 +29,8 @@ def _sym3_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
     entries in turn and converges quadratically.  Unlike the closed-form
     trigonometric solution, accuracy stays near machine epsilon even for
     repeated or near-repeated eigenvalues, which covariances of strongly
-    correlated channels produce routinely.  Exact-diagonal inputs
-    short-circuit to the sorted diagonal entries.
+    correlated channels produce routinely.
     """
-    off = max(abs(a[0, 1]), abs(a[0, 2]), abs(a[1, 2]))
-    if off == 0.0:
-        return tuple(sorted((float(a[0, 0]), float(a[1, 1]), float(a[2, 2])), reverse=True))
     m = np.array(a, dtype=np.float64)
     scale = float(np.abs(m).max())
     floor = 4.0 * np.finfo(np.float64).eps * scale

@@ -218,15 +218,9 @@ def _entropy(arr: np.ndarray, bins: int) -> float:
     hi = float(arr.max())
     if lo == hi:
         return 0.0
-    # np.histogram's equal-width bin rule, without its generic machinery:
-    # scale to an index, pull the top edge into the last bin, then correct
-    # by one where the scaled index disagrees with the edges.
+    # Bin k holds edges[k] <= x < edges[k + 1]; the last bin also holds hi.
     edges = np.linspace(lo, hi, bins + 1)
-    idx = ((arr - lo) / (hi - lo) * bins).astype(np.intp)
-    np.minimum(idx, bins - 1, out=idx)
-    idx -= arr < edges[idx]
-    idx += (arr >= edges[idx + 1]) & (idx != bins - 1)
-    counts = np.bincount(idx, minlength=bins)
+    counts = np.diff(np.searchsorted(np.sort(arr), edges[:-1]), append=arr.shape[0])
     probs = counts[counts > 0] / arr.shape[0]
     return float(-np.sum(probs * np.log2(probs)))
 

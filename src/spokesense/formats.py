@@ -5,9 +5,12 @@ followed by ``# key=value`` metadata lines, a header row, data rows, and
 optional trailing ``# key=value`` summary lines.  The one exception is the
 dataset CSV, whose first line is pinned to ``# sample_rate_hz=<float>``;
 its version rides in a ``# format=<name> v<version>`` metadata line and
-files without one are read as version 1.  JSON documents carry
-``format`` and ``version`` fields and are dumped with sorted keys.  A
-version is an integer >= 1.
+files without one are read as version 1.  JSON documents are written by
+one writer, ``_write_json``, which stamps their ``format`` and ``version``
+fields and dumps them with sorted keys; a profile document is its
+``TerrainProfile``'s fields.  A version is an integer >= 1, checked by one
+rule for the CSV banner, the dataset's format line and the JSON ``version``
+field.
 
 Every CSV table is written by one writer, ``_write_table``: head lines, a
 header row, one row template filled in for all rows, tail lines.  Every
@@ -32,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,12 +116,15 @@ def _parse_float(text: str, line: int, field: str) -> float:
     return value
 
 
-def _check_document(found: str, tag: str, expected_format: str, bad_tag: str, **position) -> None:
-    """Reject another format's document, a version tag other than ``v<n>``
-    with an integer n >= 1 (message ``bad_tag``) or a newer version; errors
-    carry ``position``."""
+def _check_format(found, expected_format: str, **position) -> None:
+    """Reject another format's document; errors carry ``position``."""
     if found != expected_format:
         raise FormatError(f"expected a {expected_format} document, got {found!r}", **position)
+
+
+def _check_version(tag: str, expected_format: str, bad_tag: str, **position) -> None:
+    """Reject a version tag other than ``v<n>`` with an integer n >= 1
+    (message ``bad_tag``) or a newer version; errors carry ``position``."""
     version = int(tag[1:]) if tag[1:].isdecimal() else 0
     if version < 1:
         raise FormatError(bad_tag, **position)
@@ -153,8 +159,8 @@ def _read_document(path: Path, expected_format: str, banner: bool = True):
                 f"expected '# {expected_format} v{CURRENT_VERSION}' banner, got {lines[0]!r}",
                 line=1,
             )
-        bad_tag = f"bad version in banner {lines[0]!r}"
-        _check_document(parts[1], parts[2], expected_format, bad_tag, line=1)
+        _check_format(parts[1], expected_format, line=1)
+        _check_version(parts[2], expected_format, f"bad version in banner {lines[0]!r}", line=1)
     meta: dict[str, str] = {}
     pos = int(banner)
     while pos < len(lines) and lines[pos].startswith("#"):
@@ -238,8 +244,9 @@ def check_format_metadata(meta: dict[str, str], expected_format: str) -> None:
             f"'{expected_format} v{CURRENT_VERSION}'",
             field="format",
         )
+    _check_format(parts[0], expected_format, field="format")
     bad_tag = f"bad version in format metadata {meta['format']!r}"
-    _check_document(parts[0], parts[1], expected_format, bad_tag, field="format")
+    _check_version(parts[1], expected_format, bad_tag, field="format")
 
 
 def _write_text(path, text: str) -> None:
@@ -255,6 +262,12 @@ def _write_table(path, head: list[str], header: list[str], *columns, tail=()) ->
     ``columns`` (see ``_render_rows``) and the ``tail`` lines."""
     lines = "".join(f"{line}\n" for line in (*head, ",".join(header)))
     _write_text(path, lines + _render_rows(*columns) + "".join(f"{line}\n" for line in tail))
+
+
+def _write_json(path, format_name: str, fields: dict) -> None:
+    """``fields`` stamped with ``format`` and the current version, as JSON."""
+    doc = {**fields, "format": format_name, "version": CURRENT_VERSION}
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------- dataset
@@ -366,8 +379,6 @@ def write_model(path, model: SvmModel) -> None:
             }
         )
     doc = {
-        "format": MODEL_FORMAT,
-        "version": CURRENT_VERSION,
         "feature_layout_id": model.feature_layout_id,
         "class_names": list(model.class_names),
         "standardizer": {
@@ -376,7 +387,7 @@ def write_model(path, model: SvmModel) -> None:
         },
         "pairwise": pairwise,
     }
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(path, MODEL_FORMAT, doc)
 
 
 def _load_json(path, expected_format: str) -> dict:
@@ -392,20 +403,10 @@ def _load_json(path, expected_format: str) -> dict:
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
-    if doc.get("format") != expected_format:
-        raise FormatError(
-            f"expected a {expected_format} document, got {doc.get('format')!r}",
-            field="format",
-        )
+    _check_format(doc.get("format"), expected_format, field="format")
     version = doc.get("version")
-    if type(version) is not int or version < 1:  # a bool is no version
-        raise FormatError("'version' must be an integer >= 1", field="version")
-    if version > CURRENT_VERSION:
-        raise UnsupportedVersionError(
-            f"{expected_format} version {version} is newer than supported "
-            f"version {CURRENT_VERSION}",
-            field="version",
-        )
+    tag = f"v{version}" if type(version) is int else ""  # a bool is no version
+    _check_version(tag, expected_format, "'version' must be an integer >= 1", field="version")
     return doc
 
 
@@ -515,25 +516,7 @@ def read_model(path) -> SvmModel:
 
 
 def write_profile(path, profile: TerrainProfile) -> None:
-    doc = {
-        "format": PROFILE_FORMAT,
-        "version": CURRENT_VERSION,
-        "name": profile.name,
-        "band_rms": [float(v) for v in profile.band_rms],
-        "tonal_components": [
-            {
-                "freq_hz": float(t.freq_hz),
-                "amplitude": float(t.amplitude),
-                "channel_gains": [float(g) for g in t.channel_gains],
-            }
-            for t in profile.tonal_components
-        ],
-        "impulse_rate_hz": float(profile.impulse_rate_hz),
-        "impulse_amplitude": float(profile.impulse_amplitude),
-        "noise_floor_rms": float(profile.noise_floor_rms),
-        "channel_band_gains": [[float(g) for g in row] for row in profile.channel_band_gains],
-    }
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(path, PROFILE_FORMAT, asdict(profile))
 
 
 def read_profile(path) -> TerrainProfile:

@@ -5,7 +5,9 @@ of a stream with seed ``s`` is ``mix64(s + (i + 1) * GOLDEN)`` where
 ``GOLDEN`` is the 64-bit golden-ratio increment.  Because each draw is a
 pure function of ``(seed, i)``, blocks of any size can be produced with
 vectorized arithmetic and the stream is identical regardless of how it is
-chunked.  All arithmetic is modulo 2**64.
+chunked.  All arithmetic is modulo 2**64: scalar and block draws run the
+one ``mix64``, on a Python int or on a uint64 array.  Seeds, bounds and
+sizes must be integers.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ _MIX2 = 0x94D049BB133111EB
 _U53_SCALE = 1.0 / (1 << 53)
 
 
-def mix64(value: int) -> int:
-    """splitmix64 finalizer on a single 64-bit integer."""
+def mix64(value):
+    """splitmix64 finalizer on an int, or elementwise on a uint64 array, whose
+    arithmetic wraps (never on a numpy uint64 scalar: its overflow warns)."""
     z = value & _MASK
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
@@ -70,21 +73,15 @@ class Prng:
         base = self._counter
         self._counter += n
         idx = np.arange(base + 1, base + n + 1, dtype=np.uint64)
-        # uint64 arithmetic wraps modulo 2**64, matching the scalar mix64.
-        z = (np.uint64(self._seed) + idx * np.uint64(_GOLDEN)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        return mix64(np.uint64(self._seed) + idx * np.uint64(_GOLDEN))
 
     def u64(self) -> int:
         self._counter += 1
         return mix64(self._seed + self._counter * _GOLDEN)
 
     def below(self, n: int) -> int:
-        """Integer in [0, n)."""
-        if n <= 0:
-            raise ValidationError("below() requires a positive bound")
-        return self.u64() % n
+        """Integer in [0, n) for an integer bound ``n`` >= 1."""
+        return self.u64() % _count(n, "bound", 1)
 
     def uniform_block(self, n: int) -> np.ndarray:
         """Next ``n`` uniforms in the half-open interval (0, 1]."""
@@ -112,13 +109,16 @@ class Prng:
         return out[:n]
 
     def shuffle(self, items: np.ndarray | Sequence) -> None:
-        """In-place Fisher-Yates shuffle."""
-        m = len(items)
+        """In-place Fisher-Yates shuffle of a sized, indexable ``items``."""
+        try:
+            m = len(items)
+        except TypeError:
+            raise ValidationError(f"cannot shuffle {items!r}: it has no length") from None
         for i in range(m - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> np.ndarray:
-        idx = np.arange(n)
+        idx = np.arange(_count(n, "permutation size", 0))
         self.shuffle(idx)
         return idx

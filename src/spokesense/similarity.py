@@ -111,9 +111,12 @@ def build_library(
 
     The pooled covariance is the population average of squared deviations
     from each row's own class mean; the ridge is epsilon_scale * trace / d
-    with epsilon_scale finite and > 0.  Only a zero-trace pooled covariance
-    falls back to a 1e-12 ridge, with a warning.  Class order follows the
-    mapping's iteration order.
+    with epsilon_scale finite and > 0.  The ridge is required: rms and std,
+    and energy and n * std**2, are one statistic per channel, so the pooled
+    covariance of the 18 columns is singular and Cholesky fails without it
+    (at leading minor 14 on criterion-2 data).  Only a zero-trace pooled
+    covariance falls back to a 1e-12 ridge, with a warning.  Class order
+    follows the mapping's iteration order.
     """
     if not features_by_class:
         raise EmptyInputError("no classes given")

@@ -39,7 +39,10 @@ from .errors import (
 from .rng import Prng, derive_seed
 
 KERNEL_NAMES = ("linear", "rbf")
+DEFAULT_KERNEL = "rbf"
 DEFAULT_C = 10.0
+DEFAULT_TRIALS = 120
+DEFAULT_TEST_FRACTION = 0.2
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 100000
 
@@ -399,7 +402,7 @@ def fit_svm_model(
     x,
     labels,
     *,
-    kernel_name: str = "rbf",
+    kernel_name: str = DEFAULT_KERNEL,
     c: float = DEFAULT_C,
     gamma: float | None = None,
     feature_layout_id: str = "",
@@ -495,10 +498,10 @@ def evaluate_trials(
     x,
     labels,
     *,
-    n_trials: int = 120,
-    test_fraction: float = 0.2,
+    n_trials: int = DEFAULT_TRIALS,
+    test_fraction: float = DEFAULT_TEST_FRACTION,
     seed: int = 0,
-    kernel_name: str = "rbf",
+    kernel_name: str = DEFAULT_KERNEL,
     c: float = DEFAULT_C,
     gamma: float | None = None,
 ) -> tuple[float, ConfusionMatrix]:

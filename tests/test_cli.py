@@ -4,6 +4,7 @@ Each test drives ``main`` with argv lists and asserts on exit codes, the
 files left behind, and agreement with the library called directly.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from spokesense import features as features_mod
 from spokesense import formats, signals, svm
-from spokesense.cli import main
+from spokesense.cli import build_parser, main
 from spokesense.errors import FormatError
 from spokesense.synth import builtin_profile
 
@@ -168,6 +169,22 @@ def test_argparse_errors_exit_2(tmp_path):
     for seed in ("abc", "0x10"):
         assert run("simulate", "--profile", "flat", "--seed", seed, "--out", tmp_path) == 2
     assert not any(tmp_path.iterdir())
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    svm_flags = {"kernel": "kernel_name", "c": "c"}
+    evaluate_flags = {**svm_flags, "trials": "n_trials", "test_fraction": "test_fraction"}
+    for command, function, flags in (
+        ("train", svm.fit_svm_model, svm_flags),
+        ("evaluate", svm.evaluate_trials, evaluate_flags),
+    ):
+        args = vars(parser.parse_args([command, "features.csv"]))
+        parameters = inspect.signature(function).parameters
+        for flag, name in flags.items():
+            assert args[flag] == parameters[name].default, (command, flag)
+    bands = parser.parse_args(["extract", "x.csv"]).bands
+    assert features_mod._parse_bands(bands) == features_mod.DEFAULT_BANDS
 
 
 # ---------------------------------------------------------------- extract

@@ -506,6 +506,23 @@ def test_one_moment_pass_per_channel(monkeypatch):
     assert len(calls) == 4
 
 
+def test_rms_std_and_energy_are_one_statistic(criterion_01_data):
+    # Each window is band-passed and mean-removed before the moment pass, so
+    # per channel rms equals std and energy equals n * std**2, to rounding.
+    matrix, names = criterion_01_data.matrix, criterion_01_data.names
+    record = criterion_01_data.records[0]
+    n = record.sample_rate_hz * FeatureConfig().window_seconds
+    assert n == 2160
+    for c in range(3):
+        prefix = f"ch{c + 1}_{features.BAND_NAMES[c]}_"
+        rms_, std, energy = (matrix[:, names.index(prefix + s)] for s in ("rms", "std", "energy"))
+        assert (np.abs(rms_ - std) <= 1e-15 * rms_).all()
+        assert (np.abs(energy - n * std**2) <= 1e-15 * energy).all()
+    # So the 18 standardized columns span 15 dimensions: one per duplicate lost.
+    standardized = (matrix - matrix.mean(axis=0)) / matrix.std(axis=0)
+    assert np.linalg.matrix_rank(standardized) == 15
+
+
 def test_band_above_nyquist_rejected():
     series = tone_series(rate=720.0)  # Nyquist 360 < default high band edge
     with pytest.raises(ValidationError):

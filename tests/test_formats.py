@@ -567,8 +567,20 @@ def test_json_versions_must_be_integers_from_1(tmp_path):
         doc = json.loads(path.read_text())
         for version in (True, 0, -5, 1.0, "1", None):
             path.write_text(json.dumps({**doc, "version": version}))
-            with pytest.raises(FormatError, match="'version' must be an integer >= 1"):
+            with pytest.raises(FormatError, match="'version' must be an integer >= 1") as info:
                 read(path)
+            assert info.value.field == "version" and info.value.line is None
+        for version in (2, 10**40):
+            path.write_text(json.dumps({**doc, "version": version}))
+            newer = f"version {version} is newer"
+            with pytest.raises(UnsupportedVersionError, match=newer) as info:
+                read(path)
+            assert info.value.field == "version"
+        for fmt in ("spokesense-features", None, 7):
+            path.write_text(json.dumps({**doc, "format": fmt, "version": True}))
+            with pytest.raises(FormatError, match=f"document, got {fmt!r}") as info:
+                read(path)
+            assert type(info.value) is FormatError and info.value.field == "format"
 
 
 def test_json_unreadable_numbers_and_nesting_rejected(tmp_path):
@@ -611,6 +623,114 @@ def test_profile_round_trip_all_builtins(tmp_path):
         write_profile(a, profile)
         loaded = roundtrip_bytes(write_profile, read_profile, a, b)
         assert loaded == profile  # frozen dataclasses compare field-wise
+
+
+# write_profile's exact bytes for two builtins: key order, indentation,
+# tonal lists, a pooled mixture's values and each number's rendering.
+PROFILE_BYTES = {
+    "large_stone": """\
+{
+  "band_rms": [
+    0.2,
+    0.25,
+    0.08
+  ],
+  "channel_band_gains": [
+    [
+      1.0,
+      0.35,
+      0.15
+    ],
+    [
+      0.35,
+      1.0,
+      0.35
+    ],
+    [
+      0.05,
+      0.35,
+      1.0
+    ]
+  ],
+  "format": "spokesense-profile",
+  "impulse_amplitude": 0.8,
+  "impulse_rate_hz": 6.0,
+  "name": "large_stone",
+  "noise_floor_rms": 0.005,
+  "tonal_components": [
+    {
+      "amplitude": 0.18,
+      "channel_gains": [
+        0.6,
+        1.0,
+        0.4
+      ],
+      "freq_hz": 90.0
+    },
+    {
+      "amplitude": 0.1,
+      "channel_gains": [
+        0.2,
+        0.4,
+        1.0
+      ],
+      "freq_hz": 500.0
+    }
+  ],
+  "version": 1
+}
+""",
+    "mixture": """\
+{
+  "band_rms": [
+    0.06999999999999999,
+    0.105,
+    0.060000000000000005
+  ],
+  "channel_band_gains": [
+    [
+      1.0,
+      0.35,
+      0.15
+    ],
+    [
+      0.35,
+      1.0,
+      0.35
+    ],
+    [
+      0.05,
+      0.35,
+      1.0
+    ]
+  ],
+  "format": "spokesense-profile",
+  "impulse_amplitude": 0.175,
+  "impulse_rate_hz": 4.0,
+  "name": "mixture",
+  "noise_floor_rms": 0.005,
+  "tonal_components": [
+    {
+      "amplitude": 0.075,
+      "channel_gains": [
+        0.3,
+        1.0,
+        0.3
+      ],
+      "freq_hz": 200.0
+    }
+  ],
+  "version": 1
+}
+""",
+}
+
+
+def test_profile_bytes_are_pinned(tmp_path):
+    for name, expected in PROFILE_BYTES.items():
+        path = tmp_path / f"{name}.json"
+        write_profile(path, builtin_profile(name))
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_profile_rejections(tmp_path):

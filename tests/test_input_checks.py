@@ -146,6 +146,12 @@ PROBES = {
     "u64_block_float": lambda: Prng(1).u64_block(4.0),
     "prng_float_seed": lambda: Prng(3.7),
     "prng_negative_seed": lambda: Prng(-1),
+    "below_float_bound": lambda: Prng(1).below(2.5),
+    "below_inf_bound": lambda: Prng(1).below(float("inf")),
+    "permutation_negative": lambda: Prng(1).permutation(-1),
+    "permutation_float": lambda: Prng(1).permutation(2.5),
+    "permutation_none": lambda: Prng(1).permutation(None),
+    "shuffle_int": lambda: Prng(1).shuffle(5),
     "derive_none_seed": lambda: derive_seed(None, "a"),
     "derive_negative_salt": lambda: derive_seed(0, -1),
 }
@@ -158,7 +164,7 @@ def test_malformed_argument_raises_validation_error(call):
 
 
 def test_probe_table_size():
-    assert len(PROBES) == 56
+    assert len(PROBES) == 62
 
 
 @pytest.mark.parametrize(

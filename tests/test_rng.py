@@ -149,6 +149,15 @@ def test_mix64_matches_reference_finalizer():
         assert Prng(v).u64() == mix64(z)
 
 
+def test_mix64_on_uint64_array_matches_scalar():
+    # Block draws run mix64 on uint64 arrays, whose arithmetic wraps.
+    rng = np.random.RandomState(4)
+    values = [0, 1, MASK, MASK - 1, 1 << 63, *(int(v) for v in rng.randint(0, 1 << 62, size=60))]
+    mixed = mix64(np.array(values, dtype=np.uint64))
+    assert mixed.dtype == np.uint64
+    assert [int(v) for v in mixed] == [mix64(v) for v in values]
+
+
 def test_derive_seed_separates_substreams():
     base = 1234
     a = derive_seed(base, "band", 0)

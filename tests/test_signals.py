@@ -38,7 +38,6 @@ from spokesense.signals import (
     _irfft,
     _rfft,
 )
-from spokesense.synth import KNOWN_TERRAIN_NAMES, builtin_profile, generate_dataset
 
 
 @functools.cache
@@ -394,15 +393,14 @@ def test_fft_working_memory_within_oracle():
         assert peaks["ifft_radix2"] <= peaks["stockham_fft"], (levels, peaks)
 
 
-def test_features_match_stockham_path(monkeypatch):
+def test_features_match_stockham_path(monkeypatch, criterion_01_data):
     # Criterion-1 data extracted as shipped and with the radix-2 loop in
     # place of the transform.  Entropy is a step function of its input: a
     # filtered value within rounding of a bin edge can change bins and move
     # a cell by about 1e-3 bits, so moved entropy cells are counted instead.
-    records = generate_dataset([builtin_profile(n) for n in KNOWN_TERRAIN_NAMES], 80, seed=42)
-    new, _, names = extract_feature_matrix(records, FeatureConfig())
+    new, names = criterion_01_data.matrix, criterion_01_data.names
     monkeypatch.setattr(signals, "fft_radix2", stockham_fft)
-    old, _, _ = extract_feature_matrix(records, FeatureConfig())
+    old, _, _ = extract_feature_matrix(criterion_01_data.records, FeatureConfig())
     entropy = np.array(["entropy" in name for name in names])
     scale = np.abs(old[:, ~entropy]).max(axis=0)
     assert (np.abs(new[:, ~entropy] - old[:, ~entropy]).max(axis=0) <= 1e-13 * scale).all()

@@ -23,7 +23,6 @@ from spokesense.errors import (
     LayoutMismatchError,
     ValidationError,
 )
-from spokesense.features import FeatureConfig, extract_feature_matrix
 from spokesense.svm import (
     BinarySvm,
     Kernel,
@@ -40,7 +39,6 @@ from spokesense.svm import (
     train_binary_svm,
 )
 from spokesense.rng import Prng, derive_seed
-from spokesense.synth import UNKNOWN_TERRAIN_NAME, builtin_profiles, generate_dataset
 
 
 def assert_kkt(svm: BinarySvm, x, y, tol: float = 1e-3) -> None:
@@ -484,11 +482,8 @@ def test_batch_of_one_matches_oracle():
             assert_same_machine(got, want)
 
 
-def test_batched_fit_matches_oracle_on_criterion_01_trials(monkeypatch):
-    known = [p for p in builtin_profiles() if p.name != UNKNOWN_TERRAIN_NAME]
-    matrix, labels, _ = extract_feature_matrix(
-        generate_dataset(known, 80, seed=42), FeatureConfig()
-    )
+def test_batched_fit_matches_oracle_on_criterion_01_trials(monkeypatch, criterion_01_data):
+    matrix, labels = criterion_01_data.matrix, criterion_01_data.labels
     fits = []
     real_fit = svm_mod.fit_svm_model
 
