@@ -1,21 +1,23 @@
 """Per-window vibration features.
 
 Each sensor channel is tied to one analysis band (channel 1 -> low,
-channel 2 -> mid, channel 3 -> high).  For every channel the windowed
-samples are band-passed with that channel's band, mean-removed, and six
-statistics are computed: rms, std, kurtosis, skewness, energy, entropy.
-The first five come from one moment pass per channel, the entropy from
-one histogram pass; the public functions of the same names wrap them.  On a
-zero-variance channel kurtosis and skewness read 0.0 and flag the vector
-degenerate (the public ones raise).  The resulting 18-dimensional vector
-can be extended with four extra descriptors aimed at periodicity and
-impulsiveness, whose window sizes are fixed: the autocorrelation scan
-starts at lag 1 and the envelope is a 32-sample moving rms.
+channel 2 -> mid, channel 3 -> high).  For every channel a record's windows
+are band-passed with that band 16 at a time, as one block: the transforms'
+matmuls run batched over its rows, working memory stays one block's whatever
+the record's length, and every value is bit-identical to its window's taken
+alone.  The windows are then mean-removed and six statistics are computed:
+rms, std, kurtosis, skewness, energy, entropy.  The first five come from one
+moment pass per block and channel, the entropy from one histogram pass per
+window; the public functions of the same names wrap them.  On a zero-variance
+channel kurtosis and skewness read 0.0 and flag the vector degenerate (the
+public ones raise).  The resulting 18-dimensional vector can be extended with
+four extra descriptors aimed at periodicity and impulsiveness, whose window
+sizes are fixed: the autocorrelation scan starts at lag 1 and the envelope is
+a 32-sample moving rms.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,10 +38,10 @@ from .signals import (
     BandSpec,
     TimeSeries,
     Window,
+    _bandpass_rows,
     _irfft,
     _padded_rfft,
     _window_spec,
-    bandpass,
     check_window,
     next_pow2,
     segment_windows,
@@ -148,59 +150,63 @@ class FeatureConfig:
 
 
 class _Moments(NamedTuple):
-    """The first five STAT_NAMES of one signal, in that order, and whether
-    it has zero variance (m2 == 0), where kurtosis and skewness read 0.0."""
+    """The first five STAT_NAMES of each row of a block, and whether it has zero variance."""
 
-    rms: float
-    std: float
-    kurtosis: float
-    skewness: float
-    energy: float
-    degenerate: bool
+    rms: np.ndarray
+    std: np.ndarray
+    kurtosis: np.ndarray
+    skewness: np.ndarray
+    energy: np.ndarray
+    degenerate: np.ndarray
 
 
-def _central_moments(arr: np.ndarray) -> _Moments:
-    """rms, population std, excess kurtosis m4 / m2**2 - 3, skewness
-    m3 / m2**1.5 and energy from one pass of plain multiplies."""
-    energy = float(np.sum(arr * arr))
-    centered = arr - arr.mean()
+def _central_moments(block: np.ndarray) -> _Moments:
+    """Per row of the (rows, n) block: rms, population std, excess kurtosis m4 / m2**2 - 3,
+    skewness m3 / m2**1.5 and energy, from one pass of plain multiplies."""
+    energy = np.add.reduce(block * block, axis=1)
+    centered = block - block.mean(axis=1, keepdims=True)
     squared = centered * centered
-    m2 = float(np.mean(squared))
-    if m2 == 0.0:
-        kurt = skew = 0.0
-    else:
-        kurt = float(np.mean(squared * squared)) / (m2 * m2) - 3.0
-        skew = float(np.mean(squared * centered)) / m2 ** 1.5
-    return _Moments(math.sqrt(energy / arr.shape[0]), math.sqrt(m2), kurt, skew, energy, m2 == 0.0)
+    m2 = squared.mean(axis=1)
+    flat = m2 == 0.0
+    safe = np.where(flat, 1.0, m2)
+    kurt = np.where(flat, 0.0, (squared * squared).mean(axis=1) / (safe * safe) - 3.0)
+    # Python's float power: numpy's vectorized ** 1.5 can differ in the last bit.
+    skew = np.where(flat, 0.0, (squared * centered).mean(axis=1) / [v**1.5 for v in safe.tolist()])
+    return _Moments(np.sqrt(energy / block.shape[1]), np.sqrt(m2), kurt, skew, energy, flat)
+
+
+def _signal_moments(x, min_len: int = 1) -> _Moments:
+    """The moments of one signal, as a one-row block."""
+    return _central_moments(_finite_array(x, "samples", (None,), min_len=min_len)[None])
 
 
 def rms(x) -> float:
-    return _central_moments(_finite_array(x, "samples", (None,))).rms
+    return float(_signal_moments(x).rms[0])
 
 
 def std_dev(x) -> float:
     """Population standard deviation (1/n normalization)."""
-    return _central_moments(_finite_array(x, "samples", (None,), min_len=2)).std
+    return float(_signal_moments(x, min_len=2).std[0])
 
 
 def kurtosis(x) -> float:
     """Excess kurtosis m4 / m2**2 - 3; zero for a Gaussian in expectation."""
-    moments = _central_moments(_finite_array(x, "samples", (None,), min_len=4))
-    if moments.degenerate:
+    moments = _signal_moments(x, min_len=4)
+    if moments.degenerate[0]:
         raise DegenerateInputError("kurtosis undefined for zero-variance input")
-    return moments.kurtosis
+    return float(moments.kurtosis[0])
 
 
 def skewness(x) -> float:
     """Third standardized moment m3 / m2**1.5."""
-    moments = _central_moments(_finite_array(x, "samples", (None,), min_len=3))
-    if moments.degenerate:
+    moments = _signal_moments(x, min_len=3)
+    if moments.degenerate[0]:
         raise DegenerateInputError("skewness undefined for zero-variance input")
-    return moments.skewness
+    return float(moments.skewness[0])
 
 
 def signal_energy(x) -> float:
-    return _central_moments(_finite_array(x, "samples", (None,))).energy
+    return float(_signal_moments(x).energy[0])
 
 
 def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
@@ -279,6 +285,49 @@ class FeatureVector:
     degenerate: bool = False
 
 
+# Windows band-passed as one block: the transforms of a block run as batched
+# matmuls, and a record's windows stay in memory 16 at a time, not all at once.
+_CHUNK_WINDOWS = 16
+
+
+def _record_features(
+    series: TimeSeries, windows: list[Window], config: FeatureConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows of equal-length windows of one record and their
+    degenerate flags, computed over blocks of ``_CHUNK_WINDOWS`` windows."""
+    length = _count(windows[0].length, "window length for kurtosis", 4)
+    rate = series.sample_rate_hz
+    values = np.empty((len(windows), config.n_features))
+    degenerate = np.zeros(len(windows), dtype=bool)
+    for first in range(0, len(windows), _CHUNK_WINDOWS):
+        part = slice(first, first + _CHUNK_WINDOWS)
+        rows, flags = values[part], degenerate[part]
+        index = np.array([w.start_index for w in windows[part]])[:, None] + np.arange(length)
+        filtered_by_channel = []
+        for c in range(3):
+            filtered = _bandpass_rows(series.channels[c, index], rate, config.bands[c])
+            filtered -= filtered.mean(axis=1, keepdims=True)
+            filtered_by_channel.append(filtered)
+            moments = _central_moments(filtered)
+            flags |= moments.degenerate
+            rows[:, 6 * c:6 * c + 5] = np.column_stack(moments[:5])
+            rows[:, 6 * c + 5] = [_entropy(row, config.entropy_bins) for row in filtered]
+        if config.include_position_extras:
+            for k, mid in enumerate(filtered_by_channel[1]):
+                try:
+                    rows[k, 18] = autocorrelation_peak(mid).value
+                except DegenerateInputError:
+                    rows[k, 18] = 1.0
+                    flags[k] = True
+                rows[k, 19] = amplitude_smoothness(mid)
+            rows[:, 20] = moments.std  # the high band is channel 3, the last one above
+            raw_spoke = series.channels[2, index]
+            spike = _central_moments(raw_spoke - raw_spoke.mean(axis=1, keepdims=True))
+            flags |= spike.degenerate
+            rows[:, 21] = spike.kurtosis
+    return values, degenerate
+
+
 def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) -> FeatureVector:
     """Feature vector for one window of a record.
 
@@ -289,39 +338,8 @@ def extract_features(series: TimeSeries, window: Window, config: FeatureConfig) 
     set the degenerate flag instead of raising.
     """
     check_window(series, window)
-    _count(window.length, "window length for kurtosis", 4)
-    values: list[float] = []
-    degenerate = False
-    filtered_by_channel: list[np.ndarray] = []
-    for c in range(3):
-        segment = series.channels[c, window.start_index:window.stop_index]
-        filtered = bandpass(segment, series.sample_rate_hz, config.bands[c])
-        filtered -= filtered.mean()
-        filtered_by_channel.append(filtered)
-        moments = _central_moments(filtered)
-        degenerate = degenerate or moments.degenerate
-        values.extend(moments[:5])
-        values.append(_entropy(filtered, config.entropy_bins))
-    if config.include_position_extras:
-        mid = filtered_by_channel[1]
-        try:
-            peak = autocorrelation_peak(mid)
-            autocorr_value = peak.value
-        except DegenerateInputError:
-            autocorr_value = 1.0
-            degenerate = True
-        raw_spoke = series.channels[2, window.start_index:window.stop_index]
-        spike = _central_moments(raw_spoke - raw_spoke.mean())
-        degenerate = degenerate or spike.degenerate
-        values.extend(
-            [
-                autocorr_value,
-                amplitude_smoothness(mid),
-                moments.std,  # the high band is channel 3, the last one above
-                spike.kurtosis,
-            ]
-        )
-    return FeatureVector(values=np.asarray(values, dtype=np.float64), degenerate=degenerate)
+    values, degenerate = _record_features(series, [window], config)
+    return FeatureVector(values=values[0], degenerate=bool(degenerate[0]))
 
 
 def extract_feature_matrix(
@@ -332,13 +350,12 @@ def extract_feature_matrix(
     Returns (matrix, row labels, column names); a row's label is the
     label of the record it came from.
     """
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     labels: list[str | None] = []
-    names = config.feature_names()
     for series in series_list:
-        for window in segment_windows(series, config.window_seconds, config.overlap):
-            rows.append(extract_features(series, window, config).values)
-            labels.append(series.label)
-    if not rows:
+        windows = segment_windows(series, config.window_seconds, config.overlap)
+        blocks.append(_record_features(series, windows, config)[0])
+        labels.extend([series.label] * len(windows))
+    if not blocks:
         raise EmptyInputError("no windows produced from the given records")
-    return np.vstack(rows), labels, names
+    return np.vstack(blocks), labels, config.feature_names()

@@ -12,8 +12,6 @@ sizes must be integers.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ValidationError, _count, _seed
@@ -108,13 +106,12 @@ class Prng:
         out[1::2] = radius * np.sin(angle)
         return out[:n]
 
-    def shuffle(self, items: np.ndarray | Sequence) -> None:
-        """In-place Fisher-Yates shuffle of a sized, indexable ``items``."""
-        try:
-            m = len(items)
-        except TypeError:
-            raise ValidationError(f"cannot shuffle {items!r}: it has no length") from None
-        for i in range(m - 1, 0, -1):
+    def shuffle(self, items: list | np.ndarray) -> None:
+        """In-place Fisher-Yates shuffle of a list or a one-dimensional array."""
+        if not (isinstance(items, list) or isinstance(items, np.ndarray) and items.ndim == 1):
+            kind = type(items).__name__
+            raise ValidationError(f"shuffle needs a list or a 1-D array, got a {kind}")
+        for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 

@@ -12,7 +12,9 @@ ones, transformed by one N/2-point FFT and split into bins 0..N/2
 (Sorensen et al., IEEE TASSP 1987); the inverse merges the bins back and
 makes one N/2-point inverse FFT.  Band-pass filtering is zero-phase: a
 frequency-domain mask over bins 0..N/2 keeps the output real, and the
-result is truncated back to the input length.
+result is truncated back to the input length.  These steps work on each row
+of a block: ``features`` band-passes 16 windows at a time, one batched
+matmul per leg instead of 16 calls, with the bits of each row unchanged.
 """
 
 from __future__ import annotations
@@ -169,23 +171,26 @@ def _transform_copy(x) -> np.ndarray:
     return arr
 
 
+def _fft_rows(z: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Transform of each row of the C-contiguous complex (..., n) block ``z``,
+    or with ``inverse`` its inverse via conjugation; overwrites ``z``."""
+    out = np.empty_like(z)
+    _fft(np.conj(z, out=z) if inverse else z, out)
+    if inverse:
+        np.conj(out, out=out)
+        out /= z.shape[-1]
+    return out
+
+
 def fft_radix2(x) -> np.ndarray:
     """Full complex spectrum of ``x`` (power-of-two length) by the four-step
     recursion of ``_fft`` on a copy of ``x`` and one output buffer."""
-    arr = _transform_copy(x)
-    out = np.empty_like(arr)
-    _fft(arr, out)
-    return out
+    return _fft_rows(_transform_copy(x))
 
 
 def ifft_radix2(x) -> np.ndarray:
     """Inverse of fft_radix2 via conjugation, in the same two buffers."""
-    arr = _transform_copy(x)
-    out = np.empty_like(arr)
-    _fft(np.conj(arr, out=arr), out)
-    np.conj(out, out=out)
-    out /= arr.shape[0]
-    return out
+    return _fft_rows(_transform_copy(x), inverse=True)
 
 
 def _split_twiddles(n: int) -> np.ndarray:
@@ -194,53 +199,53 @@ def _split_twiddles(n: int) -> np.ndarray:
 
 
 def _rfft(x: np.ndarray) -> np.ndarray:
-    """Bins 0..N/2 of the transform of a contiguous float64 array of
-    power-of-two length N >= 2, from one N/2-point complex transform plus a
-    split step."""
-    half = x.shape[0] // 2
-    # Samples 2m and 2m+1 as the real and imaginary parts of z[m], no copy.
-    z = fft_radix2(x.view(np.complex128))
-    nyquist = z[0].real - z[0].imag
+    """Bins 0..N/2 of the transform of each row of a C-contiguous float64
+    (..., N) block, N a power of two >= 2, from one N/2-point complex
+    transform plus a split step.  ``x`` is left as it was."""
+    half = x.shape[-1] // 2
+    # z[m] = x[2m] + i x[2m+1], copied: the transform overwrites its input.
+    z = _fft_rows(x.view(np.complex128).copy())
+    nyquist = z[..., 0].real - z[..., 0].imag
     # mirror[k] = conj(z[(half - k) % half])
     mirror = np.empty_like(z)
-    mirror[0] = z[0]
-    mirror[1:] = z[:0:-1]
+    mirror[..., 0] = z[..., 0]
+    mirror[..., 1:] = z[..., :0:-1]
     np.conj(mirror, out=mirror)
     # X[k] = (z[k] + mirror[k]) / 2 - (i/2) w^k (z[k] - mirror[k])
-    spec = np.empty(half + 1, dtype=np.complex128)
-    np.add(z, mirror, out=spec[:half])
-    spec[:half] *= 0.5
+    spec = np.empty((*z.shape[:-1], half + 1), dtype=np.complex128)
+    np.add(z, mirror, out=spec[..., :half])
+    spec[..., :half] *= 0.5
     z -= mirror
     z *= _split_twiddles(2 * half)
     z *= -0.5j
-    spec[:half] += z
-    spec[half] = nyquist
+    spec[..., :half] += z
+    spec[..., half] = nyquist
     return spec
 
 
 def _padded_rfft(arr: np.ndarray, padded_n: int) -> np.ndarray:
-    """Bins 0..padded_n/2 of ``arr`` zero-padded to ``padded_n``, a power of two."""
-    padded = np.zeros(padded_n, dtype=np.float64)
-    padded[: arr.shape[0]] = arr
+    """Bins 0..padded_n/2 of each row of ``arr`` zero-padded to ``padded_n``, a power of two."""
+    padded = np.zeros((*arr.shape[:-1], padded_n), dtype=np.float64)
+    padded[..., : arr.shape[-1]] = arr
     return _rfft(padded)
 
 
 def _irfft(spec: np.ndarray) -> np.ndarray:
-    """Real N-point inverse of bins 0..N/2 (N a power of two >= 2), from a
-    merge step plus one N/2-point complex inverse transform."""
+    """Real N-point inverse of bins 0..N/2 of each row (N a power of two
+    >= 2), from a merge step plus one N/2-point complex inverse transform."""
     spec = np.asarray(spec, dtype=np.complex128)
-    half = spec.shape[0] - 1
+    half = spec.shape[-1] - 1
     # tail[k] = conj(X[half - k]) for k < half
-    tail = np.conj(spec[half:0:-1])
+    tail = np.conj(spec[..., half:0:-1])
     # Z[k] = (X[k] + tail[k]) / 2 + (i/2) conj(w^k) (X[k] - tail[k])
-    diff = spec[:half] - tail
+    diff = spec[..., :half] - tail
     diff *= np.conj(_split_twiddles(2 * half))
     diff *= 0.5j
-    tail += spec[:half]
+    tail += spec[..., :half]
     tail *= 0.5
     tail += diff
     # z[m] = x[2m] + i x[2m+1]
-    return ifft_radix2(tail).view(np.float64)
+    return _fft_rows(tail, inverse=True).view(np.float64)
 
 
 def dft_magnitude(samples, sample_rate_hz: float) -> Spectrum:
@@ -256,6 +261,18 @@ def dft_magnitude(samples, sample_rate_hz: float) -> Spectrum:
     return Spectrum(bin_resolution_hz=rate / padded_n, magnitudes=magnitudes)
 
 
+def _bandpass_rows(block: np.ndarray, rate: float, band: BandSpec) -> np.ndarray:
+    """``bandpass`` of each row of the finite float64 (rows, n) block, as a
+    new C-contiguous block."""
+    band.check_nyquist(rate)
+    n = block.shape[-1]
+    padded_n = next_pow2(n)
+    spectrum = _padded_rfft(block, padded_n)
+    freqs = np.arange(padded_n // 2 + 1) * (rate / padded_n)
+    spectrum *= (freqs >= band.low_hz) & (freqs <= band.high_hz)
+    return _irfft(spectrum)[..., :n].copy()
+
+
 def bandpass(samples, sample_rate_hz: float, band: BandSpec) -> np.ndarray:
     """Zero-phase band-pass via a frequency-domain mask.
 
@@ -265,14 +282,7 @@ def bandpass(samples, sample_rate_hz: float, band: BandSpec) -> np.ndarray:
     a power of two N and the result truncated back to the input length.
     """
     arr = _finite_array(samples, "samples", (None,), min_len=2)
-    rate = _positive(sample_rate_hz, "sample rate")
-    band.check_nyquist(rate)
-    n = arr.shape[0]
-    padded_n = next_pow2(n)
-    spectrum = _padded_rfft(arr, padded_n)
-    freqs = np.arange(padded_n // 2 + 1) * (rate / padded_n)
-    spectrum *= (freqs >= band.low_hz) & (freqs <= band.high_hz)
-    return _irfft(spectrum)[:n].copy()
+    return _bandpass_rows(arr[None], _positive(sample_rate_hz, "sample rate"), band)[0]
 
 
 def remove_mean(samples) -> np.ndarray:

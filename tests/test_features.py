@@ -1,5 +1,8 @@
 """Statistical feature tests: hand values, Monte-Carlo oracles, invariances."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -488,13 +491,13 @@ def test_single_moment_pass_matches_parent_formulas():
                     assert new[col] == old[col], (profile.name, col)
 
 
-def test_one_moment_pass_per_channel(monkeypatch):
+def test_one_moment_pass_per_channel(monkeypatch, criterion_01_data):
     calls = []
     original = features._central_moments
 
-    def counting(arr):
-        calls.append(1)
-        return original(arr)
+    def counting(block):
+        calls.append(block.shape[0])
+        return original(block)
 
     monkeypatch.setattr(features, "_central_moments", counting)
     series = tone_series()
@@ -504,6 +507,91 @@ def test_one_moment_pass_per_channel(monkeypatch):
     # the extras add one pass, over the raw spoke channel for spike kurtosis
     extract_features(series, Window(0, 2160), FeatureConfig(include_position_extras=True))
     assert len(calls) == 4
+    calls.clear()
+    # an 80-window record takes one pass per channel for each block of 16 windows
+    extract_feature_matrix(criterion_01_data.records[:1], FeatureConfig())
+    assert calls == [16] * 15
+
+
+def scalar_moments(arr):
+    """One row's moments as they were computed one window at a time."""
+    energy = float(np.sum(arr * arr))
+    centered = arr - arr.mean()
+    squared = centered * centered
+    m2 = float(np.mean(squared))
+    kurt = float(np.mean(squared * squared)) / (m2 * m2) - 3.0
+    skew = float(np.mean(squared * centered)) / m2**1.5
+    return [math.sqrt(energy / arr.shape[0]), math.sqrt(m2), kurt, skew, energy]
+
+
+def test_moment_block_bit_identical_to_one_row_at_a_time():
+    # Row-wise reductions sum each row as a 1-D reduction does; m2**1.5 is
+    # taken as a Python float power, which numpy's vectorized power does
+    # not match in the last bit for some inputs.
+    rng = np.random.RandomState(33)
+    block = rng.randn(200, 2160) * 10.0 ** rng.uniform(-6, 6, (200, 1)) + rng.randn(200, 1)
+    moments = features._central_moments(block)
+    assert not moments.degenerate.any()
+    rows = np.column_stack(moments[:5])
+    expected = np.array([scalar_moments(row) for row in block])
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+
+
+def one_window_matrix(series, config):
+    windows = segment_windows(series, config.window_seconds, config.overlap)
+    return np.vstack([extract_features(series, w, config).values for w in windows])
+
+
+@pytest.mark.parametrize("extras", [False, True])
+def test_blocks_bit_identical_to_one_window_at_a_time(criterion_01_data, extras):
+    # Criterion-1 records hold 80 windows each: five full blocks of 16.
+    config = FeatureConfig(include_position_extras=extras)
+    records = criterion_01_data.records[:2]
+    blocks, _, _ = extract_feature_matrix(records, config)
+    one_by_one = np.vstack([one_window_matrix(record, config) for record in records])
+    assert np.array_equal(blocks.view(np.uint64), one_by_one.view(np.uint64))
+
+
+def test_partial_last_block_bit_identical_to_one_window_at_a_time():
+    # 41 windows: two blocks of 16 and a last one of 9.
+    rng = np.random.RandomState(30)
+    series = TimeSeries(sample_rate_hz=1440.0, channels=rng.randn(3, 2160 + 40 * 1080))
+    config = FeatureConfig(include_position_extras=True)
+    blocks, _, _ = extract_feature_matrix([series], config)
+    assert blocks.shape == (41, 22)
+    one_by_one = one_window_matrix(series, config)
+    assert np.array_equal(blocks.view(np.uint64), one_by_one.view(np.uint64))
+
+
+def test_zero_channel_flags_every_window_of_a_record():
+    # 21 windows, blocks of 16 and 5; a silent mid channel has zero variance
+    # in each, which the moment pass flags without a RuntimeWarning.
+    rng = np.random.RandomState(31)
+    channels = rng.randn(3, 2160 + 20 * 1080)
+    channels[1] = 0.0
+    series = TimeSeries(sample_rate_hz=1440.0, channels=channels)
+    windows = segment_windows(series, 1.5, 0.5)
+    values, degenerate = features._record_features(series, windows, FeatureConfig())
+    assert values.shape == (21, 18) and degenerate.all()
+    assert (values[:, [8, 9]] == 0.0).all()  # mid kurtosis and skewness
+
+
+def test_extraction_memory_does_not_grow_with_record_length():
+    # Windows are band-passed 16 at a time, so the working memory is one
+    # block's, whatever the record's length.
+    rng = np.random.RandomState(32)
+    config = FeatureConfig()
+    extract_feature_matrix([tone_series()], config)  # fill the transform's root tables
+    peaks = []
+    for seconds in (60, 120):
+        series = TimeSeries(sample_rate_hz=1440.0, channels=rng.randn(3, 1440 * seconds))
+        tracemalloc.start()
+        try:
+            extract_feature_matrix([series], config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1 << 20, peaks
 
 
 def test_rms_std_and_energy_are_one_statistic(criterion_01_data):
@@ -527,6 +615,8 @@ def test_band_above_nyquist_rejected():
     series = tone_series(rate=720.0)  # Nyquist 360 < default high band edge
     with pytest.raises(ValidationError):
         extract_features(series, Window(0, 1080), FeatureConfig())
+    with pytest.raises(ValidationError):
+        extract_feature_matrix([series], FeatureConfig())
 
 
 def test_layout_id_round_trip():

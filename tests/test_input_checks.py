@@ -152,6 +152,10 @@ PROBES = {
     "permutation_float": lambda: Prng(1).permutation(2.5),
     "permutation_none": lambda: Prng(1).permutation(None),
     "shuffle_int": lambda: Prng(1).shuffle(5),
+    "shuffle_set": lambda: Prng(1).shuffle({3, 1, 2}),
+    "shuffle_tuple": lambda: Prng(1).shuffle((1, 2, 3)),
+    "shuffle_str": lambda: Prng(1).shuffle("abc"),
+    "shuffle_sparse_dict": lambda: Prng(1).shuffle({0: 1, 1: 2, 5: 3}),
     "derive_none_seed": lambda: derive_seed(None, "a"),
     "derive_negative_salt": lambda: derive_seed(0, -1),
 }
@@ -164,7 +168,7 @@ def test_malformed_argument_raises_validation_error(call):
 
 
 def test_probe_table_size():
-    assert len(PROBES) == 62
+    assert len(PROBES) == 66
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,16 @@ def test_shuffle_is_permutation_and_deterministic():
     assert items != list(range(30))  # astronomically unlikely to be identity
 
 
+def test_rejected_shuffle_draws_nothing():
+    # Only a list or a 1-D array is shuffled in place; anything else is
+    # refused before the first draw, so the stream is where it was.
+    for items in ({3, 1, 2}, (1, 2, 3), "abc", {0: 1, 1: 2, 5: 3}, np.zeros((2, 3))):
+        rng = Prng(31)
+        with pytest.raises(ValidationError):
+            rng.shuffle(items)
+        assert rng.u64() == Prng(31).u64()
+
+
 def test_permutation_covers_all_indices():
     perm = Prng(29).permutation(50)
     assert sorted(perm.tolist()) == list(range(50))

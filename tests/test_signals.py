@@ -394,18 +394,40 @@ def test_fft_working_memory_within_oracle():
 
 
 def test_features_match_stockham_path(monkeypatch, criterion_01_data):
-    # Criterion-1 data extracted as shipped and with the radix-2 loop in
-    # place of the transform.  Entropy is a step function of its input: a
-    # filtered value within rounding of a bin edge can change bins and move
-    # a cell by about 1e-3 bits, so moved entropy cells are counted instead.
+    # Criterion-1 data extracted as shipped and with the radix-2 loop, row by
+    # row, in place of the block transform.  Entropy is a step function of
+    # its input: a filtered value within rounding of a bin edge can change
+    # bins and move a cell by about 1e-3 bits, so moved entropy cells are
+    # counted instead.
     new, names = criterion_01_data.matrix, criterion_01_data.names
-    monkeypatch.setattr(signals, "fft_radix2", stockham_fft)
+    blocks = []
+
+    def stockham_rows(z, inverse=False):
+        blocks.append(z.shape)
+        rows = np.conj(z) if inverse else z
+        out = np.array([stockham_fft(row) for row in rows.reshape(-1, z.shape[-1])])
+        return np.conj(out).reshape(z.shape) / z.shape[-1] if inverse else out.reshape(z.shape)
+
+    monkeypatch.setattr(signals, "_fft_rows", stockham_rows)
     old, _, _ = extract_feature_matrix(criterion_01_data.records, FeatureConfig())
+    # 5 records x 5 blocks of 16 windows x 3 channels, a forward and an
+    # inverse transform each: every transform of the extraction ran patched.
+    assert blocks == [(16, 2048)] * 150
     entropy = np.array(["entropy" in name for name in names])
     scale = np.abs(old[:, ~entropy]).max(axis=0)
     assert (np.abs(new[:, ~entropy] - old[:, ~entropy]).max(axis=0) <= 1e-13 * scale).all()
     moved = np.count_nonzero(new[:, entropy] != old[:, entropy])
     assert moved <= 0.01 * old[:, entropy].size, moved
+
+
+def test_bandpass_rows_match_one_row_bandpass():
+    rng = np.random.RandomState(27)
+    block = rng.randn(20, 2160) * 10.0 ** rng.uniform(-3, 3, (20, 1)) + rng.randn(20, 1)
+    for band in (BandSpec(1.0, 50.0), BandSpec(100.0, 400.0), BandSpec(0.0, 720.0)):
+        rows = signals._bandpass_rows(block, 1440.0, band)
+        one_by_one = np.array([bandpass(row, 1440.0, band) for row in block])
+        assert rows.shape == block.shape
+        assert np.array_equal(rows.view(np.uint64), one_by_one.view(np.uint64)), band
 
 
 def test_rfft_round_trip():
