@@ -41,14 +41,11 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _load_profile(args) -> synth.TerrainProfile:
-    if args.profile_file is not None:
-        return formats.read_profile(args.profile_file)
-    return synth.builtin_profile(args.profile)
-
-
 def _cmd_simulate(args):
-    profile = _load_profile(args)
+    if args.profile_file is not None:
+        profile = formats.read_profile(args.profile_file)
+    else:
+        profile = synth.builtin_profile(args.profile)
     if any(ch in profile.name for ch in "/\\") or profile.name.startswith("."):
         raise ValidationError(
             f"profile name {profile.name!r} cannot be used as an output file name"
@@ -70,8 +67,8 @@ def _cmd_extract(args):
         window_seconds=args.window_seconds,
         overlap=args.overlap,
     )
-    series_list = [formats.read_dataset(p) for p in args.inputs]
-    values, labels, names = features_mod.extract_feature_matrix(series_list, config)
+    series = (formats.read_dataset(p) for p in args.inputs)
+    values, labels, names = features_mod.extract_feature_matrix(series, config)
     labels = None if all(v is None for v in labels) else labels
     payload = (values, names, labels, config.layout_id())
     return "features.csv", formats.write_features, payload

@@ -89,10 +89,6 @@ class Covariance3:
             )
         self.entries = arr
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
 
 @dataclass(frozen=True)
 class EigenSignature:

@@ -41,14 +41,12 @@ class NotPositiveDefiniteError(SpokesenseError):
     which the Cholesky factorization failed.
     """
 
-    def __init__(self, minor_index: int, message: str | None = None):
+    def __init__(self, minor_index: int):
         self.minor_index = int(minor_index)
-        if message is None:
-            message = (
-                "matrix is not positive definite: leading principal minor "
-                f"{self.minor_index} is not positive"
-            )
-        super().__init__(message)
+        super().__init__(
+            "matrix is not positive definite: leading principal minor "
+            f"{self.minor_index} is not positive"
+        )
 
 
 class FormatError(SpokesenseError):

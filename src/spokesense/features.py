@@ -220,13 +220,14 @@ def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
 
 
 def _entropy(arr: np.ndarray, bins: int) -> float:
-    lo = float(arr.min())
-    hi = float(arr.max())
+    ordered = np.sort(arr)
+    lo = float(ordered[0])
+    hi = float(ordered[-1])
     if lo == hi:
         return 0.0
     # Bin k holds edges[k] <= x < edges[k + 1]; the last bin also holds hi.
     edges = np.linspace(lo, hi, bins + 1)
-    counts = np.diff(np.searchsorted(np.sort(arr), edges[:-1]), append=arr.shape[0])
+    counts = np.diff(np.searchsorted(ordered, edges[:-1]), append=arr.shape[0])
     probs = counts[counts > 0] / arr.shape[0]
     return float(-np.sum(probs * np.log2(probs)))
 
@@ -296,6 +297,8 @@ def _record_features(
     """Feature rows of equal-length windows of one record and their
     degenerate flags, computed over blocks of ``_CHUNK_WINDOWS`` windows."""
     length = _count(windows[0].length, "window length for kurtosis", 4)
+    if config.include_position_extras:
+        _count(length, "window length for the extras", 8)
     rate = series.sample_rate_hz
     values = np.empty((len(windows), config.n_features))
     degenerate = np.zeros(len(windows), dtype=bool)

@@ -58,10 +58,6 @@ class Prng:
         self._counter = 0
 
     @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
     def counter(self) -> int:
         return self._counter
 

@@ -46,10 +46,6 @@ class TimeSeries:
     def n_samples(self) -> int:
         return self.channels.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class Window:

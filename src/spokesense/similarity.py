@@ -124,8 +124,8 @@ def build_library(
     names = tuple(str(k) for k in features_by_class.keys())
     matrices = []
     width = None
-    for name in names:
-        mat = _finite_array(features_by_class[name], f"class {name!r} features", (None, width))
+    for name, raw in zip(names, features_by_class.values()):
+        mat = _finite_array(raw, f"class {name!r} features", (None, width))
         if mat.shape[0] < 2:
             raise ValidationError(f"class {name!r} has {mat.shape[0]} windows; need at least 2")
         width = mat.shape[1]

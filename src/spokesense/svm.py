@@ -378,8 +378,8 @@ class SvmModel:
     feature_layout_id: str = ""
 
 
-def _rows_by_class(arr: np.ndarray, labels, purpose: str) -> dict[str, np.ndarray]:
-    """Row indices of each class, keyed by label in sorted order; needs one
+def _class_index(arr: np.ndarray, labels, purpose: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted class names and each row's index into them; needs one
     label per row and at least 2 classes."""
     try:
         label_list = [str(v) for v in labels]
@@ -392,10 +392,9 @@ def _rows_by_class(arr: np.ndarray, labels, purpose: str) -> dict[str, np.ndarra
     class_names = sorted(set(label_list))
     if len(class_names) < 2:
         raise ValidationError(f"need at least 2 classes to {purpose}")
-    return {
-        name: np.asarray([i for i, v in enumerate(label_list) if v == name])
-        for name in class_names
-    }
+    index_of = {name: i for i, name in enumerate(class_names)}
+    class_of = np.array([index_of[v] for v in label_list], dtype=np.intp)
+    return tuple(class_names), class_of
 
 
 def fit_svm_model(
@@ -415,8 +414,8 @@ def fit_svm_model(
     standardized training matrix; the linear kernel takes no gamma.
     """
     arr = _finite_array(x, "features", (None, None))
-    rows_by_class = _rows_by_class(arr, labels, "train a classifier")
-    class_names = tuple(rows_by_class)
+    class_names, class_of = _class_index(arr, labels, "train a classifier")
+    rows_by_class = {name: np.flatnonzero(class_of == i) for i, name in enumerate(class_names)}
     standardizer = fit_standardizer(arr)
     xs = apply_standardizer(standardizer, arr)
     if kernel_name == "rbf" and gamma is None:
@@ -513,27 +512,25 @@ def evaluate_trials(
     pooled over all trials.
     """
     arr = _finite_array(x, "features", (None, None))
-    rows_by_class = _rows_by_class(arr, labels, "evaluate")
+    class_names, class_of = _class_index(arr, labels, "evaluate")
     n_trials = _count(n_trials, "n_trials", 1)
     test_fraction = _positive(test_fraction, "test_fraction")
     if test_fraction >= 1.0:
         raise ValidationError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     seed = _seed(seed)
-    class_names = tuple(rows_by_class)
     names = np.asarray(class_names, dtype=object)
-    class_of = np.empty(arr.shape[0], dtype=np.intp)  # row -> index into class_names
-    for i, (name, rows) in enumerate(rows_by_class.items()):
+    class_rows = [np.flatnonzero(class_of == i) for i in range(len(class_names))]
+    for name, rows in zip(class_names, class_rows):
         if rows.size < 2:
             raise ValidationError(f"class {name!r} has {rows.size} rows; need at least 2")
-        class_of[rows] = i
     counts = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
     accuracies = np.empty(n_trials)
     for trial in range(n_trials):
         split_rng = Prng(derive_seed(seed ^ trial, "split"))
         test_parts = []
         train_parts = []
-        for name in class_names:
-            idx = rows_by_class[name].copy()
+        for rows in class_rows:
+            idx = rows.copy()
             split_rng.shuffle(idx)
             n_class = idx.size
             n_test = min(max(int(round(test_fraction * n_class)), 1), n_class - 1)

@@ -230,6 +230,16 @@ def test_extract_failure_leaves_no_output(tmp_path, capsys):
     assert not (out / "features.csv").exists()
 
 
+def test_extract_extras_short_window_names_the_window(tmp_path, capsys):
+    dataset = simulate(tmp_path, "flat", 5, duration=1.0)
+    out = tmp_path / "x"
+    capsys.readouterr()
+    assert run("extract", dataset, "--extras", "--window-seconds", 0.004, "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: window length for the extras must be >= 8, got 6"]
+    assert not out.exists()
+
+
 def test_extract_rejects_mixed_labeling(tmp_path, capsys):
     labeled = simulate(tmp_path, "flat", 5)
     series = formats.read_dataset(labeled)

@@ -98,6 +98,22 @@ def test_repeated_eigenvalue_cases():
     assert abs(lam[2] - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 1.0]],
+        # rotating (0, 1) leaves a (0, 2) entry near 1e-305, whose tan(2*angle) underflows
+        [[1.0, 1.0, 1e-305], [1.0, 2.0, 0.0], [1e-305, 0.0, 3.0]],
+    ],
+    ids=["zero_entry_skipped", "underflowing_rotation_zeroed"],
+)
+def test_sparse_and_extreme_matrices_match_eigvalsh(m):
+    m = np.array(m)
+    lam = np.array(eigenvalues_sym3(m).as_tuple())
+    oracle = np.linalg.eigvalsh(m)[::-1]
+    assert np.all(np.abs(lam - oracle) <= 1e-8 * np.maximum(1.0, np.abs(oracle)))
+
+
 def test_asymmetric_rejected():
     bad = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValidationError):

@@ -433,6 +433,16 @@ def test_three_sample_window_rejected():
         extract_features(series, Window(0, 3), config)
 
 
+def test_short_window_with_extras_rejected_by_its_length():
+    # the autocorrelation extra needs 8 samples; the error names the window,
+    # not the internal autocorrelation input
+    series = TimeSeries(sample_rate_hz=1440.0, channels=np.random.RandomState(14).randn(3, 6))
+    assert extract_features(series, Window(0, 6), FeatureConfig()).values.shape == (18,)
+    config = FeatureConfig(include_position_extras=True)
+    with pytest.raises(ValidationError, match="window length for the extras must be >= 8, got 6"):
+        extract_features(series, Window(0, 6), config)
+
+
 def _parent_formula_features(series, window, config):
     """Oracle: the feature vector from one formula per statistic, as the
     statistics were once computed: np.std, and means of centered**3 and

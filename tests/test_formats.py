@@ -160,19 +160,35 @@ def test_dataset_too_small_rate_rejected_on_write(tmp_path):
 
 def test_dataset_malformed_documents(tmp_path):
     cases = {
-        "no_rate.csv": "# format=spokesense-dataset v1\nt,ch1,ch2,ch3\n0,1,2,3\n",
-        "bad_header.csv": "# sample_rate_hz=720\nt,a,b,c\n0,1,2,3\n",
-        "short_row.csv": "# sample_rate_hz=720\nt,ch1,ch2,ch3\n0,1,2\n",
-        "no_rows.csv": "# sample_rate_hz=720\nt,ch1,ch2,ch3\n",
-        "bad_meta.csv": "# sample_rate_hz=720\n# loose comment\nt,ch1,ch2,ch3\n0,1,2,3\n",
-        "empty.csv": "",
-        "wrong_name.csv": "# sample_rate_hz=720\n# format=spokesense-model v1\n"
-        "t,ch1,ch2,ch3\n0,1,2,3\n",
+        "no_rate.csv": (
+            "# format=spokesense-dataset v1\nt,ch1,ch2,ch3\n0,1,2,3\n",
+            "missing '# sample_rate_hz='",
+        ),
+        "bad_header.csv": ("# sample_rate_hz=720\nt,a,b,c\n0,1,2,3\n", "expected header"),
+        "short_row.csv": ("# sample_rate_hz=720\nt,ch1,ch2,ch3\n0,1,2\n", "expected 4 fields"),
+        "no_rows.csv": ("# sample_rate_hz=720\nt,ch1,ch2,ch3\n", "no samples"),
+        "bad_meta.csv": (
+            "# sample_rate_hz=720\n# loose comment\nt,ch1,ch2,ch3\n0,1,2,3\n",
+            "bad metadata comment",
+        ),
+        "empty.csv": ("", "missing header row"),
+        "wrong_name.csv": (
+            "# sample_rate_hz=720\n# format=spokesense-model v1\nt,ch1,ch2,ch3\n0,1,2,3\n",
+            "expected a spokesense-dataset document",
+        ),
+        "no_version.csv": (
+            "# sample_rate_hz=720\n# format=spokesense-dataset\nt,ch1,ch2,ch3\n0,1,2,3\n",
+            "bad format metadata",
+        ),
+        "zero_rate.csv": (
+            "# sample_rate_hz=0\nt,ch1,ch2,ch3\n0,1,2,3\n",
+            "invalid dataset: sample rate must be finite and > 0",
+        ),
     }
-    for name, text in cases.items():
+    for name, (text, message) in cases.items():
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=message):
             read_dataset(path)
 
 
@@ -295,6 +311,10 @@ def test_features_banner_rejections(tmp_path):
     missing.write_text("a,b\n1,2\n")
     with pytest.raises(FormatError):
         read_features(missing)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(FormatError, match="file is empty"):
+        read_features(empty)
 
 
 def test_features_cell_errors(tmp_path):
@@ -318,6 +338,11 @@ def test_features_cell_errors(tmp_path):
     unlabeled.write_text("# spokesense-features v1\na,label\n1,\n")
     with pytest.raises(FormatError):
         read_features(unlabeled)
+    labels_only = tmp_path / "labels_only.csv"
+    labels_only.write_text("# spokesense-features v1\nlabel\nx\n")
+    with pytest.raises(FormatError, match="no feature columns") as info:
+        read_features(labels_only)
+    assert info.value.line == 2
 
 
 def test_features_write_validation(tmp_path):
@@ -334,6 +359,8 @@ def test_features_write_validation(tmp_path):
         write_features(path, [[1.0]], ("a", "b"))
     with pytest.raises(ValidationError):
         write_features(path, np.empty((0, 2)), ("a", "b"))
+    with pytest.raises(ValidationError, match="1 labels for 2 rows"):
+        write_features(path, [[1.0], [2.0]], ("a",), labels=["x"])
 
 
 def test_features_reader_rejects_feature_column_named_label(tmp_path):

@@ -93,6 +93,7 @@ PROBES = {
     "band_none_edge": lambda: BandSpec(1.0, None),
     "next_pow2_float": lambda: next_pow2(3.5),
     "fft_ragged": lambda: fft_radix2(RAGGED),
+    "fft_two_dimensional": lambda: fft_radix2(np.ones((2, 4))),
     "ifft_text_cells": lambda: ifft_radix2(["x", "y"]),
     "dft_text_cell": lambda: dft_magnitude([1.0, "x"], 720.0),
     "dft_none_rate": lambda: dft_magnitude([1.0, 2.0], None),
@@ -123,6 +124,7 @@ PROBES = {
     "kkt_short_labels": lambda: kkt_report(machine(), X2, Y2[:1]),
     "kkt_short_training_set": lambda: kkt_report(machine(), X2[:2], Y2[:2]),
     "kkt_other_training_set": lambda: kkt_report(machine(), X2 + 10.0, Y2),
+    "kkt_flipped_labels": lambda: kkt_report(machine(), X2, -Y2),
     "decision_ragged": lambda: decision_function(machine(), RAGGED),
     "predict_text_cells": lambda: predict_batch(model(), [["x", "y"]]),
     "evaluate_float_trials": lambda: evaluate_trials(X2, LABELS, n_trials=2.5),
@@ -168,7 +170,7 @@ def test_malformed_argument_raises_validation_error(call):
 
 
 def test_probe_table_size():
-    assert len(PROBES) == 66
+    assert len(PROBES) == 68
 
 
 @pytest.mark.parametrize(

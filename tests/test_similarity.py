@@ -262,6 +262,13 @@ def test_library_deterministic():
     assert first.epsilon == second.epsilon
 
 
+def test_library_names_classes_by_str_of_key():
+    # each class was once looked up by its str(key), so an int key raised KeyError
+    rng = np.random.RandomState(61)
+    library = build_library({1: rng.randn(4, 3), 2: rng.randn(4, 3) + 1.0})
+    assert library.class_names == ("1", "2")
+
+
 def test_library_validation_errors():
     with pytest.raises(EmptyInputError):
         build_library({})

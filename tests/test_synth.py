@@ -5,6 +5,8 @@ frequencies), spectrum measurements through the independent magnitude
 pipeline, and direct statistical recomputation on the emitted samples.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,17 @@ def test_generate_deterministic_and_labeled():
     assert first.channels.shape == (3, 2880)
     other_seed = generate(GenSpec(builtin_profile("fine_sand"), 2.0, RATE, seed=124))
     assert not np.array_equal(first.channels, other_seed.channels)
+
+
+def test_zero_band_rms_leaves_its_band_silent():
+    # each band draws from its own seed, so silencing one leaves the others as they were
+    base = identity_noise_profile()
+    quiet = dataclasses.replace(base, band_rms=(0.0, 0.08, 0.03))
+    full = generate(GenSpec(base, 2.0, RATE, seed=5)).channels
+    part = generate(GenSpec(quiet, 2.0, RATE, seed=5)).channels
+    assert np.isfinite(part).all()
+    assert not part[0].any()
+    assert np.array_equal(part[1:], full[1:])
 
 
 def test_generate_validation():
