@@ -1,16 +1,23 @@
 """On-disk schemas and their validation.
 
 Text formats only.  CSV documents open with ``# <format-name> v<version>``
-followed by ``# key=value`` metadata lines, a header row, data rows, and
-optional trailing ``# key=value`` summary lines.  The one exception is the
-dataset CSV, whose first line is pinned to ``# sample_rate_hz=<float>``;
-its version rides in a ``# format=<name> v<version>`` metadata line and
-files without one are read as version 1.  JSON documents are written by
-one writer, ``_write_json``, which stamps their ``format`` and ``version``
-fields and dumps them with sorted keys; a profile document is its
-``TerrainProfile``'s fields.  A version is an integer >= 1, checked by one
-rule for the CSV banner, the dataset's format line and the JSON ``version``
-field.
+followed by ``# key=value`` metadata lines, each key at most once, a header
+row, data rows, and optional trailing ``# key=value`` summary lines.  The
+one exception is the dataset CSV, whose first line is pinned to
+``# sample_rate_hz=<float>``; its version rides in a
+``# format=<name> v<version>`` metadata line and files without one are read
+as version 1.  JSON documents are written by one writer, ``_write_json``,
+which stamps their ``format`` and ``version`` fields and dumps them with
+sorted keys; a profile document is its ``TerrainProfile``'s fields.
+
+Each format has its own current version in ``CURRENT_VERSIONS``: writers
+write it and readers reject newer ones.  A version is an integer >= 1 in
+ASCII digits, checked by one rule for the CSV banner, the dataset's format
+line and the JSON ``version`` field.  The dataset is at v2: the header
+``ch1,ch2,ch3`` and one row of three cells per sample, sample k sitting at
+time k / rate.  Its v1 files are still read: their header is
+``t,ch1,ch2,ch3``, and the ``t`` cells are checked like the others and
+dropped.  Every other format is at v1.
 
 Every CSV table is written by one writer, ``_write_table``: head lines, a
 header row, one row template filled in for all rows, tail lines.  Every
@@ -54,7 +61,11 @@ DISTANCES_FORMAT = "spokesense-distances"
 EIGEN_FORMAT = "spokesense-eigen"
 SPECTRUM_FORMAT = "spokesense-spectrum"
 PREDICTIONS_FORMAT = "spokesense-predictions"
-CURRENT_VERSION = 1
+# The version each writer writes and the newest each reader accepts.
+CURRENT_VERSIONS = {
+    DATASET_FORMAT: 2, FEATURES_FORMAT: 1, MODEL_FORMAT: 1, PROFILE_FORMAT: 1, CONFUSION_FORMAT: 1,
+    DISTANCES_FORMAT: 1, EIGEN_FORMAT: 1, SPECTRUM_FORMAT: 1, PREDICTIONS_FORMAT: 1,
+}
 
 
 _FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
@@ -122,28 +133,29 @@ def _check_format(found, expected_format: str, **position) -> None:
         raise FormatError(f"expected a {expected_format} document, got {found!r}", **position)
 
 
-def _check_version(tag: str, expected_format: str, bad_tag: str, **position) -> None:
-    """Reject a version tag other than ``v<n>`` with an integer n >= 1
-    (message ``bad_tag``) or a newer version; errors carry ``position``."""
-    version = int(tag[1:]) if tag[1:].isdecimal() else 0
+def _check_version(tag: str, expected_format: str, bad_tag: str, **position) -> int:
+    """The version n of a tag ``v<n>``: an integer >= 1 in ASCII digits (else
+    ``bad_tag``), no newer than the current one; errors carry ``position``."""
+    version = int(tag[1:]) if tag[1:].isascii() and tag[1:].isdecimal() else 0
     if version < 1:
         raise FormatError(bad_tag, **position)
-    if version > CURRENT_VERSION:
+    if version > CURRENT_VERSIONS[expected_format]:
         raise UnsupportedVersionError(
             f"{expected_format} version {version} is newer than supported "
-            f"version {CURRENT_VERSION}",
+            f"version {CURRENT_VERSIONS[expected_format]}",
             **position,
         )
+    return version
 
 
-def _read_document(path: Path, expected_format: str, banner: bool = True):
-    """Metadata, header cells, header line number and body lines of a CSV file.
+def _read_document(path: Path, expected_format: str):
+    """Version, metadata, header cells, header line number and body lines of a CSV file.
 
     Dataset files carry their version in a ``# format=<name> v<version>``
     metadata line instead of a first-line banner, because their first line
-    is pinned to ``# sample_rate_hz=<float>``; their reader passes
-    ``banner=False``.
+    is pinned to ``# sample_rate_hz=<float>``.
     """
+    banner = expected_format != DATASET_FORMAT
     try:
         lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
@@ -156,24 +168,26 @@ def _read_document(path: Path, expected_format: str, banner: bool = True):
         parts = lines[0].split()
         if len(parts) != 3 or parts[0] != "#" or not parts[2].startswith("v"):
             raise FormatError(
-                f"expected '# {expected_format} v{CURRENT_VERSION}' banner, got {lines[0]!r}",
-                line=1,
+                f"expected {_banner(expected_format)!r} banner, got {lines[0]!r}", line=1
             )
         _check_format(parts[1], expected_format, line=1)
-        _check_version(parts[2], expected_format, f"bad version in banner {lines[0]!r}", line=1)
+        bad_tag = f"bad version in banner {lines[0]!r}"
+        version = _check_version(parts[2], expected_format, bad_tag, line=1)
     meta: dict[str, str] = {}
     pos = int(banner)
     while pos < len(lines) and lines[pos].startswith("#"):
         key, sep, value = lines[pos][1:].strip().partition("=")
         if not sep:
             raise FormatError(f"bad metadata comment {lines[pos]!r}", line=pos + 1)
+        if key.strip() in meta:
+            raise FormatError(f"repeated metadata line {lines[pos]!r}", line=pos + 1)
         meta[key.strip()] = value
         pos += 1
     if not banner:
-        check_format_metadata(meta, expected_format)
+        version = check_format_metadata(meta, expected_format)
     if pos == len(lines):
         raise FormatError("missing header row", line=pos + 1)
-    return meta, lines[pos].split(","), pos + 1, lines[pos + 1 :]
+    return version, meta, lines[pos].split(","), pos + 1, lines[pos + 1 :]
 
 
 def _parse_body(lines: list[str], first_line: int, columns: list[str], width: int, empty: str):
@@ -227,26 +241,25 @@ def _parse_body(lines: list[str], first_line: int, columns: list[str], width: in
 
 
 def _banner(format_name: str) -> str:
-    return f"# {format_name} v{CURRENT_VERSION}"
+    return f"# {format_name} v{CURRENT_VERSIONS[format_name]}"
 
 
-def check_format_metadata(meta: dict[str, str], expected_format: str) -> None:
-    """Validate an optional ``format=<name> v<version>`` metadata entry.
-
-    A file without the entry is treated as version 1.
+def check_format_metadata(meta: dict[str, str], expected_format: str) -> int:
+    """The version in an optional ``format=<name> v<version>`` metadata
+    entry; a file without the entry is version 1.
     """
     if "format" not in meta:
-        return
+        return 1
     parts = meta["format"].split()
     if len(parts) != 2 or not parts[1].startswith("v"):
         raise FormatError(
             f"bad format metadata {meta['format']!r}; expected "
-            f"'{expected_format} v{CURRENT_VERSION}'",
+            f"'{expected_format} v{CURRENT_VERSIONS[expected_format]}'",
             field="format",
         )
     _check_format(parts[0], expected_format, field="format")
     bad_tag = f"bad version in format metadata {meta['format']!r}"
-    _check_version(parts[1], expected_format, bad_tag, field="format")
+    return _check_version(parts[1], expected_format, bad_tag, field="format")
 
 
 def _write_text(path, text: str) -> None:
@@ -266,7 +279,7 @@ def _write_table(path, head: list[str], header: list[str], *columns, tail=()) ->
 
 def _write_json(path, format_name: str, fields: dict) -> None:
     """``fields`` stamped with ``format`` and the current version, as JSON."""
-    doc = {**fields, "format": format_name, "version": CURRENT_VERSION}
+    doc = {**fields, "format": format_name, "version": CURRENT_VERSIONS[format_name]}
     _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -277,28 +290,24 @@ def write_dataset(path, series: TimeSeries) -> None:
     # The first line is pinned to the sample rate; the version rides in a
     # format metadata line instead of the usual banner.
     head = [f"# sample_rate_hz={format_float(series.sample_rate_hz)}",
-            f"# format={DATASET_FORMAT} v{CURRENT_VERSION}"]
+            f"# format={DATASET_FORMAT} v{CURRENT_VERSIONS[DATASET_FORMAT]}"]
     if series.label is not None:
         head.append(f"# label={_check_text_cell(series.label, 'label')}")
-    if not np.isfinite((series.n_samples - 1) / series.sample_rate_hz):
-        raise ValidationError(
-            f"sample rate {series.sample_rate_hz!r} Hz is too small: time stamps overflow"
-        )
-    times = np.arange(series.n_samples) / series.sample_rate_hz
-    _write_table(path, head, ["t", "ch1", "ch2", "ch3"], times, series.channels.T)
+    _write_table(path, head, ["ch1", "ch2", "ch3"], series.channels.T)
 
 
 def read_dataset(path) -> TimeSeries:
-    meta, header, header_line, body = _read_document(Path(path), DATASET_FORMAT, banner=False)
+    version, meta, header, header_line, body = _read_document(Path(path), DATASET_FORMAT)
     if "sample_rate_hz" not in meta:
         raise FormatError("missing '# sample_rate_hz=' metadata", line=header_line)
     rate = _parse_float(meta["sample_rate_hz"], 1, "sample_rate_hz")
-    if header != ["t", "ch1", "ch2", "ch3"]:
+    columns = ["t", "ch1", "ch2", "ch3"] if version == 1 else ["ch1", "ch2", "ch3"]
+    if header != columns:
         raise FormatError(
-            f"expected header 't,ch1,ch2,ch3', got {','.join(header)!r}", line=header_line
+            f"expected header {','.join(columns)!r}, got {','.join(header)!r}", line=header_line
         )
-    block, _ = _parse_body(body, header_line + 1, header, 4, "dataset has no samples")
-    samples = np.ascontiguousarray(block[:, 1:].T)
+    block, _ = _parse_body(body, header_line + 1, header, len(header), "dataset has no samples")
+    samples = np.ascontiguousarray(block[:, -3:].T)
     try:
         return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
     except ValidationError as exc:
@@ -337,7 +346,7 @@ def write_features(path, values, names, labels=None, layout_id: str | None = Non
 
 
 def read_features(path) -> FeatureTable:
-    meta, header, header_line, body = _read_document(Path(path), FEATURES_FORMAT)
+    _, meta, header, header_line, body = _read_document(Path(path), FEATURES_FORMAT)
     if "" in header:
         raise FormatError("empty column name in header", line=header_line)
     names = header[:-1] if header[-1] == "label" else header

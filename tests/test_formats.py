@@ -75,9 +75,10 @@ def test_dataset_leading_lines(tmp_path):
     write_dataset(path, series)
     lines = path.read_text().splitlines()
     assert lines[0] == f"# sample_rate_hz={format_float(1440.0)}"
-    assert lines[1] == "# format=spokesense-dataset v1"
+    assert lines[1] == "# format=spokesense-dataset v2"
     assert lines[2] == "# label=gravel"
-    assert lines[3] == "t,ch1,ch2,ch3"
+    assert lines[3] == "ch1,ch2,ch3"
+    assert len(lines[4].split(",")) == 3
 
 
 def test_dataset_without_format_line_reads_as_v1(tmp_path):
@@ -93,18 +94,20 @@ def test_dataset_without_format_line_reads_as_v1(tmp_path):
 
 def test_dataset_future_version_rejected(tmp_path):
     path = tmp_path / "future.csv"
-    path.write_text(
-        "# sample_rate_hz=720\n# format=spokesense-dataset v99\n"
-        "t,ch1,ch2,ch3\n0,1,2,3\n0.001,1,2,3\n"
-    )
-    with pytest.raises(UnsupportedVersionError):
-        read_dataset(path)
+    for tag in ("v3", "v99"):
+        path.write_text(
+            f"# sample_rate_hz=720\n# format=spokesense-dataset {tag}\n"
+            "ch1,ch2,ch3\n1,2,3\n1,2,3\n"
+        )
+        with pytest.raises(UnsupportedVersionError, match="newer than supported version 2"):
+            read_dataset(path)
 
 
 def test_csv_versions_below_1_rejected(tmp_path):
-    # the version is an integer >= 1, in a banner and in a format metadata line
+    # the version is an integer >= 1 in ASCII digits, in a banner and in a
+    # format metadata line; an Arabic-Indic and a fullwidth one once read as 1
     path = tmp_path / "bad.csv"
-    for tag in ("v0", "v-3"):
+    for tag in ("v0", "v-3", "v\u0661", "v\uff11"):
         path.write_text(f"# spokesense-features v{tag[1:]}\na,b\n1,2\n")
         with pytest.raises(FormatError, match="bad version in banner") as info:
             read_features(path)
@@ -119,14 +122,15 @@ def test_csv_versions_below_1_rejected(tmp_path):
 
 def test_dataset_nan_cell_names_row_and_column(tmp_path):
     path = tmp_path / "nan.csv"
-    path.write_text(
-        "# sample_rate_hz=720\n# format=spokesense-dataset v1\n"
-        "t,ch1,ch2,ch3\n0,1,2,3\n0.001,1,nan,3\n"
-    )
-    with pytest.raises(FormatError) as info:
-        read_dataset(path)
-    assert info.value.line == 5
-    assert info.value.field == "ch2"
+    for table in (
+        "v1\nt,ch1,ch2,ch3\n0,1,2,3\n0.001,1,nan,3\n",
+        "v2\nch1,ch2,ch3\n1,2,3\n1,nan,3\n",
+    ):
+        path.write_text(f"# sample_rate_hz=720\n# format=spokesense-dataset {table}")
+        with pytest.raises(FormatError) as info:
+            read_dataset(path)
+        assert info.value.line == 5
+        assert info.value.field == "ch2"
 
 
 def test_dataset_bad_time_cell_names_row_and_column(tmp_path):
@@ -150,12 +154,14 @@ def test_dataset_rows_of_compensating_widths_rejected(tmp_path):
     assert info.value.line == 3
 
 
-def test_dataset_too_small_rate_rejected_on_write(tmp_path):
-    series = TimeSeries(sample_rate_hz=5e-324, channels=np.ones((3, 2)))
-    path = tmp_path / "tiny.csv"
-    with pytest.raises(ValidationError, match="time stamps overflow"):
-        write_dataset(path, series)
-    assert not path.exists()
+def test_dataset_tiny_rate_round_trips(tmp_path):
+    # v1 wrote a time column, whose k / 5e-324 overflowed; v2 has none
+    series = TimeSeries(sample_rate_hz=5e-324, channels=np.arange(6.0).reshape(3, 2))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_dataset(a, series)
+    loaded = roundtrip_bytes(write_dataset, read_dataset, a, b)
+    assert loaded.sample_rate_hz == 5e-324
+    assert np.array_equal(loaded.channels, series.channels)
 
 
 def test_dataset_malformed_documents(tmp_path):
@@ -184,12 +190,38 @@ def test_dataset_malformed_documents(tmp_path):
             "# sample_rate_hz=0\nt,ch1,ch2,ch3\n0,1,2,3\n",
             "invalid dataset: sample rate must be finite and > 0",
         ),
+        "repeated_rate.csv": (
+            "# sample_rate_hz=720\n# sample_rate_hz=1440\nt,ch1,ch2,ch3\n0,1,2,3\n",
+            "repeated metadata line '# sample_rate_hz=1440'",
+        ),
+        "repeated_label.csv": (
+            "# sample_rate_hz=720\n# format=spokesense-dataset v2\n# label=a\n# label=a\n"
+            "ch1,ch2,ch3\n1,2,3\n",
+            "repeated metadata line '# label=a'",
+        ),
     }
     for name, (text, message) in cases.items():
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(FormatError, match=message):
             read_dataset(path)
+
+
+def test_dataset_header_must_match_version(tmp_path):
+    # v1 leads with t, v2 does not; the error names the header line
+    path = tmp_path / "header.csv"
+    cases = [
+        ("# sample_rate_hz=720\n# format=spokesense-dataset v2\n", "t,ch1,ch2,ch3", "1,2,3"),
+        ("# sample_rate_hz=720\n# format=spokesense-dataset v1\n", "ch1,ch2,ch3", "0,1,2,3"),
+        ("# sample_rate_hz=720\n", "ch1,ch2,ch3", "0,1,2,3"),
+    ]
+    for head, header, row in cases:
+        path.write_text(f"{head}{header}\n{row}\n")
+        expected = "ch1,ch2,ch3" if "v2" in head else "t,ch1,ch2,ch3"
+        message = f"expected header '{expected}', got '{header}'"
+        with pytest.raises(FormatError, match=message) as info:
+            read_dataset(path)
+        assert info.value.line == head.count("\n") + 1
 
 
 def test_dataset_read_missing_file(tmp_path):
@@ -307,6 +339,11 @@ def test_features_banner_rejections(tmp_path):
     wrong.write_text("# spokesense-dataset v1\na,b\n1,2\n")
     with pytest.raises(FormatError):
         read_features(wrong)
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("# spokesense-features v1\n# layout=L1\n# layout=L2\na,b\n1,2\n")
+    with pytest.raises(FormatError, match="repeated metadata line '# layout=L2'") as info:
+        read_features(repeated)
+    assert info.value.line == 3
     missing = tmp_path / "missing.csv"
     missing.write_text("a,b\n1,2\n")
     with pytest.raises(FormatError):
@@ -879,9 +916,9 @@ GOLDEN = {
             channels=np.array([[0.1, -0.0], [THIRD, 2.5e-300], [-7.0, 1e22]]),
             label="gravel",
         )),
-        "# sample_rate_hz=3\n# format=spokesense-dataset v1\n# label=gravel\nt,ch1,ch2,ch3\n"
-        "0,0.10000000000000001,0.33333333333333331,-7\n"
-        "0.33333333333333331,-0,2.5e-300,1e+22\n",
+        "# sample_rate_hz=3\n# format=spokesense-dataset v2\n# label=gravel\nch1,ch2,ch3\n"
+        "0.10000000000000001,0.33333333333333331,-7\n"
+        "-0,2.5e-300,1e+22\n",
     ),
     "features": (
         lambda path: write_features(
@@ -954,6 +991,25 @@ def test_csv_writers_golden_bytes(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     write(path)
     assert path.read_bytes() == text.encode("utf-8")
+
+
+# The dataset golden bytes of the v1 writer, with its t = k / rate column.
+DATASET_V1 = (
+    "# sample_rate_hz=3\n# format=spokesense-dataset v1\n# label=gravel\nt,ch1,ch2,ch3\n"
+    "0,0.10000000000000001,0.33333333333333331,-7\n"
+    "0.33333333333333331,-0,2.5e-300,1e+22\n"
+)
+
+
+@pytest.mark.parametrize("format_line", [True, False], ids=["format_line", "no_format_line"])
+def test_dataset_v1_reads_same_bits_as_v2(tmp_path, format_line):
+    v1, v2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
+    text = DATASET_V1 if format_line else DATASET_V1.replace("# format=spokesense-dataset v1\n", "")
+    v1.write_text(text)
+    GOLDEN["dataset"][0](v2)
+    old, new = read_dataset(v1), read_dataset(v2)
+    assert old.channels.tobytes() == new.channels.tobytes()
+    assert (old.sample_rate_hz, old.label) == (new.sample_rate_hz, new.label) == (3.0, "gravel")
 
 
 def test_format_float_exact_for_doubles():

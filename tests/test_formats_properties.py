@@ -1,10 +1,12 @@
 """Property tests of the CSV readers and writers.
 
-Oracles: the row-by-row readers that the block parser replaced (kept below,
-unchanged, as ``OldLines`` and ``old_read_*``), which must agree with the
-current readers on every single-fault mutation of a valid dataset or feature
-document; and exact write -> read -> write round trips of arbitrary finite
-doubles, subnormals, -0.0 and +/-max included.
+Oracles: the row-by-row readers that the block parser replaced (kept below
+as ``OldLines`` and ``old_read_*``, which have since learnt per-format
+versions, dataset v2 and the rule that a metadata key appears once), which
+must agree with the current readers on every single-fault mutation of a
+valid dataset (v1 or v2) or feature document; and exact write -> read ->
+write round trips of arbitrary finite doubles, subnormals, -0.0 and +/-max
+included.
 """
 
 from pathlib import Path
@@ -21,7 +23,7 @@ from spokesense.errors import (
     ValidationError,
 )
 from spokesense.formats import (
-    CURRENT_VERSION,
+    CURRENT_VERSIONS,
     DATASET_FORMAT,
     FEATURES_FORMAT,
     FeatureTable,
@@ -76,26 +78,27 @@ def old_check_document(found, tag, expected_format, bad_tag, **position):
         version = int(tag[1:])
     except ValueError as exc:
         raise FormatError(bad_tag, **position) from exc
-    if version > CURRENT_VERSION:
+    if version > CURRENT_VERSIONS[expected_format]:
         raise UnsupportedVersionError(
             f"{expected_format} version {version} is newer than supported "
-            f"version {CURRENT_VERSION}",
+            f"version {CURRENT_VERSIONS[expected_format]}",
             **position,
         )
+    return version
 
 
 def old_check_format_metadata(meta, expected_format):
     if "format" not in meta:
-        return
+        return 1
     parts = meta["format"].split()
     if len(parts) != 2 or not parts[1].startswith("v"):
         raise FormatError(
             f"bad format metadata {meta['format']!r}; expected "
-            f"'{expected_format} v{CURRENT_VERSION}'",
+            f"'{expected_format} v{CURRENT_VERSIONS[expected_format]}'",
             field="format",
         )
     bad_tag = f"bad version in format metadata {meta['format']!r}"
-    old_check_document(parts[0], parts[1], expected_format, bad_tag, field="format")
+    return old_check_document(parts[0], parts[1], expected_format, bad_tag, field="format")
 
 
 class OldLines:
@@ -118,7 +121,8 @@ class OldLines:
         parts = banner.split()
         if len(parts) != 3 or parts[0] != "#" or not parts[2].startswith("v"):
             raise FormatError(
-                f"expected '# {expected_format} v{CURRENT_VERSION}' banner, got {banner!r}",
+                f"expected '# {expected_format} v{CURRENT_VERSIONS[expected_format]}' banner, "
+                f"got {banner!r}",
                 line=1,
             )
         bad_tag = f"bad version in banner {banner!r}"
@@ -134,6 +138,8 @@ class OldLines:
             key, sep, value = line[1:].strip().partition("=")
             if not sep:
                 raise FormatError(f"bad metadata comment {line!r}", line=self.pos + 1)
+            if key.strip() in meta:
+                raise FormatError(f"repeated metadata line {line!r}", line=self.pos + 1)
             meta[key.strip()] = value
             self.pos += 1
         return meta
@@ -166,20 +172,21 @@ class OldLines:
 def old_read_dataset(path):
     scanner = OldLines(Path(path), DATASET_FORMAT, require_banner=False)
     meta = scanner.metadata()
-    old_check_format_metadata(meta, DATASET_FORMAT)
+    version = old_check_format_metadata(meta, DATASET_FORMAT)
     if "sample_rate_hz" not in meta:
         raise FormatError("missing '# sample_rate_hz=' metadata", line=scanner.pos + 1)
     rate = old_parse_float(meta["sample_rate_hz"], 1, "sample_rate_hz")
     header, header_line = scanner.header()
-    if header != ["t", "ch1", "ch2", "ch3"]:
+    expected = {1: ["t", "ch1", "ch2", "ch3"], 2: ["ch1", "ch2", "ch3"]}[version]
+    if header != expected:
         raise FormatError(
-            f"expected header 't,ch1,ch2,ch3', got {','.join(header)!r}", line=header_line
+            f"expected header {','.join(expected)!r}, got {','.join(header)!r}", line=header_line
         )
     rows, _ = scanner.rows()
     if not rows:
         raise FormatError("dataset has no samples", line=scanner.pos + 1)
-    block = old_parse_block(rows, header, 4)
-    samples = np.ascontiguousarray(block[:, 1:].T)
+    block = old_parse_block(rows, header, len(expected))
+    samples = np.ascontiguousarray(block[:, len(expected) - 3 :].T)
     try:
         return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
     except ValidationError as exc:
@@ -314,10 +321,28 @@ def assert_readers_agree(workdir, write, read, old_read, document, data):
     assert outcome(read, path) == outcome(old_read, path), text
 
 
+def write_dataset_v1(path, series, format_line=True):
+    """``series`` in dataset v1, which leads each row with its time t = k / rate."""
+    head = [f"# sample_rate_hz={format_float(series.sample_rate_hz)}"]
+    head += [f"# format={DATASET_FORMAT} v1"] if format_line else []
+    head += [] if series.label is None else [f"# label={series.label}"]
+    times = np.arange(series.n_samples) / series.sample_rate_hz
+    rows = [",".join(map(format_float, row)) for row in zip(times, *series.channels)]
+    path.write_text("\n".join([*head, "t,ch1,ch2,ch3", *rows]) + "\n")
+
+
+DATASET_WRITERS = {
+    "v2": write_dataset,
+    "v1": write_dataset_v1,
+    "v1_no_format_line": lambda path, series: write_dataset_v1(path, series, format_line=False),
+}
+
+
 @PROPERTY
-@given(document=datasets(), data=st.data())
-def test_dataset_reader_matches_row_by_row_reader(workdir, document, data):
-    assert_readers_agree(workdir, write_dataset, read_dataset, old_read_dataset, document, data)
+@given(document=datasets(), version=st.sampled_from(list(DATASET_WRITERS)), data=st.data())
+def test_dataset_reader_matches_row_by_row_reader(workdir, document, version, data):
+    write = DATASET_WRITERS[version]
+    assert_readers_agree(workdir, write, read_dataset, old_read_dataset, document, data)
 
 
 def write_table(path, table):
@@ -334,8 +359,12 @@ def test_readers_agree_on_valid_documents(workdir):
     rng = np.random.RandomState(75)
     series = TimeSeries(1440.0, rng.randn(3, 50) * 10.0 ** rng.uniform(-300, 300, (3, 50)), "x")
     path = workdir / "valid.csv"
-    write_dataset(path, series)
-    assert outcome(read_dataset, path) == outcome(old_read_dataset, path)
+    outcomes = []
+    for write in DATASET_WRITERS.values():
+        write(path, series)
+        outcomes.append(outcome(read_dataset, path))
+        assert outcomes[-1] == outcome(old_read_dataset, path)
+    assert outcomes[0][0] == "dataset" and outcomes.count(outcomes[0]) == len(outcomes)
     table = FeatureTable(rng.randn(9, 3), ("a", "b", "c"), [f"r{i}" for i in range(9)], "l")
     write_table(path, table)
     assert outcome(read_features, path) == outcome(old_read_features, path)
@@ -377,7 +406,7 @@ def test_dataset_round_trip_any_finite_doubles(workdir, values, rate, label):
     series = TimeSeries(sample_rate_hz=rate, channels=channels, label=label)
     first, second = workdir / "first.csv", workdir / "second.csv"
     first.unlink(missing_ok=True)
-    if not np.isfinite((channels.shape[1] - 1) / rate) or not (label is None or storable(label)):
+    if not (label is None or storable(label)):
         with pytest.raises(ValidationError):
             write_dataset(first, series)
         assert not first.exists()
