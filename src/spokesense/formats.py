@@ -135,17 +135,19 @@ def _check_format(found, expected_format: str, **position) -> None:
 
 def _check_version(tag: str, expected_format: str, bad_tag: str, **position) -> int:
     """The version n of a tag ``v<n>``: an integer >= 1 in ASCII digits (else
-    ``bad_tag``), no newer than the current one; errors carry ``position``."""
-    version = int(tag[1:]) if tag[1:].isascii() and tag[1:].isdecimal() else 0
-    if version < 1:
+    ``bad_tag``), no newer than the current one; errors carry ``position``.
+    Leading zeros are dropped and a tag longer than the current version is
+    newer, so no digit string of any length reaches ``int()``."""
+    digits = tag[1:].lstrip("0") if tag[1:].isascii() and tag[1:].isdecimal() else ""
+    if not digits:
         raise FormatError(bad_tag, **position)
-    if version > CURRENT_VERSIONS[expected_format]:
+    current = CURRENT_VERSIONS[expected_format]
+    if len(digits) > len(str(current)) or int(digits) > current:
         raise UnsupportedVersionError(
-            f"{expected_format} version {version} is newer than supported "
-            f"version {CURRENT_VERSIONS[expected_format]}",
+            f"{expected_format} version {digits} is newer than supported version {current}",
             **position,
         )
-    return version
+    return int(digits)
 
 
 def _read_document(path: Path, expected_format: str):

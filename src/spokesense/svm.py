@@ -16,7 +16,12 @@ are padded to the largest pair with rows that can never be selected; a
 machine leaves the active set when its gap closes or its iterations run
 out, and the block shrinks only then.  Each machine takes exactly the steps
 it would take alone, so the result does not depend on the batch.  A single
-binary machine is a batch of one.
+binary machine is a batch of one.  Selection and the gradient update are
+array operations; each machine's clipped step is a few scalars, computed in
+Python floats (the same IEEE arithmetic without a numpy call per operation).
+Kernel rows come from per-pair Gram blocks gathered once per fit, machines x
+width^2 doubles: 2(k-1)/k of the Gram matrix for k equal classes, 1.3 MB on
+a criterion-1 trial.
 """
 
 from __future__ import annotations
@@ -191,7 +196,7 @@ def _train_machines(
     Dual gradient G = Q alpha - 1 with Q_ij = y_i y_j K_ij; v = -y G.  Rows
     that may move up are I_up = {alpha < C, y = +1} | {alpha > 0, y = -1},
     rows that may move down are I_low, the mirror set.  Each step pairs
-    i = argmax of v over I_up with the j in I_low minimizing -b^2 / a, where
+    i = argmax of v over I_up with the j in I_low maximizing b^2 / a, where
     b = v_i - v_j > 0 and a = K_ii + K_jj - 2 K_ij (1e-12 when a <= 0), and
     takes the clipped two-variable step; a variable clipped to a bound is
     set to exactly 0 or C.  A machine stops when max v over I_up minus min v
@@ -203,38 +208,38 @@ def _train_machines(
     y = -1), I_low is s above its lower bound (0 or -C), and padding has
     bounds -inf and +inf.  It accumulates G rather than v so that v, and
     with it the bias, matches a machine trained alone down to the sign of
-    a zero.  Each iteration steps every running machine at
-    once, row by row of the block arrays, which are compacted only when a
-    machine stops; kernel rows are gathered from ``full_k`` as needed, so
-    no per-pair kernel block is copied.
+    a zero.  Each iteration selects i and j and updates G for every running
+    machine at once, row by row of the block arrays, which are compacted
+    only when a machine stops; the clipped step between them runs machine by
+    machine in Python floats.  Kernel rows come from the pairs' Gram blocks,
+    ``full_k[rows[q]][:, rows[q]]`` for machine q, gathered once and read by
+    batch index, so a stopping machine copies no block.
     """
     c = _positive(c, "c")
     machines: list[BinarySvm | None] = [None] * y.shape[0]
     active = np.arange(y.shape[0])  # batch index of each block row
     at = np.arange(y.shape[0])
+    block_k = full_k[rows[:, :, None], rows[:, None, :]]
     k_diag = full_k[rows, rows]
+    neg_y = -y
     upper = np.select([y > 0.0, y < 0.0], [c, 0.0], -np.inf)
     lower = np.select([y > 0.0, y < 0.0], [0.0, -c], np.inf)
     signed = np.zeros(y.shape)
     grad = -np.ones(y.shape)
     for iteration in range(max_iter + 1):
-        v = -y * grad
-        up = signed < upper
-        low = signed > lower
-        v_up = np.where(up, v, -np.inf)
-        v_low = np.where(low, v, np.inf)
-        i = np.argmax(v_up, axis=1)
+        v = neg_y * grad
+        v_up = np.where(signed < upper, v, -np.inf)
+        v_low = np.where(signed > lower, v, np.inf)
+        i = v_up.argmax(axis=1)
         v_max = v_up[at, i]
         v_min = v_low.min(axis=1)
         converged = v_max - v_min <= 2.0 * tol
-        stop = converged | (iteration == max_iter)
-        if stop.any():
+        if converged.any() or iteration == max_iter:
+            stop = converged | (iteration == max_iter)
             for q in np.flatnonzero(stop):
                 bias = (v_max[q] + v_min[q]) / 2.0
                 if not converged[q]:
-                    remaining = np.count_nonzero(
-                        (up[q] & (v[q] > bias + tol)) | (low[q] & (v[q] < bias - tol))
-                    )
+                    remaining = np.count_nonzero((v_up[q] > bias + tol) | (v_low[q] < bias - tol))
                     pair = "" if pair_names is None else " for {!r} vs {!r}".format(
                         *pair_names[active[q]]
                     )
@@ -257,29 +262,29 @@ def _train_machines(
             keep = ~stop
             if not keep.any():
                 break
-            active, rows, k_diag, y, upper, lower, signed, grad = (
-                a[keep] for a in (active, rows, k_diag, y, upper, lower, signed, grad)
+            active, rows, k_diag, y, neg_y, upper, lower, signed, grad = (
+                a[keep] for a in (active, rows, k_diag, y, neg_y, upper, lower, signed, grad)
             )
             v_low, i, v_max = v_low[keep], i[keep], v_max[keep]
             at = at[: active.size]
-        k_i = full_k[rows[at, i][:, None], rows]
+        k_i = block_k[active, i]
         gap = v_max[:, None] - v_low
         curvature = k_diag[at, i][:, None] + k_diag - 2.0 * k_i
         curvature[curvature <= 0.0] = 1e-12
-        j = np.argmin(np.where(gap > 0.0, -gap * gap / curvature, np.inf), axis=1)
+        j = np.where(gap > 0.0, gap * gap / curvature, -np.inf).argmax(axis=1)
         # Move s_i up by t and s_j down by t, which keeps sum(s) fixed; t
         # stops where either variable meets its box.
-        old_i, old_j = signed[at, i], signed[at, j]
-        room_i = upper[at, i] - old_i
-        room_j = old_j - lower[at, j]
-        t = np.minimum(np.minimum(gap[at, j] / curvature[at, j], room_i), room_j)
-        new_i = np.where(t == room_i, upper[at, i], old_i + t)
-        new_j = np.where(t == room_j, lower[at, j], old_j - t)
-        signed[at, i] = new_i
-        signed[at, j] = new_j
-        step_i = (new_i - old_i)[:, None]
-        step_j = (new_j - old_j)[:, None]
-        grad += y * (step_i * k_i + step_j * full_k[rows[at, j][:, None], rows])
+        steps = []
+        for q, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            old_i, old_j = signed.item(q, a), signed.item(q, b)
+            room_i = upper.item(q, a) - old_i
+            room_j = old_j - lower.item(q, b)
+            t = min(gap.item(q, b) / curvature.item(q, b), room_i, room_j)
+            signed[q, a] = new_i = upper.item(q, a) if t == room_i else old_i + t
+            signed[q, b] = new_j = lower.item(q, b) if t == room_j else old_j - t
+            steps.append((new_i - old_i, new_j - old_j))
+        step = np.array(steps)
+        grad += y * (step[:, :1] * k_i + step[:, 1:] * block_k[active, j])
     return machines
 
 

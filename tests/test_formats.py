@@ -94,7 +94,7 @@ def test_dataset_without_format_line_reads_as_v1(tmp_path):
 
 def test_dataset_future_version_rejected(tmp_path):
     path = tmp_path / "future.csv"
-    for tag in ("v3", "v99"):
+    for tag in ("v3", "v99", "v" + "9" * 5000):
         path.write_text(
             f"# sample_rate_hz=720\n# format=spokesense-dataset {tag}\n"
             "ch1,ch2,ch3\n1,2,3\n1,2,3\n"
@@ -103,11 +103,25 @@ def test_dataset_future_version_rejected(tmp_path):
             read_dataset(path)
 
 
+def test_csv_version_leading_zeros_name_the_version(tmp_path):
+    # decided without int() on the digits, which raises a bare ValueError
+    # past 4,300 of them
+    path = tmp_path / "zeros.csv"
+    path.write_text(f"# spokesense-features v{'0' * 5000}1\na,b\n1,2\n")
+    assert read_features(path).values.tolist() == [[1.0, 2.0]]
+    for version, header in (("1", "t,ch1,ch2,ch3\n0,"), ("2", "ch1,ch2,ch3\n")):
+        path.write_text(
+            f"# sample_rate_hz=720\n# format=spokesense-dataset v{'0' * 5000}{version}\n"
+            f"{header}1,2,3\n"
+        )
+        assert read_dataset(path).channels.tolist() == [[1.0], [2.0], [3.0]]
+
+
 def test_csv_versions_below_1_rejected(tmp_path):
     # the version is an integer >= 1 in ASCII digits, in a banner and in a
     # format metadata line; an Arabic-Indic and a fullwidth one once read as 1
     path = tmp_path / "bad.csv"
-    for tag in ("v0", "v-3", "v\u0661", "v\uff11"):
+    for tag in ("v0", "v-3", "v\u0661", "v\uff11", "v" + "0" * 5000):
         path.write_text(f"# spokesense-features v{tag[1:]}\na,b\n1,2\n")
         with pytest.raises(FormatError, match="bad version in banner") as info:
             read_features(path)
@@ -332,9 +346,10 @@ def test_features_optional_parts_absent(tmp_path):
 
 def test_features_banner_rejections(tmp_path):
     future = tmp_path / "future.csv"
-    future.write_text("# spokesense-features v99\na,b\n1,2\n")
-    with pytest.raises(UnsupportedVersionError):
-        read_features(future)
+    for tag in ("v99", "v" + "9" * 5000):
+        future.write_text(f"# spokesense-features {tag}\na,b\n1,2\n")
+        with pytest.raises(UnsupportedVersionError, match="newer than supported version 1"):
+            read_features(future)
     wrong = tmp_path / "wrong.csv"
     wrong.write_text("# spokesense-dataset v1\na,b\n1,2\n")
     with pytest.raises(FormatError):

@@ -433,10 +433,13 @@ def assert_same_machine(got: BinarySvm, want: BinarySvm) -> None:
     assert got.converged == want.converged
 
 
-def oracle_machines(x, labels, max_iter: int = svm_mod.DEFAULT_MAX_ITER) -> list[BinarySvm]:
+def oracle_machines(
+    x, labels, max_iter: int = svm_mod.DEFAULT_MAX_ITER, kernel_name: str = "rbf"
+) -> list[BinarySvm]:
     """fit_svm_model's machines trained one pair after another."""
     xs = apply_standardizer(fit_standardizer(x), x)
-    kernel = Kernel("rbf", median_heuristic_gamma(xs))
+    gamma = median_heuristic_gamma(xs) if kernel_name == "rbf" else None
+    kernel = Kernel(kernel_name, gamma)
     full_k = kernel_matrix(kernel, xs, xs)
     label_arr = np.asarray(labels)
     machines = []
@@ -450,9 +453,9 @@ def oracle_machines(x, labels, max_iter: int = svm_mod.DEFAULT_MAX_ITER) -> list
     return machines
 
 
-def assert_fit_matches_oracle(x, labels, model=None) -> None:
-    model = fit_svm_model(x, labels) if model is None else model
-    oracle = oracle_machines(x, labels)
+def assert_fit_matches_oracle(x, labels, model=None, kernel_name: str = "rbf") -> None:
+    model = fit_svm_model(x, labels, kernel_name=kernel_name) if model is None else model
+    oracle = oracle_machines(x, labels, kernel_name=kernel_name)
     pairs = list(itertools.combinations(sorted(set(labels)), 2))
     assert [(e.class_a, e.class_b) for e in model.pairwise] == pairs
     for entry, want in zip(model.pairwise, oracle):
@@ -507,6 +510,21 @@ def test_batched_fit_matches_oracle_on_unequal_classes():
     x = np.vstack([rng.randn(sizes[k], 2) * 0.9 + v for k, v in centers.items()])
     labels = [k for k in centers for _ in range(sizes[k])]
     assert_fit_matches_oracle(x, labels)
+
+
+def test_batched_linear_fit_matches_oracle_with_opposite_labelled_duplicates():
+    # Unequal classes pad the shorter pairs; a row of "a" repeated in "b" and
+    # one of "c" repeated in "a" have zero linear curvature against their
+    # copies, so steps between them take the a <= 0 clamp.
+    rng = np.random.RandomState(46)
+    centers = {"a": (1.0, 0.0), "b": (-1.0, 0.5), "c": (0.0, -1.0)}
+    sizes = {"a": 11, "b": 7, "c": 4}
+    parts = {k: rng.randn(sizes[k], 2) * 0.8 + v for k, v in centers.items()}
+    parts["b"] = np.vstack([parts["b"], parts["a"][:2]])
+    parts["a"] = np.vstack([parts["a"], parts["c"][:1]])
+    x = np.vstack(list(parts.values()))
+    labels = [k for k, part in parts.items() for _ in part]
+    assert_fit_matches_oracle(x, labels, kernel_name="linear")
 
 
 def test_batched_fit_matches_oracle_with_one_row_class():
