@@ -513,7 +513,7 @@ def test_batched_fit_matches_oracle_on_unequal_classes():
 
 
 def test_batched_linear_fit_matches_oracle_with_opposite_labelled_duplicates():
-    # Unequal classes pad the shorter pairs; a row of "a" repeated in "b" and
+    # Unequal classes pad the shorter pairs; rows of "a" repeated in "b" and
     # one of "c" repeated in "a" have zero linear curvature against their
     # copies, so steps between them take the a <= 0 clamp.
     rng = np.random.RandomState(46)
