@@ -18,10 +18,8 @@ out, and the block shrinks only then.  Each machine takes exactly the steps
 it would take alone, so the result does not depend on the batch.  A single
 binary machine is a batch of one.  Selection and the gradient update are
 array operations; each machine's clipped step is a few scalars, computed in
-Python floats (the same IEEE arithmetic without a numpy call per operation).
-Kernel rows come from per-pair Gram blocks gathered once per fit, machines x
-width^2 doubles: 2(k-1)/k of the Gram matrix for k equal classes, 1.3 MB on
-a criterion-1 trial.
+Python floats: the same IEEE arithmetic without a numpy call per operation,
+at a cost per running machine, which pays while few run (10 for 5 classes).
 """
 
 from __future__ import annotations
@@ -211,15 +209,13 @@ def _train_machines(
     a zero.  Each iteration selects i and j and updates G for every running
     machine at once, row by row of the block arrays, which are compacted
     only when a machine stops; the clipped step between them runs machine by
-    machine in Python floats.  Kernel rows come from the pairs' Gram blocks,
-    ``full_k[rows[q]][:, rows[q]]`` for machine q, gathered once and read by
-    batch index, so a stopping machine copies no block.
+    machine in Python floats.  Kernel rows are gathered from ``full_k`` as
+    needed, so no per-pair kernel block is copied.
     """
     c = _positive(c, "c")
     machines: list[BinarySvm | None] = [None] * y.shape[0]
     active = np.arange(y.shape[0])  # batch index of each block row
     at = np.arange(y.shape[0])
-    block_k = full_k[rows[:, :, None], rows[:, None, :]]
     k_diag = full_k[rows, rows]
     neg_y = -y
     upper = np.select([y > 0.0, y < 0.0], [c, 0.0], -np.inf)
@@ -267,7 +263,7 @@ def _train_machines(
             )
             v_low, i, v_max = v_low[keep], i[keep], v_max[keep]
             at = at[: active.size]
-        k_i = block_k[active, i]
+        k_i = full_k[rows[at, i][:, None], rows]
         gap = v_max[:, None] - v_low
         curvature = k_diag[at, i][:, None] + k_diag - 2.0 * k_i
         curvature[curvature <= 0.0] = 1e-12
@@ -284,7 +280,7 @@ def _train_machines(
             signed[q, b] = new_j = lower.item(q, b) if t == room_j else old_j - t
             steps.append((new_i - old_i, new_j - old_j))
         step = np.array(steps)
-        grad += y * (step[:, :1] * k_i + step[:, 1:] * block_k[active, j])
+        grad += y * (step[:, :1] * k_i + step[:, 1:] * full_k[rows[at, j][:, None], rows])
     return machines
 
 
