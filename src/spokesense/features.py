@@ -163,16 +163,20 @@ class _Moments(NamedTuple):
 def _central_moments(block: np.ndarray) -> _Moments:
     """Per row of the (rows, n) block: rms, population std, excess kurtosis m4 / m2**2 - 3,
     skewness m3 / m2**1.5 and energy, from one pass of plain multiplies."""
+    # np.add.reduce(...) / n is numpy's mean without its wrapper's overhead:
+    # the same sum divided the same way, so the same bits.
+    n = block.shape[1]
     energy = np.add.reduce(block * block, axis=1)
-    centered = block - block.mean(axis=1, keepdims=True)
+    centered = block - np.add.reduce(block, axis=1, keepdims=True) / n
     squared = centered * centered
-    m2 = squared.mean(axis=1)
+    m2 = np.add.reduce(squared, axis=1) / n
     flat = m2 == 0.0
     safe = np.where(flat, 1.0, m2)
-    kurt = np.where(flat, 0.0, (squared * squared).mean(axis=1) / (safe * safe) - 3.0)
+    kurt = np.where(flat, 0.0, np.add.reduce(squared * squared, axis=1) / n / (safe * safe) - 3.0)
     # Python's float power: numpy's vectorized ** 1.5 can differ in the last bit.
-    skew = np.where(flat, 0.0, (squared * centered).mean(axis=1) / [v**1.5 for v in safe.tolist()])
-    return _Moments(np.sqrt(energy / block.shape[1]), np.sqrt(m2), kurt, skew, energy, flat)
+    m3 = np.add.reduce(squared * centered, axis=1) / n
+    skew = np.where(flat, 0.0, m3 / [v**1.5 for v in safe.tolist()])
+    return _Moments(np.sqrt(energy / n), np.sqrt(m2), kurt, skew, energy, flat)
 
 
 def _signal_moments(x, min_len: int = 1) -> _Moments:
@@ -309,7 +313,7 @@ def _record_features(
         filtered_by_channel = []
         for c in range(3):
             filtered = _bandpass_rows(series.channels[c, index], rate, config.bands[c])
-            filtered -= filtered.mean(axis=1, keepdims=True)
+            filtered -= np.add.reduce(filtered, axis=1, keepdims=True) / length
             filtered_by_channel.append(filtered)
             moments = _central_moments(filtered)
             flags |= moments.degenerate
@@ -325,7 +329,8 @@ def _record_features(
                 rows[k, 19] = amplitude_smoothness(mid)
             rows[:, 20] = moments.std  # the high band is channel 3, the last one above
             raw_spoke = series.channels[2, index]
-            spike = _central_moments(raw_spoke - raw_spoke.mean(axis=1, keepdims=True))
+            raw_spoke -= np.add.reduce(raw_spoke, axis=1, keepdims=True) / length
+            spike = _central_moments(raw_spoke)
             flags |= spike.degenerate
             rows[:, 21] = spike.kurtosis
     return values, degenerate

@@ -20,10 +20,17 @@ time k / rate.  Its v1 files are still read: their header is
 dropped.  Every other format is at v1.
 
 Every CSV table is written by one writer, ``_write_table``: head lines, a
-header row, one row template filled in for all rows, tail lines.  Every
-real number is rendered by one rule, ``%.17g``, which round-trips IEEE
-doubles exactly, so write -> read -> write is byte-identical; integer cells
-read as ``str(int)`` does.  A table body is parsed as one block: its rows
+header row, one row template filled in for the rows ``_ROWS`` at a time,
+tail lines, each block written to the open file as it is rendered, so no
+whole-table string is built.  Every real number is rendered by one rule,
+``%.17g``, which round-trips IEEE doubles exactly, so write -> read -> write
+is byte-identical; integer cells read as ``str(int)`` does.  A file is read
+as UTF-8 text line by line up to its header row.  A dataset body then goes
+to numpy's C reader, ``_ROWS`` rows at a time, into the channel block; any
+body that reader refuses (``#`` lines, blank lines, cells only ``float()``
+reads such as ``1_0``, ragged rows, an empty body) and every feature-table
+body take the cell-by-cell path, so the accepted files and the values read
+are the same on both paths.  There a body is parsed as one block: its rows
 are joined and split into cells once, the cells are converted by Python's
 ``float()`` rule in one call and checked by one finiteness pass.  Only a
 faulty body is walked row by row, to name the line and field of its first
@@ -39,6 +46,7 @@ whitespace; a ``# layout=`` value may be empty or hold commas and ``#``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import re
@@ -70,6 +78,10 @@ CURRENT_VERSIONS = {
 
 _FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
+_ROWS = 4096  # rows per block of a table written and of a dataset body read
+# numpy's reader strips these ASCII separators around a number as whitespace;
+# float() does not, so a body holding one goes the cell-by-cell way.
+_NOT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def format_float(value: float) -> str:
@@ -150,46 +162,73 @@ def _check_version(tag: str, expected_format: str, bad_tag: str, **position) -> 
     return int(digits)
 
 
-def _read_document(path: Path, expected_format: str):
-    """Version, metadata, header cells, header line number and body lines of a CSV file.
+@contextlib.contextmanager
+def _reading(path: Path):
+    """``path`` open as UTF-8 text with universal newlines, as
+    ``Path.read_text`` reads it; a file that cannot be opened or decoded
+    raises ``FormatError``.  The decoder reads in chunks and counts offsets
+    from its chunk, so an undecodable byte is named by decoding the whole
+    file, at its offset in the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            try:
+                path.read_bytes().decode("utf-8")
+            except (OSError, UnicodeDecodeError) as whole:
+                exc = whole
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_document(fh, expected_format: str):
+    """Version, metadata, header cells and header line number of the CSV
+    file open as ``fh``, which is left at the first body line.
 
     Dataset files carry their version in a ``# format=<name> v<version>``
     metadata line instead of a first-line banner, because their first line
     is pinned to ``# sample_rate_hz=<float>``.
     """
     banner = expected_format != DATASET_FORMAT
-    try:
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    if lines[-1] == "":
-        lines.pop()
+    line = fh.readline()  # "" only at the end of the file
     if banner:
-        if not lines:
+        if not line:
             raise FormatError("file is empty", line=1)
-        parts = lines[0].split()
+        first = line.removesuffix("\n")
+        parts = first.split()
         if len(parts) != 3 or parts[0] != "#" or not parts[2].startswith("v"):
             raise FormatError(
-                f"expected {_banner(expected_format)!r} banner, got {lines[0]!r}", line=1
+                f"expected {_banner(expected_format)!r} banner, got {first!r}", line=1
             )
         _check_format(parts[1], expected_format, line=1)
-        bad_tag = f"bad version in banner {lines[0]!r}"
+        bad_tag = f"bad version in banner {first!r}"
         version = _check_version(parts[2], expected_format, bad_tag, line=1)
+        line = fh.readline()
     meta: dict[str, str] = {}
     pos = int(banner)
-    while pos < len(lines) and lines[pos].startswith("#"):
-        key, sep, value = lines[pos][1:].strip().partition("=")
+    while line.startswith("#"):
+        text = line.removesuffix("\n")
+        key, sep, value = text[1:].strip().partition("=")
         if not sep:
-            raise FormatError(f"bad metadata comment {lines[pos]!r}", line=pos + 1)
+            raise FormatError(f"bad metadata comment {text!r}", line=pos + 1)
         if key.strip() in meta:
-            raise FormatError(f"repeated metadata line {lines[pos]!r}", line=pos + 1)
+            raise FormatError(f"repeated metadata line {text!r}", line=pos + 1)
         meta[key.strip()] = value
         pos += 1
+        line = fh.readline()
     if not banner:
         version = check_format_metadata(meta, expected_format)
-    if pos == len(lines):
+    if not line:
         raise FormatError("missing header row", line=pos + 1)
-    return version, meta, lines[pos].split(","), pos + 1, lines[pos + 1 :]
+    return version, meta, line.removesuffix("\n").split(","), pos + 1
+
+
+def _rest_lines(fh) -> list[str]:
+    """The lines of ``fh`` from its position to the end of the file."""
+    lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _parse_body(lines: list[str], first_line: int, columns: list[str], width: int, empty: str):
@@ -264,25 +303,32 @@ def check_format_metadata(meta: dict[str, str], expected_format: str) -> int:
     return _check_version(parts[1], expected_format, bad_tag, field="format")
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, parts) -> None:
+    """The strings of ``parts`` written to ``path`` in turn."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_table(path, head: list[str], header: list[str], *columns, tail=()) -> None:
     """The ``head`` lines, the ``header`` cells, one row per row of the
-    ``columns`` (see ``_render_rows``) and the ``tail`` lines."""
-    lines = "".join(f"{line}\n" for line in (*head, ",".join(header)))
-    _write_text(path, lines + _render_rows(*columns) + "".join(f"{line}\n" for line in tail))
+    ``columns`` (see ``_render_rows``), rendered ``_ROWS`` rows at a time,
+    and the ``tail`` lines."""
+    def text():
+        yield "".join(f"{line}\n" for line in (*head, ",".join(header)))
+        for first in range(0, len(columns[0]), _ROWS):
+            yield _render_rows(*(column[first:first + _ROWS] for column in columns))
+        yield "".join(f"{line}\n" for line in tail)
+
+    _write_text(path, text())
 
 
 def _write_json(path, format_name: str, fields: dict) -> None:
     """``fields`` stamped with ``format`` and the current version, as JSON."""
     doc = {**fields, "format": format_name, "version": CURRENT_VERSIONS[format_name]}
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
 
 
 # ---------------------------------------------------------------- dataset
@@ -298,18 +344,60 @@ def write_dataset(path, series: TimeSeries) -> None:
     _write_table(path, head, ["ch1", "ch2", "ch3"], series.channels.T)
 
 
+def _read_samples(fh, width: int):
+    """The (3, rows) channel block of a dataset body of ``width``-cell rows
+    read by numpy's C reader ``_ROWS`` rows at a time, or None when that
+    reader could differ from ``_parse_body``: blank lines, characters in
+    ``_NOT_SPACE``, an empty body, or any block it refuses or reads with
+    the wrong shape or a non-finite value.
+
+    A first pass counts the rows, so the block is allocated once, in the
+    channel-major layout ``TimeSeries`` holds, and no second copy is made.
+    """
+    start = fh.tell()
+    rows, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        if "\n\n" in chunk or last + chunk[0] == "\n\n" or any(c in chunk for c in _NOT_SPACE):
+            return None
+        rows += chunk.count("\n")
+        last = chunk[-1]
+    rows += last != "\n"
+    if not rows:
+        return None
+    fh.seek(start)
+    samples = np.empty((3, rows))
+    for first in range(0, rows, _ROWS):
+        try:
+            block = np.loadtxt(itertools.islice(fh, _ROWS), delimiter=",", comments=None,
+                               quotechar=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+        if block.shape != (min(_ROWS, rows - first), width) or not np.isfinite(block).all():
+            return None
+        samples[:, first:first + _ROWS] = block[:, -3:].T
+    return samples
+
+
 def read_dataset(path) -> TimeSeries:
-    version, meta, header, header_line, body = _read_document(Path(path), DATASET_FORMAT)
-    if "sample_rate_hz" not in meta:
-        raise FormatError("missing '# sample_rate_hz=' metadata", line=header_line)
-    rate = _parse_float(meta["sample_rate_hz"], 1, "sample_rate_hz")
-    columns = ["t", "ch1", "ch2", "ch3"] if version == 1 else ["ch1", "ch2", "ch3"]
-    if header != columns:
-        raise FormatError(
-            f"expected header {','.join(columns)!r}, got {','.join(header)!r}", line=header_line
-        )
-    block, _ = _parse_body(body, header_line + 1, header, len(header), "dataset has no samples")
-    samples = np.ascontiguousarray(block[:, -3:].T)
+    path = Path(path)
+    with _reading(path) as fh:
+        version, meta, header, header_line = _read_document(fh, DATASET_FORMAT)
+        if "sample_rate_hz" not in meta:
+            raise FormatError("missing '# sample_rate_hz=' metadata", line=header_line)
+        rate = _parse_float(meta["sample_rate_hz"], 1, "sample_rate_hz")
+        columns = ["t", "ch1", "ch2", "ch3"] if version == 1 else ["ch1", "ch2", "ch3"]
+        if header != columns:
+            raise FormatError(
+                f"expected header {','.join(columns)!r}, got {','.join(header)!r}",
+                line=header_line,
+            )
+        start = fh.tell()
+        samples = _read_samples(fh, len(header))
+        if samples is None:  # read the body cell by cell, naming its first fault
+            fh.seek(start)
+            empty = "dataset has no samples"
+            block, _ = _parse_body(_rest_lines(fh), header_line + 1, header, len(header), empty)
+            samples = np.ascontiguousarray(block[:, -3:].T)
     try:
         return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
     except ValidationError as exc:
@@ -348,7 +436,10 @@ def write_features(path, values, names, labels=None, layout_id: str | None = Non
 
 
 def read_features(path) -> FeatureTable:
-    _, meta, header, header_line, body = _read_document(Path(path), FEATURES_FORMAT)
+    path = Path(path)
+    with _reading(path) as fh:
+        _, meta, header, header_line = _read_document(fh, FEATURES_FORMAT)
+        body = _rest_lines(fh)
     if "" in header:
         raise FormatError("empty column name in header", line=header_line)
     names = header[:-1] if header[-1] == "label" else header

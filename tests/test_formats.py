@@ -6,10 +6,12 @@ line and field positions.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spokesense import formats
 from spokesense.eigen import EigenSignature
 from spokesense.errors import (
     FormatError,
@@ -252,6 +254,225 @@ def test_csv_readers_reject_non_utf8_bytes(tmp_path):
         path.write_bytes(head + b"0.001,1,2,\xff\n")
         with pytest.raises(FormatError, match="cannot read"):
             reader(path)
+
+
+def oracle_read_dataset(path):
+    """read_dataset as it was before the streaming reader: the whole file
+    read as text and split into lines, and the body parsed by _parse_body."""
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if lines[-1] == "":
+        lines.pop()
+    meta, pos = {}, 0
+    while pos < len(lines) and lines[pos].startswith("#"):
+        key, sep, value = lines[pos][1:].strip().partition("=")
+        if not sep:
+            raise FormatError(f"bad metadata comment {lines[pos]!r}", line=pos + 1)
+        if key.strip() in meta:
+            raise FormatError(f"repeated metadata line {lines[pos]!r}", line=pos + 1)
+        meta[key.strip()] = value
+        pos += 1
+    version = formats.check_format_metadata(meta, formats.DATASET_FORMAT)
+    if pos == len(lines):
+        raise FormatError("missing header row", line=pos + 1)
+    header, header_line = lines[pos].split(","), pos + 1
+    if "sample_rate_hz" not in meta:
+        raise FormatError("missing '# sample_rate_hz=' metadata", line=header_line)
+    rate = formats._parse_float(meta["sample_rate_hz"], 1, "sample_rate_hz")
+    columns = ["t", "ch1", "ch2", "ch3"] if version == 1 else ["ch1", "ch2", "ch3"]
+    if header != columns:
+        raise FormatError(
+            f"expected header {','.join(columns)!r}, got {','.join(header)!r}", line=header_line
+        )
+    body = lines[pos + 1 :]
+    empty = "dataset has no samples"
+    block, _ = formats._parse_body(body, header_line + 1, header, len(header), empty)
+    samples = np.ascontiguousarray(block[:, -3:].T)
+    try:
+        return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
+    except ValidationError as exc:
+        raise FormatError(f"invalid dataset: {exc}") from exc
+
+
+def read_outcome(read, path):
+    """What a reader gives for ``path``: the channels' bytes, layout and the
+    record's fields, or the error's type, message, line and field."""
+    try:
+        series = read(path)
+    except FormatError as exc:
+        return type(exc), str(exc), exc.line, exc.field
+    channels = series.channels
+    return channels.shape, channels.flags.c_contiguous, channels.tobytes(), (
+        series.sample_rate_hz, series.label
+    )
+
+
+V2_HEAD = "# sample_rate_hz=720\n# format=spokesense-dataset v2\n# label=sand\nch1,ch2,ch3\n"
+V1_HEAD = "# sample_rate_hz=720\nt,ch1,ch2,ch3\n"
+
+
+def v2_rows(n, start=0):
+    return "".join(f"{k}.25,-{k}e-3,{k * 7 % 11}\n" for k in range(start, start + n))
+
+
+def v1_rows(n):
+    return "".join(f"{k / 720!r},{k}.25,-{k}e-3,{k * 7 % 11}\n" for k in range(n))
+
+
+# (head, body) documents, encoded as UTF-8 unless the body is bytes.  Bodies
+# longer than formats._ROWS rows put their fault in a later row block.
+BIG = 2 * 4096 + 100
+READER_CORPUS = {
+    "plain": (V2_HEAD, v2_rows(5)),
+    "plain_blocks": (V2_HEAD, v2_rows(BIG)),
+    "no_final_newline": (V2_HEAD, v2_rows(5).rstrip("\n")),
+    "v1_t_column": (V1_HEAD, v1_rows(5)),
+    "v1_t_column_blocks": (V1_HEAD, v1_rows(BIG)),
+    "v1_bad_t": (V1_HEAD, v1_rows(3) + "soon,1,2,3\n"),
+    "v1_nan_t": (V1_HEAD, v1_rows(3) + "nan,1,2,3\n"),
+    "underscore": (V2_HEAD, v2_rows(3) + "1_0,2,3\n"),
+    "underscore_late_block": (V2_HEAD, v2_rows(BIG - 1) + "1,2_5,3\n"),
+    "underscore_exponent": (V2_HEAD, "1e1_0,2,3\n"),
+    "bad_underscore": (V2_HEAD, "1__0,2,3\n"),
+    "trailing_kv": (V2_HEAD, v2_rows(4) + "# rows=4\n# note=a,b\n"),
+    "trailing_kv_blocks": (V2_HEAD, v2_rows(BIG) + "# rows=many\n"),
+    "kv_between_rows": (V2_HEAD, v2_rows(2) + "# mid=1\n" + v2_rows(2)),
+    "bad_trailing_comment": (V2_HEAD, v2_rows(2) + "# loose\n"),
+    "blank_line": (V2_HEAD, v2_rows(2) + "\n" + v2_rows(2)),
+    "blank_first": (V2_HEAD, "\n" + v2_rows(2)),
+    "blank_last": (V2_HEAD, v2_rows(2) + "\n\n"),
+    "blank_late_block": (V2_HEAD, v2_rows(BIG - 5) + "\n" + v2_rows(5)),
+    "only_blank_lines": (V2_HEAD, "\n\n\n"),
+    "space_line": (V2_HEAD, v2_rows(2) + " \n" + v2_rows(2)),
+    "tab_line": (V2_HEAD, v2_rows(2) + "\t\n"),
+    "padded_cells": (V2_HEAD, " 1 ,\t2\t,\x0b3\x0c\n"),
+    "unicode_space_cells": (V2_HEAD, " 1,\xa02,3 \n"),
+    "separator_space": (V2_HEAD, "\x1c1,2,3\n"),
+    "separator_space_late": (V2_HEAD, v2_rows(BIG) + "1,2\x1f,3\n"),
+    "arabic_digits": (V2_HEAD, "١٢,2,3\n"),
+    "nan": (V2_HEAD, v2_rows(2) + "1,nan,3\n"),
+    "inf": (V2_HEAD, v2_rows(2) + "1,2,-inf\n"),
+    "overflow": (V2_HEAD, v2_rows(2) + "1e400,2,3\n"),
+    "nan_late_block": (V2_HEAD, v2_rows(BIG - 1) + "1,2,NaN\n"),
+    "underflow": (V2_HEAD, "1e-400,4.9e-324,-0\n"),
+    "short_row": (V2_HEAD, v2_rows(2) + "1,2\n"),
+    "long_row": (V2_HEAD, v2_rows(2) + "1,2,3,4\n"),
+    "all_rows_long": (V2_HEAD, "1,2,3,4\n5,6,7,8\n"),
+    "ragged": (V2_HEAD, "1,2,3,4\n1,2\n"),
+    "empty_cell": (V2_HEAD, "1,,3\n"),
+    "empty_row_cells": (V2_HEAD, ",,\n"),
+    "quoted_cell": (V2_HEAD, '1,"2",3\n'),
+    "quoted_comma": (V2_HEAD, '1,"2,5",3\n'),
+    "crlf": (V2_HEAD.replace("\n", "\r\n"), v2_rows(5).replace("\n", "\r\n")),
+    "crlf_body": (V2_HEAD, v2_rows(BIG).replace("\n", "\r\n")),
+    "lone_cr": (V2_HEAD, v2_rows(3).replace("\n", "\r")),
+    "nul_cell": (V2_HEAD, "1\x00,2,3\n"),
+    "empty_body": (V2_HEAD, ""),
+    "header_without_newline": (V2_HEAD.rstrip("\n"), ""),
+    "zero_rate": (V2_HEAD.replace("=720", "=0"), v2_rows(2)),
+    "bad_header": (V2_HEAD.replace("ch3\n", "cx\n"), v2_rows(2)),
+    "invalid_utf8": (V2_HEAD, v2_rows(2).encode() + b"1,2,\xff\n"),
+    "invalid_utf8_late": (V2_HEAD, v2_rows(BIG).encode() + b"1,\xc3\x28,3\n"),
+    "truncated_utf8": (V2_HEAD, v2_rows(2).encode() + b"1,2,3\xe2\x82"),
+    "utf8_cell": (V2_HEAD, "1,2,é\n"),
+}
+
+# Documents whose first fault changed with the streaming reader: the head is
+# checked before bytes beyond the decoder's first chunk are decoded, so a
+# fault in the head now wins over a later undecodable byte.
+LATE_BYTE = v2_rows(2000).encode() + b"\xff\n"
+ORDER_CHANGED = {
+    "bad_header_then_bad_byte": (
+        V2_HEAD.replace("ch3\n", "cx\n"), LATE_BYTE,
+        "expected header 'ch1,ch2,ch3', got 'ch1,ch2,cx' (line 4)",
+    ),
+    "no_rate_then_bad_byte": (
+        "# format=spokesense-dataset v2\nch1,ch2,ch3\n", LATE_BYTE,
+        "missing '# sample_rate_hz=' metadata (line 2)",
+    ),
+}
+
+
+def write_document(path, head, body):
+    path.write_bytes(head.encode() + (body if isinstance(body, bytes) else body.encode()))
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns on a body without data
+@pytest.mark.parametrize("name", list(READER_CORPUS))
+def test_dataset_reader_matches_cell_by_cell_oracle(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    write_document(path, *READER_CORPUS[name])
+    assert read_outcome(read_dataset, path) == read_outcome(oracle_read_dataset, path)
+
+
+def test_dataset_reader_corpus_takes_both_paths(tmp_path):
+    # numpy's reader takes plain rows; the cell-by-cell path takes what it
+    # refuses, valid (``#`` lines, underscores, blank lines) or not.
+    cases = {
+        "plain_blocks": (True, True), "v1_t_column_blocks": (True, True),
+        "crlf_body": (True, True), "padded_cells": (True, True),
+        "trailing_kv_blocks": (False, True), "underscore_late_block": (False, True),
+        "blank_late_block": (False, True), "separator_space_late": (False, False),
+        "nan_late_block": (False, False), "empty_body": (False, False),
+    }
+    for name, (numpy_reads, valid) in cases.items():
+        path = tmp_path / f"{name}.csv"
+        write_document(path, *READER_CORPUS[name])
+        with path.open(encoding="utf-8") as fh:
+            header = formats._read_document(fh, formats.DATASET_FORMAT)[2]
+            assert (formats._read_samples(fh, len(header)) is not None) == numpy_reads, name
+        assert isinstance(read_outcome(read_dataset, path)[0], tuple) == valid, name
+
+
+def test_dataset_reader_matches_oracle_on_mutated_bodies(tmp_path):
+    # One character, drawn from those the two paths could read differently,
+    # inserted at a random place of a small valid body, then a seeded
+    # sample of double insertions.
+    rng = np.random.RandomState(77)
+    alphabet = list(",\n\r\t #_=.-+eE0\"'\x00\x0b\x0c\x1c\x1f\xa0 ١") + ["nan", "inf"]
+    base = v2_rows(4)
+    path = tmp_path / "mutated.csv"
+    for trial in range(400):
+        body = base
+        for _ in range(1 + trial % 2):
+            at = rng.randint(len(body) + 1)
+            body = body[:at] + alphabet[rng.randint(len(alphabet))] + body[at:]
+        write_document(path, V2_HEAD, body)
+        assert read_outcome(read_dataset, path) == read_outcome(oracle_read_dataset, path), body
+
+
+@pytest.mark.parametrize("name", list(ORDER_CHANGED))
+def test_dataset_head_fault_now_reported_before_late_bad_byte(tmp_path, name):
+    head, body, message = ORDER_CHANGED[name]
+    path = tmp_path / f"{name}.csv"
+    write_document(path, head, body)
+    with pytest.raises(FormatError, match="cannot read"):
+        oracle_read_dataset(path)
+    with pytest.raises(FormatError) as info:
+        read_dataset(path)
+    assert str(info.value) == message
+
+
+def test_dataset_read_and_write_peaks_below_two_channel_copies(tmp_path):
+    # A 60 s record at 1,440 Hz: each call may hold the channels and less
+    # than one more copy of them, not the whole table as text.
+    rng = np.random.RandomState(78)
+    series = TimeSeries(sample_rate_hz=1440.0, channels=rng.randn(3, 60 * 1440))
+    path = tmp_path / "record.csv"
+    tracemalloc.start()
+    try:
+        write_dataset(path, series)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = read_dataset(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.channels.tobytes() == series.channels.tobytes()
+    bound = 2 * series.channels.nbytes
+    assert write_peak < bound and read_peak < bound, (write_peak, read_peak, bound)
 
 
 def test_padded_labels_rejected_on_write(tmp_path):
