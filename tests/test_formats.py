@@ -1,8 +1,10 @@
 """On-disk format tests.
 
 Oracles: byte comparison of write -> read -> write, behavioral equality of
-reloaded models, and handcrafted malformed documents with known offending
-line and field positions.
+reloaded models, handcrafted malformed documents with known offending
+line and field positions, and the whole-file dataset reader that numpy's
+row-block reader replaced (``oracle_read_dataset``), which must give the
+same channel bits or the same error on every document of a corpus.
 """
 
 import json
