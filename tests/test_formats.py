@@ -325,39 +325,39 @@ def v1_rows(n):
 
 # (head, body) documents, encoded as UTF-8 unless the body is bytes.  Bodies
 # longer than formats._ROWS rows put their fault in a later row block.
-BIG = 2 * 4096 + 100
+LONG = 2 * formats._ROWS + 100
 READER_CORPUS = {
     "plain": (V2_HEAD, v2_rows(5)),
-    "plain_blocks": (V2_HEAD, v2_rows(BIG)),
+    "plain_blocks": (V2_HEAD, v2_rows(LONG)),
     "no_final_newline": (V2_HEAD, v2_rows(5).rstrip("\n")),
     "v1_t_column": (V1_HEAD, v1_rows(5)),
-    "v1_t_column_blocks": (V1_HEAD, v1_rows(BIG)),
+    "v1_t_column_blocks": (V1_HEAD, v1_rows(LONG)),
     "v1_bad_t": (V1_HEAD, v1_rows(3) + "soon,1,2,3\n"),
     "v1_nan_t": (V1_HEAD, v1_rows(3) + "nan,1,2,3\n"),
     "underscore": (V2_HEAD, v2_rows(3) + "1_0,2,3\n"),
-    "underscore_late_block": (V2_HEAD, v2_rows(BIG - 1) + "1,2_5,3\n"),
+    "underscore_late_block": (V2_HEAD, v2_rows(LONG - 1) + "1,2_5,3\n"),
     "underscore_exponent": (V2_HEAD, "1e1_0,2,3\n"),
     "bad_underscore": (V2_HEAD, "1__0,2,3\n"),
     "trailing_kv": (V2_HEAD, v2_rows(4) + "# rows=4\n# note=a,b\n"),
-    "trailing_kv_blocks": (V2_HEAD, v2_rows(BIG) + "# rows=many\n"),
+    "trailing_kv_blocks": (V2_HEAD, v2_rows(LONG) + "# rows=many\n"),
     "kv_between_rows": (V2_HEAD, v2_rows(2) + "# mid=1\n" + v2_rows(2)),
     "bad_trailing_comment": (V2_HEAD, v2_rows(2) + "# loose\n"),
     "blank_line": (V2_HEAD, v2_rows(2) + "\n" + v2_rows(2)),
     "blank_first": (V2_HEAD, "\n" + v2_rows(2)),
     "blank_last": (V2_HEAD, v2_rows(2) + "\n\n"),
-    "blank_late_block": (V2_HEAD, v2_rows(BIG - 5) + "\n" + v2_rows(5)),
+    "blank_late_block": (V2_HEAD, v2_rows(LONG - 5) + "\n" + v2_rows(5)),
     "only_blank_lines": (V2_HEAD, "\n\n\n"),
     "space_line": (V2_HEAD, v2_rows(2) + " \n" + v2_rows(2)),
     "tab_line": (V2_HEAD, v2_rows(2) + "\t\n"),
     "padded_cells": (V2_HEAD, " 1 ,\t2\t,\x0b3\x0c\n"),
     "unicode_space_cells": (V2_HEAD, " 1,\xa02,3 \n"),
     "separator_space": (V2_HEAD, "\x1c1,2,3\n"),
-    "separator_space_late": (V2_HEAD, v2_rows(BIG) + "1,2\x1f,3\n"),
+    "separator_space_late": (V2_HEAD, v2_rows(LONG) + "1,2\x1f,3\n"),
     "arabic_digits": (V2_HEAD, "١٢,2,3\n"),
     "nan": (V2_HEAD, v2_rows(2) + "1,nan,3\n"),
     "inf": (V2_HEAD, v2_rows(2) + "1,2,-inf\n"),
     "overflow": (V2_HEAD, v2_rows(2) + "1e400,2,3\n"),
-    "nan_late_block": (V2_HEAD, v2_rows(BIG - 1) + "1,2,NaN\n"),
+    "nan_late_block": (V2_HEAD, v2_rows(LONG - 1) + "1,2,NaN\n"),
     "underflow": (V2_HEAD, "1e-400,4.9e-324,-0\n"),
     "short_row": (V2_HEAD, v2_rows(2) + "1,2\n"),
     "long_row": (V2_HEAD, v2_rows(2) + "1,2,3,4\n"),
@@ -368,7 +368,7 @@ READER_CORPUS = {
     "quoted_cell": (V2_HEAD, '1,"2",3\n'),
     "quoted_comma": (V2_HEAD, '1,"2,5",3\n'),
     "crlf": (V2_HEAD.replace("\n", "\r\n"), v2_rows(5).replace("\n", "\r\n")),
-    "crlf_body": (V2_HEAD, v2_rows(BIG).replace("\n", "\r\n")),
+    "crlf_body": (V2_HEAD, v2_rows(LONG).replace("\n", "\r\n")),
     "lone_cr": (V2_HEAD, v2_rows(3).replace("\n", "\r")),
     "nul_cell": (V2_HEAD, "1\x00,2,3\n"),
     "empty_body": (V2_HEAD, ""),
@@ -376,7 +376,7 @@ READER_CORPUS = {
     "zero_rate": (V2_HEAD.replace("=720", "=0"), v2_rows(2)),
     "bad_header": (V2_HEAD.replace("ch3\n", "cx\n"), v2_rows(2)),
     "invalid_utf8": (V2_HEAD, v2_rows(2).encode() + b"1,2,\xff\n"),
-    "invalid_utf8_late": (V2_HEAD, v2_rows(BIG).encode() + b"1,\xc3\x28,3\n"),
+    "invalid_utf8_late": (V2_HEAD, v2_rows(LONG).encode() + b"1,\xc3\x28,3\n"),
     "truncated_utf8": (V2_HEAD, v2_rows(2).encode() + b"1,2,3\xe2\x82"),
     "utf8_cell": (V2_HEAD, "1,2,é\n"),
 }
