@@ -230,8 +230,13 @@ def _entropy(arr: np.ndarray, bins: int) -> float:
     if lo == hi:
         return 0.0
     # Bin k holds edges[k] <= x < edges[k + 1]; the last bin also holds hi.
-    edges = np.linspace(lo, hi, bins + 1)
-    counts = np.diff(np.searchsorted(ordered, edges[:-1]), append=arr.shape[0])
+    # The edges are np.linspace's arithmetic without its wrapper; it divides
+    # first when the step underflows to 0.
+    step = (hi - lo) / bins
+    edges = np.linspace(lo, hi, bins + 1) if step == 0.0 else np.arange(bins + 1.0) * step + lo
+    ends = np.searchsorted(ordered, edges)
+    ends[-1] = arr.shape[0]  # so the last edge, hi, need not be exact
+    counts = ends[1:] - ends[:-1]
     probs = counts[counts > 0] / arr.shape[0]
     return float(-np.sum(probs * np.log2(probs)))
 

@@ -28,6 +28,10 @@ _U53_SCALE = 1.0 / (1 << 53)
 def mix64(value):
     """splitmix64 finalizer on an int, or elementwise on a uint64 array, whose
     arithmetic wraps (never on a numpy uint64 scalar: its overflow warns)."""
+    if isinstance(value, np.ndarray):  # wraps modulo 2**64 by itself
+        z = (value ^ (value >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
+        return z ^ (z >> 31)
     z = value & _MASK
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK

@@ -241,41 +241,42 @@ def generate(spec: GenSpec) -> TimeSeries:
     n = _count(int(round(span)), f"samples in {spec.duration_s} s at {rate} Hz", 2)
     for band in DEFAULT_BANDS:
         band.check_nyquist(rate)
-    band_noise = np.zeros((3, n))
+    # Each ingredient is added into the channel rows in place and dropped, in
+    # the order floor, bands 0-2, impulses, tonals, which fixes every sum.
+    channels = np.empty((3, n))
+    for c in range(3):
+        channels[c] = Prng(derive_seed(spec.seed, "floor", c)).gaussian_block(n)
+        channels[c] *= profile.noise_floor_rms
+    gains = profile.channel_band_gains
     for b, band in enumerate(DEFAULT_BANDS):
+        shaped = 0.0  # a silent band still adds gain * 0.0, which turns -0.0 into 0.0
         target = profile.band_rms[b]
-        if target <= 0.0:
-            continue
-        rng = Prng(derive_seed(spec.seed, "band", b))
-        shaped = bandpass(rng.gaussian_block(n), rate, band)
-        level = math.sqrt(float(np.mean(shaped * shaped)))
-        if level > 0.0:
-            band_noise[b] = shaped * (target / level)
+        if target > 0.0:
+            rng = Prng(derive_seed(spec.seed, "band", b))
+            noise = bandpass(rng.gaussian_block(n), rate, band)
+            level = math.sqrt(float(np.mean(noise * noise)))
+            if level > 0.0:
+                shaped = noise * (target / level)
+            del noise
+        for c in range(3):
+            channels[c] += gains[c][b] * shaped
     impulse_rng = Prng(derive_seed(spec.seed, "impulse"))
     impulses = _impulse_track(
         impulse_rng, n, profile.impulse_rate_hz, rate, profile.impulse_amplitude
     )
+    for c in range(3):
+        # Strikes decay in ~10 ms, so their spectrum concentrates in the low
+        # band; they enter each channel through its low-band sensitivity.
+        channels[c] += gains[c][0] * impulses
+    del impulses
     t = np.arange(n) / rate
-    tonal_waves = []
     for idx, tone in enumerate(profile.tonal_components):
         phase_rng = Prng(derive_seed(spec.seed, "tonal", idx))
         phase = 2.0 * math.pi * phase_rng.uniform()
-        tonal_waves.append(
-            (tone, tone.amplitude * np.sin(2.0 * math.pi * tone.freq_hz * t + phase))
-        )
-    channels = np.empty((3, n))
-    gains = profile.channel_band_gains
-    for c in range(3):
-        floor_rng = Prng(derive_seed(spec.seed, "floor", c))
-        acc = floor_rng.gaussian_block(n) * profile.noise_floor_rms
-        for b in range(3):
-            acc = acc + gains[c][b] * band_noise[b]
-        # Strikes decay in ~10 ms, so their spectrum concentrates in the low
-        # band; they enter each channel through its low-band sensitivity.
-        acc = acc + gains[c][0] * impulses
-        for tone, wave in tonal_waves:
-            acc = acc + tone.channel_gains[c] * wave
-        channels[c] = acc
+        wave = tone.amplitude * np.sin(2.0 * math.pi * tone.freq_hz * t + phase)
+        for c in range(3):
+            channels[c] += tone.channel_gains[c] * wave
+        del wave
     return TimeSeries(sample_rate_hz=rate, channels=channels, label=profile.name)
 
 

@@ -9,6 +9,7 @@ same channel bits or the same error on every document of a corpus.
 
 import json
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -410,13 +411,14 @@ def test_dataset_reader_matches_cell_by_cell_oracle(tmp_path, name):
 
 
 def test_dataset_reader_corpus_takes_both_paths(tmp_path):
-    # numpy's reader takes plain rows; the cell-by-cell path takes what it
-    # refuses, valid (``#`` lines, underscores, blank lines) or not.
+    # numpy's reader takes plain rows, skipping blank lines and ``#`` lines
+    # as the cell-by-cell path does; that path takes what numpy's reader
+    # refuses, valid (underscores) or not.
     cases = {
         "plain_blocks": (True, True), "v1_t_column_blocks": (True, True),
         "crlf_body": (True, True), "padded_cells": (True, True),
-        "trailing_kv_blocks": (False, True), "underscore_late_block": (False, True),
-        "blank_late_block": (False, True), "separator_space_late": (False, False),
+        "trailing_kv_blocks": (True, True), "underscore_late_block": (False, True),
+        "blank_late_block": (True, True), "separator_space_late": (False, False),
         "nan_late_block": (False, False), "empty_body": (False, False),
     }
     for name, (numpy_reads, valid) in cases.items():
@@ -475,6 +477,24 @@ def test_dataset_read_and_write_peaks_below_two_channel_copies(tmp_path):
     assert loaded.channels.tobytes() == series.channels.tobytes()
     bound = 2 * series.channels.nbytes
     assert write_peak < bound and read_peak < bound, (write_peak, read_peak, bound)
+
+
+def test_dataset_with_trailing_summary_line_read_below_two_channel_copies(tmp_path):
+    # numpy's reader skips a ``# key=value`` line instead of handing the
+    # whole body to the cell-by-cell path.
+    series = TimeSeries(sample_rate_hz=1440.0, channels=np.random.RandomState(79).randn(3, 86400))
+    path = tmp_path / "record.csv"
+    write_dataset(path, series)
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("# rows=86400\n")
+    tracemalloc.start()
+    try:
+        loaded = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.channels.tobytes() == series.channels.tobytes()
+    assert peak < 2 * series.channels.nbytes, (peak, series.channels.nbytes)
 
 
 def test_padded_labels_rejected_on_write(tmp_path):
@@ -1260,3 +1280,122 @@ def test_format_float_exact_for_doubles():
     )
     for value in values:
         assert float(format_float(value)) == value
+
+
+# ---------------------------------------------------------------- float kernel
+
+
+def template_render_rows(*columns) -> str:
+    """_render_rows as it was before the float kernel: one row template of
+    ``%.17g``, ``%d`` and ``%s`` filled in by ``%`` for the whole block."""
+    blocks, row = [], []
+    for column in columns:
+        if isinstance(column, list):
+            blocks.append(np.array(column, dtype=object).reshape(-1, 1))
+            row.append("%s")
+        else:
+            block = np.asarray(column)
+            blocks.append(block if block.ndim == 2 else block.reshape(-1, 1))
+            row += ["%.17g" if block.dtype.kind == "f" else "%d"] * blocks[-1].shape[1]
+    if len({block.dtype for block in blocks}) > 1:
+        blocks = [block.astype(object) for block in blocks]
+    cells = np.hstack(blocks)
+    template = ",".join(row) + "\n"
+    return (template * cells.shape[0]) % tuple(cells.ravel().tolist())
+
+
+def assert_renders_as_template(*columns):
+    assert formats._render_rows(*columns) == template_render_rows(*columns)
+
+
+def power_neighbours(low, high, steps=4):
+    """+-10**k for k in [low, high] and their ``steps`` nearest doubles on
+    each side: where log10 and the decade checks can go wrong."""
+    values = []
+    for k in range(low, high + 1):
+        for toward in (0.0, np.inf):
+            value = float(f"1e{k}")
+            for _ in range(steps):
+                value = np.nextafter(value, toward)
+                values.append(value)
+        values.append(float(f"1e{k}"))
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_render_rows_matches_template_on_full_range_bit_patterns():
+    rng = np.random.default_rng(81)
+    bits = rng.integers(0, 1 << 64, size=24_000, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, 1e-6, 1e17]
+    low, high = np.array([1e-6, 1e17]).view(np.int64)
+    in_range = rng.integers(low, high, size=24_000).view(np.float64) * rng.choice([-1, 1], 24_000)
+    decades = 10.0 ** rng.uniform(-7, 18, size=24_000) * rng.choice([-1, 1], 24_000)
+    for values in (np.concatenate([bits, special]), in_range, decades):
+        assert_renders_as_template(values[: values.size // 3 * 3].reshape(-1, 3))
+        assert_renders_as_template(values)
+
+
+def test_render_rows_matches_template_next_to_powers_of_ten():
+    # The doubles just below 10**k are also the nearest any double comes to
+    # rounding up to the next decade at 17 digits; none of them does.
+    values = power_neighbours(-7, 17)
+    assert_renders_as_template(values)
+    below = np.nextafter(10.0 ** np.arange(-6, 18), 0.0)
+    assert not any(formats.format_float(v).lstrip("0.").startswith("1") for v in below)
+
+
+def test_render_rows_matches_template_on_ties():
+    # 1 + m * 2**-17 with m odd has 18 significant digits ending in 5: a
+    # tie at 17 digits, broken to even.  Scaled by powers of two and ten.
+    m = np.arange(1, 1 << 17, 2 * 97, dtype=np.float64)
+    ties = 1.0 + m * 2.0**-17
+    assert all(format(Decimal(t), "f").rstrip("0")[-1] == "5" for t in ties)
+    assert all(len(format(Decimal(t), "f").replace(".", "")) == 18 for t in ties)
+    scaled = np.concatenate(
+        [ties * 2.0**e for e in range(-20, 57)] + [ties * 10.0**e for e in range(-6, 17)]
+    )
+    assert_renders_as_template(np.concatenate([scaled, -scaled]))
+
+
+def test_render_rows_matches_template_on_mixed_tables():
+    rng = np.random.default_rng(82)
+    rows = 700
+    values = rng.normal(0.0, 0.3, (rows, 18)) * 10.0 ** rng.integers(-8, 18, (rows, 18))
+    labels = ["flat", "sand", "é", "日本語", "a\x00b", "\x00", "z\x00"] * 100
+    windows = rng.integers(0, 10**6, (rows, 3))
+    empty = ["" if k % 3 else "stone" for k in range(rows)]
+    assert_renders_as_template(values, labels)  # features
+    assert_renders_as_template(windows, labels)  # predictions
+    assert_renders_as_template(labels[:5], windows[:5, :2].astype(np.int64))  # confusion
+    assert_renders_as_template(labels[:5], values[:5, :2])  # distances
+    assert_renders_as_template(np.arange(rows), values[:, :3], empty)  # eigen
+    assert_renders_as_template(np.arange(rows) * 0.25, values[:, 0])  # spectrum
+    assert_renders_as_template([""] * rows)
+
+
+def test_render_rows_kernel_takes_every_in_range_cell(monkeypatch):
+    # format_float renders only zeros, non-finite and out-of-range cells, so
+    # a block of N(0, 0.3) cells in [1e-6, 1e17) never reaches it.
+    block = np.random.default_rng(83).normal(0.0, 0.3, (formats._ROWS, 3))
+    assert (np.abs(block) >= 1e-6).all()
+    want = template_render_rows(block)
+
+    def refuse(value):
+        raise AssertionError(f"{value!r} was rendered by format_float")
+
+    monkeypatch.setattr(formats, "format_float", refuse)
+    assert formats._render_rows(block) == want
+    with pytest.raises(AssertionError, match="was rendered by format_float"):
+        formats._render_rows(np.array([[0.5, 0.0, 0.5]]))
+
+
+def test_text_cells_with_nul_and_non_ascii_round_trip(tmp_path):
+    labels = ["é", "日本語", "a\x00b", "\x00", "z\x00"]
+    path = tmp_path / "f.csv"
+    write_features(path, np.arange(10.0).reshape(5, 2) / 3.0, ["x", "y"], labels)
+    table = read_features(path)
+    assert table.labels == labels
+    assert path.read_text(encoding="utf-8").endswith(
+        template_render_rows(np.arange(10.0).reshape(5, 2) / 3.0, labels)
+    )

@@ -168,6 +168,12 @@ def test_mix64_on_uint64_array_matches_scalar():
     assert [int(v) for v in mixed] == [mix64(v) for v in values]
 
 
+def test_mix64_on_random_full_width_arrays_matches_masked_ints():
+    # The array path runs without the masks; Python ints keep them.
+    values = np.random.default_rng(5).integers(0, 1 << 64, size=2000, dtype=np.uint64)
+    assert [int(v) for v in mix64(values)] == [mix64(int(v)) for v in values]
+
+
 def test_derive_seed_separates_substreams():
     base = 1234
     a = derive_seed(base, "band", 0)

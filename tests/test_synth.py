@@ -6,12 +6,15 @@ pipeline, and direct statistical recomputation on the emitted samples.
 """
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spokesense.errors import ValidationError
 from spokesense.features import DEFAULT_BANDS, FeatureConfig, extract_feature_matrix
+from spokesense.rng import Prng, derive_seed
 from spokesense.signals import bandpass, dft_magnitude
 from spokesense.synth import (
     KNOWN_TERRAIN_NAMES,
@@ -19,6 +22,7 @@ from spokesense.synth import (
     GenSpec,
     TerrainProfile,
     Tonal,
+    _impulse_track,
     builtin_profile,
     builtin_profiles,
     generate,
@@ -166,6 +170,75 @@ def test_zero_band_rms_leaves_its_band_silent():
     assert np.isfinite(part).all()
     assert not part[0].any()
     assert np.array_equal(part[1:], full[1:])
+
+
+def oracle_generate(spec: GenSpec) -> np.ndarray:
+    """The channels of ``generate`` as it was before it added each
+    ingredient in place: a (3, n) band array and a list of tonal waves,
+    summed per channel as floor, bands 0-2, impulses, tonals."""
+    profile, rate = spec.profile, spec.sample_rate_hz
+    n = int(round(spec.duration_s * rate))
+    band_noise = np.zeros((3, n))
+    for b, band in enumerate(DEFAULT_BANDS):
+        target = profile.band_rms[b]
+        if target <= 0.0:
+            continue
+        shaped = bandpass(Prng(derive_seed(spec.seed, "band", b)).gaussian_block(n), rate, band)
+        level = math.sqrt(float(np.mean(shaped * shaped)))
+        if level > 0.0:
+            band_noise[b] = shaped * (target / level)
+    impulses = _impulse_track(
+        Prng(derive_seed(spec.seed, "impulse")), n, profile.impulse_rate_hz, rate,
+        profile.impulse_amplitude,
+    )
+    t = np.arange(n) / rate
+    tonal_waves = []
+    for idx, tone in enumerate(profile.tonal_components):
+        phase = 2.0 * math.pi * Prng(derive_seed(spec.seed, "tonal", idx)).uniform()
+        tonal_waves.append(
+            (tone, tone.amplitude * np.sin(2.0 * math.pi * tone.freq_hz * t + phase))
+        )
+    channels = np.empty((3, n))
+    gains = profile.channel_band_gains
+    for c in range(3):
+        acc = Prng(derive_seed(spec.seed, "floor", c)).gaussian_block(n) * profile.noise_floor_rms
+        for b in range(3):
+            acc = acc + gains[c][b] * band_noise[b]
+        acc = acc + gains[c][0] * impulses
+        for tone, wave in tonal_waves:
+            acc = acc + tone.channel_gains[c] * wave
+        channels[c] = acc
+    return channels
+
+
+def test_generate_matches_oracle_bit_for_bit():
+    # A silent profile: its floor draws are +-0.0, and each silent band's
+    # gain * 0.0 turns -0.0 into 0.0, as the zero band rows did.
+    silent = dataclasses.replace(
+        identity_noise_profile(), name="silent", band_rms=(0.0, 0.0, 0.0)
+    )
+    profiles = [*builtin_profiles(), identity_noise_profile(), silent]
+    for seed in (1, 2):
+        for profile in profiles:
+            spec = GenSpec(profile, 3.0, RATE, seed=seed)
+            want = oracle_generate(spec)
+            assert generate(spec).channels.tobytes() == want.tobytes(), (profile.name, seed)
+    assert np.signbit(oracle_generate(GenSpec(silent, 3.0, RATE, seed=1))).sum() == 0
+
+
+def test_generate_peak_below_four_channel_copies():
+    # Each ingredient is added in place and dropped, so a 60 s record's
+    # peak does not grow with the number of tonals.  The first call fills
+    # the FFT caches, which outlive it.
+    spec = GenSpec(builtin_profile(UNKNOWN_TERRAIN_NAME), 60.0, RATE, seed=1)
+    generate(spec)
+    tracemalloc.start()
+    try:
+        channels = generate(spec).channels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * channels.nbytes, (peak, channels.nbytes)
 
 
 def test_generate_validation():
