@@ -235,7 +235,7 @@ def _entropy(arr: np.ndarray, bins: int) -> float:
     step = (hi - lo) / bins
     edges = np.linspace(lo, hi, bins + 1) if step == 0.0 else np.arange(bins + 1.0) * step + lo
     ends = np.searchsorted(ordered, edges)
-    ends[-1] = arr.shape[0]  # so the last edge, hi, need not be exact
+    ends[-1] = arr.shape[0]  # the last bin ends after hi, whatever the last edge reads
     counts = ends[1:] - ends[:-1]
     probs = counts[counts > 0] / arr.shape[0]
     return float(-np.sum(probs * np.log2(probs)))

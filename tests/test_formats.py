@@ -4,7 +4,9 @@ Oracles: byte comparison of write -> read -> write, behavioral equality of
 reloaded models, handcrafted malformed documents with known offending
 line and field positions, and the whole-file dataset reader that numpy's
 row-block reader replaced (``oracle_read_dataset``), which must give the
-same channel bits or the same error on every document of a corpus.
+same channel bits or the same error on every document of a corpus, and the
+row template the float kernel replaced (``template_render_rows``), whose
+text every rendered block must match byte for byte.
 """
 
 import json

@@ -2,7 +2,9 @@
 
 Oracles: the generator's own recipe constants (band targets, tonal
 frequencies), spectrum measurements through the independent magnitude
-pipeline, and direct statistical recomputation on the emitted samples.
+pipeline, direct statistical recomputation on the emitted samples, and
+the generator as it was before it summed in place (``oracle_generate``),
+whose channel bytes every record must match.
 """
 
 import dataclasses
