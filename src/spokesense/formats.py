@@ -30,18 +30,18 @@ computed for whole blocks of floats by one exact vectorized kernel
 magnitudes outside [1e-6, 1e17) one cell at a time, and the bytes are
 those ``%`` gives for every cell.  A file is read as UTF-8 text line by
 line up to its header row.  A dataset body then goes to numpy's C reader,
-``_ROWS`` rows at a time, into the channel block, skipping blank lines and
-``# key=value`` lines; any body that reader refuses (a ``#`` line without
-``=``, cells only ``float()`` reads such as ``1_0``, ragged rows, an empty
-body) and every feature-table body take the cell-by-cell path, so the
-accepted files and the values read are the same on both paths.  There a
-body is parsed as one block: its rows are joined and split into cells
-once, the cells are converted by Python's ``float()`` rule in one call and
-checked by one finiteness pass.  Only a faulty body is walked row by row,
-to name the line and field of its first fault.  Every number of a JSON
-document is read by one checked reader, ``_array``: JSON numbers only (no
-booleans), finite and of the expected shape.  Readers raise typed errors
-with line/field positions and never abort the process.
+``_ROWS`` rows at a time, into the channel block; any body that reader
+refuses (``#`` lines, blank lines, cells only ``float()`` reads such as
+``1_0``, ragged rows, an empty body) and every feature-table body take the
+cell-by-cell path, so the accepted files and the values read are the same
+on both paths.  There a body is parsed as one block: its rows are joined
+and split into cells once, the cells are converted by Python's ``float()``
+rule in one call and checked by one finiteness pass.  Only a faulty body
+is walked row by row, to name the line and field of its first fault.
+Every number of a JSON document is read by one checked reader, ``_array``:
+JSON numbers only (no booleans), finite and of the expected shape.
+Readers raise typed errors with line/field positions and never abort the
+process.
 
 Free-text cells (labels, class names) must be encodable as UTF-8 and must
 not contain commas, newlines, a leading ``#`` or leading or trailing
@@ -485,40 +485,28 @@ def write_dataset(path, series: TimeSeries) -> None:
 def _read_samples(fh, width: int):
     """The (3, rows) channel block of a dataset body of ``width``-cell rows
     read by numpy's C reader ``_ROWS`` rows at a time, or None when that
-    reader could differ from ``_parse_body``: a ``#`` line without ``=``,
-    characters in ``_NOT_SPACE``, a body without rows, or any block it
-    refuses or reads with the wrong shape or a non-finite value.
+    reader could differ from ``_parse_body``: blank lines, characters in
+    ``_NOT_SPACE``, an empty body, or any block it refuses or reads with
+    the wrong shape or a non-finite value.
 
     A first pass counts the rows, so the block is allocated once, in the
     channel-major layout ``TimeSeries`` holds, and no second copy is made.
-    Blank lines and ``#`` lines are skipped, as ``_parse_body`` skips them;
-    a body holding either is counted and fed to the reader line by line.
     """
     start = fh.tell()
-    rows, last, plain = 0, "\n", True
+    rows, last = 0, "\n"
     for chunk in iter(lambda: fh.read(1 << 16), ""):
-        if any(c in chunk for c in _NOT_SPACE):
+        if "\n\n" in chunk or last + chunk[0] == "\n\n" or any(c in chunk for c in _NOT_SPACE):
             return None
-        plain = plain and "#" not in chunk and "\n\n" not in chunk and last + chunk[0] != "\n\n"
         rows += chunk.count("\n")
         last = chunk[-1]
     rows += last != "\n"
-    fh.seek(start)
-    lines = fh
-    if not plain:
-        rows = 0
-        for line in fh:
-            if line.startswith("#") and "=" not in line:
-                return None
-            rows += line[:1] not in ("\n", "#")
-        fh.seek(start)
-        lines = (line for line in fh if line[:1] not in ("\n", "#"))
     if not rows:
         return None
+    fh.seek(start)
     samples = np.empty((3, rows))
     for first in range(0, rows, _ROWS):
         try:
-            block = np.loadtxt(itertools.islice(lines, _ROWS), delimiter=",", comments=None,
+            block = np.loadtxt(itertools.islice(fh, _ROWS), delimiter=",", comments=None,
                                quotechar=None, dtype=np.float64, ndmin=2)
         except ValueError:
             return None

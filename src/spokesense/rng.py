@@ -28,13 +28,9 @@ _U53_SCALE = 1.0 / (1 << 53)
 def mix64(value):
     """splitmix64 finalizer on an int, or elementwise on a uint64 array, whose
     arithmetic wraps (never on a numpy uint64 scalar: its overflow warns)."""
-    if isinstance(value, int):  # the cheapest test, as scalar draws call this once each
-        z = value & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
-    z = (value ^ (value >> 30)) * _MIX1  # uint64 arithmetic wraps modulo 2**64 by itself
-    z = (z ^ (z >> 27)) * _MIX2
+    z = value & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 

