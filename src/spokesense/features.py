@@ -18,6 +18,7 @@ a 32-sample moving rms.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -232,7 +233,10 @@ def _entropy(arr: np.ndarray, bins: int) -> float:
     # Bin k holds edges[k] <= x < edges[k + 1]; the last bin also holds hi.
     # The edges are np.linspace's arithmetic without its wrapper; it divides
     # first when the step underflows to 0.
-    step = (hi - lo) / bins
+    span = hi - lo  # a Python float: inf, without a warning, past the double range
+    if math.isinf(span):
+        raise ValidationError(f"samples span {lo!r} to {hi!r}, wider than the double range")
+    step = span / bins
     edges = np.linspace(lo, hi, bins + 1) if step == 0.0 else np.arange(bins + 1.0) * step + lo
     ends = np.searchsorted(ordered, edges)
     ends[-1] = arr.shape[0]  # the last bin ends after hi, whatever the last edge reads

@@ -107,8 +107,12 @@ class Prng:
         if not (isinstance(items, list) or isinstance(items, np.ndarray) and items.ndim == 1):
             kind = type(items).__name__
             raise ValidationError(f"shuffle needs a list or a 1-D array, got a {kind}")
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        n = len(items)
+        if n < 2:
+            return
+        # Draw m picks a place below n - m, as below() would, in one block.
+        picks = self.u64_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> np.ndarray:

@@ -202,6 +202,14 @@ def test_entropy_rejects_bad_bins():
         shannon_entropy([1.0, 2.0], bins=1)
 
 
+def test_entropy_rejects_spans_beyond_the_double_range():
+    # max - min overflows to inf here; numpy must never see it (the suite
+    # raises its RuntimeWarnings as errors).
+    with pytest.raises(ValidationError, match="span"):
+        shannon_entropy([-1e308, 1e308, 0.0])
+    assert shannon_entropy([-1e307, 1e307, 0.0], bins=2) == pytest.approx(np.log2(3) - 2 / 3)
+
+
 # --------------------------------------------------------- autocorrelation
 
 

@@ -2,13 +2,14 @@
 
 Oracles: byte comparison of write -> read -> write, behavioral equality of
 reloaded models, handcrafted malformed documents with known offending
-line and field positions, and the whole-file dataset reader that numpy's
-row-block reader replaced (``oracle_read_dataset``), which must give the
+line and field positions, and the whole-file dataset reader that the
+block reader replaced (``oracle_read_dataset``), which must give the
 same channel bits or the same error on every document of a corpus, and the
 row template the float kernel replaced (``template_render_rows``), whose
 text every rendered block must match byte for byte.
 """
 
+import decimal
 import json
 import tracemalloc
 from decimal import Decimal
@@ -16,7 +17,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from spokesense import formats
+from spokesense import formats, synth
 from spokesense.eigen import EigenSignature
 from spokesense.errors import (
     FormatError,
@@ -326,8 +327,9 @@ def v1_rows(n):
     return "".join(f"{k / 720!r},{k}.25,-{k}e-3,{k * 7 % 11}\n" for k in range(n))
 
 
-# (head, body) documents, encoded as UTF-8 unless the body is bytes.  Bodies
-# longer than formats._ROWS rows put their fault in a later row block.
+# (head, body) documents, encoded as UTF-8 unless the body is bytes.  LONG
+# rows of v2_rows are over 150 KB, more than two of the reader's blocks, so
+# a fault after them lies in a later block.
 LONG = 2 * formats._ROWS + 100
 READER_CORPUS = {
     "plain": (V2_HEAD, v2_rows(5)),
@@ -373,6 +375,7 @@ READER_CORPUS = {
     "crlf": (V2_HEAD.replace("\n", "\r\n"), v2_rows(5).replace("\n", "\r\n")),
     "crlf_body": (V2_HEAD, v2_rows(LONG).replace("\n", "\r\n")),
     "lone_cr": (V2_HEAD, v2_rows(3).replace("\n", "\r")),
+    "cr_document": (V2_HEAD.replace("\n", "\r"), v2_rows(3).replace("\n", "\r")),
     "nul_cell": (V2_HEAD, "1\x00,2,3\n"),
     "empty_body": (V2_HEAD, ""),
     "header_without_newline": (V2_HEAD.rstrip("\n"), ""),
@@ -413,21 +416,23 @@ def test_dataset_reader_matches_cell_by_cell_oracle(tmp_path, name):
 
 
 def test_dataset_reader_corpus_takes_both_paths(tmp_path):
-    # numpy's reader takes plain rows; the cell-by-cell path takes what it
-    # refuses, valid (``#`` lines, underscores, blank lines) or not.
+    # The block reader takes rows of cells that the kernel or float() reads;
+    # the cell-by-cell path takes what it refuses, valid (``#`` lines, blank
+    # lines) or not.
     cases = {
         "plain_blocks": (True, True), "v1_t_column_blocks": (True, True),
         "crlf_body": (True, True), "padded_cells": (True, True),
-        "trailing_kv_blocks": (False, True), "underscore_late_block": (False, True),
+        "trailing_kv_blocks": (False, True), "underscore_late_block": (True, True),
         "blank_late_block": (False, True), "separator_space_late": (False, False),
         "nan_late_block": (False, False), "empty_body": (False, False),
+        "cr_document": (False, True),
     }
-    for name, (numpy_reads, valid) in cases.items():
+    for name, (blocks_read, valid) in cases.items():
         path = tmp_path / f"{name}.csv"
         write_document(path, *READER_CORPUS[name])
         with path.open(encoding="utf-8") as fh:
             header = formats._read_document(fh, formats.DATASET_FORMAT)[2]
-            assert (formats._read_samples(fh, len(header)) is not None) == numpy_reads, name
+            assert (formats._read_samples(fh, len(header)) is not None) == blocks_read, name
         assert isinstance(read_outcome(read_dataset, path)[0], tuple) == valid, name
 
 
@@ -1382,3 +1387,163 @@ def test_text_cells_with_nul_and_non_ascii_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8").endswith(
         template_render_rows(np.arange(10.0).reshape(5, 2) / 3.0, labels)
     )
+
+
+# ---------------------------------------------------------------- decimal kernel
+
+
+def kernel_read(monkeypatch, texts, width=3):
+    """What _parse_cells reads for the ``texts``, ``width`` to a row, and the
+    texts of the cells it handed to float()."""
+    fallback = []
+    cell_value = formats._cell_value
+
+    def record(cell):
+        fallback.append(cell.decode())
+        return cell_value(cell)
+
+    body = "".join(",".join(texts[i : i + width]) + "\n" for i in range(0, len(texts), width))
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_cell_value", record)
+        values = formats._parse_cells(bytes(formats._PAD) + body.encode(), width)
+    return values, fallback
+
+
+def assert_reads_as_float(monkeypatch, texts, width=3):
+    """The cells of the ``texts`` read to the bits float() gives; returns
+    the texts handed to float()."""
+    texts = list(texts)[: len(texts) // width * width]
+    values, fallback = kernel_read(monkeypatch, texts, width)
+    assert values is not None
+    want = np.array([float(text) for text in texts])
+    wrong = np.flatnonzero(values.view(np.uint64) != want.view(np.uint64))
+    assert wrong.size == 0, [texts[i] for i in wrong[:5]]
+    return fallback
+
+
+def test_decimal_kernel_reads_17_digit_bit_patterns(monkeypatch):
+    rng = np.random.default_rng(84)
+    low, high = np.array([1e-6, 1e17]).view(np.int64)
+    in_range = rng.integers(low + 1, high, size=60_000).view(np.float64) * rng.choice([-1, 1], 60_000)
+    texts = ["0", "-0", "0.0", "-0.0", "1e-06", "-1e-06"] + ["%.17g" % v for v in in_range]
+    assert assert_reads_as_float(monkeypatch, texts) == []
+    bits = rng.integers(0, 1 << 64, size=30_000, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+               np.nextafter(1e-6, 0.0), np.nextafter(1e17, 0.0), 1e17, -1e17]
+    beyond = np.concatenate([special, bits[np.isfinite(bits)]])
+    fallback = assert_reads_as_float(monkeypatch, ["%.17g" % v for v in beyond])
+    assert all(not 1e-6 < abs(float(text)) < 1e17 for text in fallback)
+    assert len(fallback) > 20_000  # most full-range doubles lie outside
+
+
+@pytest.mark.parametrize("digits", range(1, 20))
+def test_decimal_kernel_reads_every_precision(monkeypatch, digits):
+    rng = np.random.default_rng(85 + digits)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-8, 19, 6_000) * rng.choice([-1, 1], 6_000),
+        rng.normal(0.0, 0.3, 6_000),
+    ])
+    assert_reads_as_float(monkeypatch, [f"%.{digits}g" % v for v in values])
+    assert_reads_as_float(monkeypatch, [repr(float(v)) for v in values[::digits]])
+
+
+def test_decimal_kernel_reads_neighbours_of_powers_of_ten(monkeypatch):
+    values = power_neighbours(-8, 18, steps=8)
+    fallback = assert_reads_as_float(monkeypatch, ["%.17g" % v for v in values])
+    assert all(not 1e-6 < abs(float(text)) < 1e17 for text in fallback)
+    assert_reads_as_float(monkeypatch, [repr(float(v)) for v in values])
+    texts = [f"{sign}1{'0' * k}" for k in range(19) for sign in ("", "-")]
+    texts += [f"{sign}0.{'0' * k}1" for k in range(22) for sign in ("", "-")]
+    assert assert_reads_as_float(monkeypatch, texts) == []
+
+
+def midpoint(m, e):
+    """The exact decimal of (2 * m + 1) * 2**e: for m of 53 bits, the
+    midpoint between two adjacent doubles."""
+    m, e = 2 * int(m) + 1, int(e)
+    return Decimal(m << e) if e >= 0 else Decimal(f"{m * 5**-e}E{e}")
+
+
+def midpoints(rng, count):
+    """Midpoints whose digits D stay below 2**60."""
+    m = rng.integers(1 << 52, 1 << 53, size=count)
+    return [midpoint(v, e) for v, e in zip(m, rng.integers(-2, 6, size=count))]
+
+
+def test_decimal_kernel_sends_exact_midpoints_to_float(monkeypatch):
+    # Ziv's test refuses every tie; float() breaks it to even.
+    ties = midpoints(np.random.default_rng(86), 2_000)
+    texts = [format(t, "f") for t in ties] + [format(-t, "f") for t in ties]
+    texts += ["9007199254740993", "9007199254740993.0", "4503599627370496.5"]
+    texts = texts[: len(texts) // 3 * 3]
+    assert assert_reads_as_float(monkeypatch, texts) == texts
+
+
+def test_decimal_kernel_reads_decimals_next_to_midpoints(monkeypatch):
+    # 17 to 19 digits on each side of a midpoint between two doubles near
+    # each power of two in [2**-20, 2**56], and one unit from the exact ties.
+    rng = np.random.default_rng(87)
+    m = rng.integers(1 << 52, 1 << 53, size=3_000)
+    texts = []
+    for v, e in zip(m, rng.integers(-73, 5, size=3_000)):
+        tie = midpoint(v, e)
+        for digits in (17, 18, 19):
+            unit = Decimal(f"1E{tie.adjusted() + 1 - digits}")
+            texts += [format(tie.quantize(unit, rounding), "f")
+                      for rounding in (decimal.ROUND_DOWN, decimal.ROUND_UP)]
+    for tie in midpoints(rng, 2_000):
+        places = -tie.as_tuple().exponent
+        unit = Decimal(1).scaleb(-places)
+        texts += [format(tie - unit, "f"), format(tie + unit, "f")]
+    assert_reads_as_float(monkeypatch, texts)
+    assert_reads_as_float(monkeypatch, ["-" + text for text in texts])
+
+
+def test_decimal_kernel_cells_near_its_pattern(monkeypatch):
+    # Cells the kernel's pattern nearly matches: float() reads them, or
+    # refuses them and so does the block.
+    odd = ["1e5", "1E+05", "1e-5", "1e+5", "+1", " 1", "1 ", "1_0", "5.", ".5", "-.5",
+           "1.5e+00", "0" * 30 + "1", "0." + "0" * 25 + "1", "1" * 20, "1" * 19 + ".5",
+           "١٢", "-0e-05", "00000000000000000000000.5", "18446744073709551616",
+           "1844674407370955161.6", "1" + "0" * 23, "9" * 24, "1152921504606846977"]
+    odd += [text + "\r" for text in odd[:3]]
+    kernel = {"5.", ".5", "-.5", "1.5e+00", "-0e-05", "1152921504606846977"}
+    fallback = assert_reads_as_float(monkeypatch, odd, width=1)
+    assert fallback == [text for text in odd if text not in kernel]
+    for bad in [".", "-", "-.", "1.2.3", "1..2", "1e+5x", "e+05", "1e+0.5", "1e+.5", "1.e+-5",
+                "--1", "1-", "-1-", "0x10", "", "1,2", "nan", "-inf", "1e400", "1\x00", "1e++5"]:
+        assert kernel_read(monkeypatch, ["1.5", bad, "2"])[0] is None, bad
+
+
+def test_dataset_v1_bodies_read_by_kernel(tmp_path, monkeypatch):
+    rng = np.random.default_rng(88)
+    channels = rng.normal(0.0, 0.3, (6_000, 3)) * 10.0 ** rng.integers(-5, 6, (6_000, 3))
+    rows = [f"{k / 720!r}," + ",".join("%.17g" % v for v in row) for k, row in enumerate(channels)]
+    path = tmp_path / "v1.csv"
+    path.write_text(V1_HEAD + "\n".join(rows) + "\n")
+    values, fallback = kernel_read(monkeypatch, ",".join(rows).split(","), width=4)
+    assert all(not 1e-6 < abs(float(text)) for text in fallback)
+    assert read_outcome(read_dataset, path) == read_outcome(oracle_read_dataset, path)
+    assert read_dataset(path).channels.tobytes() == np.ascontiguousarray(channels.T).tobytes()
+
+
+def test_dataset_reader_kernel_takes_every_in_range_cell(tmp_path, monkeypatch):
+    # A simulated 60 s record: only its cells outside (1e-6, 1e17), if any,
+    # may reach float(); a kernel that stops applying fails here.  (The
+    # double 1e-6 is written 9.9999999999999995e-07, whose k is 23.)
+    series = synth.generate(synth.GenSpec(builtin_profile("small_stone"), 60.0, 1440.0, seed=89))
+    path = tmp_path / "record.csv"
+    write_dataset(path, series)
+    cell_value = formats._cell_value
+
+    def refuse(cell):
+        value = cell_value(cell)
+        if value is not None and 1e-6 < abs(value) < 1e17:
+            raise AssertionError(f"{cell!r} was read by float()")
+        return value
+
+    monkeypatch.setattr(formats, "_cell_value", refuse)
+    assert read_dataset(path).channels.tobytes() == series.channels.tobytes()
+    path.write_text(path.read_text() + " 0.5,0.5,0.5\n")  # padding: the kernel refuses it
+    with pytest.raises(AssertionError, match="was read by float"):
+        read_dataset(path)

@@ -135,6 +135,26 @@ def test_shuffle_is_permutation_and_deterministic():
     assert items != list(range(30))  # astronomically unlikely to be identity
 
 
+def loop_shuffle(rng, items):
+    """Prng.shuffle as it was before the block draw: one below() per place."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 400, 10_000])
+def test_shuffle_matches_one_draw_per_place(n):
+    for seed in (0, 7, 23, 1 << 63):
+        for make in (list, np.array):
+            got, want = make(range(n)), make(range(n))
+            rng, oracle = Prng(seed), Prng(seed)
+            rng.u64(), oracle.u64()  # a stream already under way
+            rng.shuffle(got)
+            loop_shuffle(oracle, want)
+            assert list(got) == list(want)
+            assert rng.counter == oracle.counter == 1 + max(n - 1, 0)
+
+
 def test_rejected_shuffle_draws_nothing():
     # Only a list or a 1-D array is shuffled in place; anything else is
     # refused before the first draw, so the stream is where it was.
