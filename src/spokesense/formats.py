@@ -32,14 +32,14 @@ those ``%`` gives for every cell.  A file is read as UTF-8 text line by
 line up to its header row.  A dataset body is then read as bytes, a block
 at a time, into the channel array (``_read_samples``): one exact vectorized
 decimal kernel parses its cells, and ``float()`` each cell the kernel
-refuses (``_parse_cells``).  A body with a structural fault (``#`` lines,
-blank lines, ragged rows, a cell ``float()`` refuses, an empty body) and
-every feature-table body take the cell-by-cell path, so the accepted files
-and the values read are the same on both paths.  There a body is parsed as
-one block: its rows are joined and split into cells once, the cells are
-converted by Python's ``float()`` rule in one call and checked by one
-finiteness pass.  Only a faulty body is walked row by row, to name the
-line and field of its first fault.
+refuses (``_decimals._parse_cells``).  A body with a structural fault
+(``#`` lines, blank lines, ragged rows, a cell ``float()`` refuses, an
+empty body) and every feature-table body take the cell-by-cell path, so
+the accepted files and the values read are the same on both paths.  There
+a body is parsed as one block: its rows are joined and split into cells
+once, the cells are converted by Python's ``float()`` rule in one call and
+checked by one finiteness pass.  Only a faulty body is walked row by row,
+to name the line and field of its first fault.
 Every number of a JSON document is read by one checked reader, ``_array``:
 JSON numbers only (no booleans), finite and of the expected shape.
 Readers raise typed errors with line/field positions and never abort the
@@ -56,7 +56,6 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -64,6 +63,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._decimals import _PAD, _parse_cells, _times_power
 from .errors import FormatError, UnsupportedVersionError, ValidationError, _finite_array
 from .signals import Spectrum, TimeSeries
 from .svm import BinarySvm, Kernel, PairwiseEntry, Standardizer, SvmModel
@@ -89,8 +89,6 @@ _FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 _ROWS = 4096  # rows per block of a table written
 _BODY_BYTES = 1 << 16  # bytes per block of a dataset body read, then to the end of a row
-_PAD = 32  # zero bytes before a body block, so each cell's last 28 bytes can be loaded
-_ONES = np.uint64(0x0101010101010101)  # one in each byte of a word
 
 
 def format_float(value: float) -> str:
@@ -109,15 +107,10 @@ _KERNEL_CELLS = 3072  # float cells per kernel step, which keeps its arrays smal
 
 @functools.cache
 def _kernel_tables() -> SimpleNamespace:
-    """The float kernels' tables, built on first use: 10**k for k = 0..22
-    (exact doubles) with their Veltkamp halves; 8-byte slot words for the
-    sign, "0.000" and the lead digit, for each 4-digit group and for each
-    decimal exponent -6..17; the trailing zeros of each group; per
-    (exponent, trailing zeros, sign), the _GAP words of the unused slots;
-    and, for the reader, the masks of a word's top c bytes, c = 0..8."""
-    powers = np.array([float(10**k) for k in range(23)])
-    split = 134217729.0 * powers  # 2**27 + 1
-    high = split - (split - powers)
+    """The float kernel's tables, built on first use: 8-byte slot words for
+    the sign, "0.000" and the lead digit, for each 4-digit group and for
+    each decimal exponent -6..17; the trailing zeros of each group; and, per
+    (exponent, trailing zeros, sign), the _GAP words of the unused slots."""
     digit = [6, *range(8, 40, 2)]  # slot of digit i; the slot after it holds a point
     gaps = np.full((24, 17, 2, _CELL), _GAP, np.uint8)
     for exponent in range(-6, 18):
@@ -140,25 +133,12 @@ def _kernel_tables() -> SimpleNamespace:
         return np.array([text.encode() for text in texts], dtype="S8").view(np.uint64)
 
     return SimpleNamespace(
-        powers=powers, high=high, low=powers - high,
         lead=words(f"-0.000{d}." for d in range(10)),
         groups=groups.reshape(-1, 8).view(np.uint64).ravel(),
         exponents=words(f"e{e:+03d}" for e in range(-6, 18)),
         zeros=(group % [10, 100, 1000, 10000] == 0).sum(axis=1),
         gaps=gaps.reshape(-1, _CELL).view(np.uint64),
-        top=np.array([(1 << 64) - (1 << (64 - 8 * c)) for c in range(9)], np.uint64),
     )
-
-
-def _times_power(a, k, tables):
-    """hi + lo = a * 10**k exactly: Dekker's product of Veltkamp halves."""
-    hi = a * tables.powers[k]
-    split = 134217729.0 * a
-    a_high = split - (split - a)
-    a_low = a - a_high
-    p_high, p_low = tables.high[k], tables.low[k]
-    lo = ((a_high * p_high - hi) + a_high * p_low + a_low * p_high) + a_low * p_low
-    return hi, lo
 
 
 def _decade_step(hi, lo):
@@ -184,12 +164,12 @@ def _render_floats(x, cells) -> None:
     if not exact.all():
         a = np.where(exact, a, 1.0)
     k = (16.0 - np.floor(np.log10(a))).clip(0, 22).astype(np.intp)
-    hi, lo = _times_power(a, k, tables)
+    hi, lo = _times_power(a, k)
     step = _decade_step(hi, lo)
     moved = np.flatnonzero(step)
     if moved.size:  # log10 rounded across a power of ten, or k would pass 22
         k[moved] = (k[moved] + step[moved]).clip(0, 22)
-        hi[moved], lo[moved] = _times_power(a[moved], k[moved], tables)
+        hi[moved], lo[moved] = _times_power(a[moved], k[moved])
         exact[moved] &= _decade_step(hi[moved], lo[moved]) == 0
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     top = digits == 10**17  # rounded up into the next decade
@@ -485,134 +465,6 @@ def write_dataset(path, series: TimeSeries) -> None:
     if series.label is not None:
         head.append(f"# label={_check_text_cell(series.label, 'label')}")
     _write_table(path, head, ["ch1", "ch2", "ch3"], series.channels.T)
-
-
-def _parse_cells(data: bytes, width: int):
-    """The values of the cells of ``data``, _PAD zero bytes and then rows of
-    ``width`` cells each ending in a newline, or None where ``_parse_body``
-    could read them otherwise: a ragged row, a carriage return not before a
-    newline (text mode breaks the line there), or a cell that ``float()``
-    refuses or reads as a non-finite value.
-
-    A cell ``-?digits[.digits][e±dd]`` of value +-D / 10**k, its mantissa
-    at most 24 bytes, D < 1.16 * 10**18 and 0 <= k <= 22, is read by an
-    exact vectorized kernel.  The mantissa is loaded as three words, the
-    point is dropped by moving the bytes before it one place on, and each
-    word's eight digits are summed by three masked multiplies.  D = D_hi +
-    D_lo with D_hi a double; q1 = D_hi / 10**k and q1 * 10**k = hi + lo
-    exactly (``_times_power``), so q2 = (D_hi - hi - lo + D_lo) / 10**k is
-    q1's remainder to about 2**-100 * |q1|.  A cell is kept only where
-    rounding q1 + q2 +- 2**-90 * |q1| gives one double (Ziv's test), which
-    is then the correctly rounded value; ``%.17g`` text lies about 2**-57 *
-    |q1| or more from the midpoint of two doubles, so it always passes.
-    Every other cell is read as ``_parse_body`` reads it: ``float()`` of its
-    UTF-8 text.
-    """
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    a = np.frombuffer(data, np.uint8)
-    ends = a == 10
-    rows = np.count_nonzero(ends)
-    ends |= a == 44
-    ends = np.flatnonzero(ends)  # the comma or newline after each cell
-    if ends.size != rows * width or (a[ends[width - 1 :: width]] != 10).any():
-        return None
-    starts = np.concatenate(([_PAD], ends[:-1] + 1))
-    neg = a[starts] == 45
-    n = ends - starts - neg  # mantissa bytes, the point included
-    me = ends - 24  # where the mantissa's last 24 bytes start
-    # An exponent "e±dd" ends the cell; its digits are checked as bytes.
-    exponent = np.zeros(ends.size, np.intp)
-    cells = np.flatnonzero(a[ends - 4] == 101)
-    if cells.size:
-        n[cells] -= 4
-        me[cells] -= 4
-        sign = a[ends[cells] - 3].astype(np.intp)
-        tens, ones = (a[ends[cells] - d] - np.uint8(48) for d in (2, 1))
-        exponent[cells] = (10 * tens.astype(np.intp) + ones) * (44 - sign)
-        exponent[cells[((sign != 43) & (sign != 45)) | (tens > 9) | (ones > 9)]] = 99
-    # The digits after a point, counted from the mantissa's end; 24 for none.
-    after = np.full(ends.size, 24)
-    points = np.flatnonzero(a == 46)
-    cells = np.searchsorted(ends, points)
-    after[cells] = me[cells] + 23 - points
-    has_point = after < 24
-    del points, cells
-    tables = _kernel_tables()
-    offsets = np.array([[16], [8], [0]])  # the bytes from each word to the mantissa's end
-    # The mantissa's last 24 bytes as three words, one row each, in address
-    # order, with the bytes before the mantissa read as "0" and those before
-    # the point moved on one place over it.  The steps work in place, since
-    # fresh arrays of a block's size cost more time and memory.
-    loads = np.ndarray(a.size - 23, "V24", data, 0, (1,))  # the 24 bytes from each offset
-    words = np.ascontiguousarray(loads[me].view("<u8").reshape(-1, 3).T)
-    del me
-    index = n - offsets
-    mask = tables.top[index.clip(0, 8, out=index)]
-    words &= mask
-    words |= np.invert(mask, out=mask) & _ONES * 0x30
-    moved = np.left_shift(words, 8, out=mask)
-    moved[1:] |= words[:-1] >> 56
-    moved[0] |= 0x30
-    words ^= moved
-    words &= tables.top[np.subtract(after, offsets, out=index).clip(0, 8, out=index)]
-    words ^= moved
-    del index
-    np.bitwise_and(words, _ONES * 0xF0, out=mask)
-    mask |= ((words + _ONES * 6) & _ONES * 0xF0) >> 4
-    mask ^= _ONES * 0x33  # zero where each byte is a digit
-    ok = (mask[0] | mask[1] | mask[2]) == 0
-    del mask
-    for keep, factor, shift in ((_ONES * 0x0F, 2561, 8), (0x00FF00FF00FF00FF, 6553601, 16),
-                                (0x0000FFFF0000FFFF, 42949672960001, 32)):
-        words &= keep  # then pairs, fours and eights of digits summed
-        words *= factor
-        words >>= shift
-    k = after * has_point - exponent
-    ok &= (n > has_point) & (n <= 24) & (k >= 0) & (k <= 22) & (words[0] < 116)
-    mantissa = words[0] * 10**16
-    mantissa += words[1] * 10**8
-    mantissa += words[2]
-    mantissa *= ok
-    k *= ok
-    del words, after, exponent, n, has_point
-    q2 = mantissa.astype(np.float64)  # D_hi, then the remainder, then q2
-    mantissa -= q2.astype(np.uint64)
-    d_lo = mantissa.view(np.int64).astype(np.float64)
-    del mantissa
-    power = tables.powers[k]
-    q1 = q2 / power
-    hi, lo = _times_power(q1, k, tables)
-    q2 -= hi
-    q2 -= lo
-    q2 += d_lo
-    q2 /= power
-    del hi, lo, d_lo, power
-    eps = np.abs(q1) * 2.0**-90
-    values = q2 + eps
-    values += q1
-    q2 -= eps
-    q2 += q1
-    ok &= values == q2
-    del q1, q2, eps
-    bits = values.view(np.uint64)
-    bits |= neg.astype(np.uint64) << np.uint64(63)  # the sign
-    for i in np.flatnonzero(~ok).tolist():
-        value = _cell_value(data[starts[i] : ends[i]])
-        if value is None:
-            return None
-        values[i] = value
-    return values
-
-
-def _cell_value(cell: bytes):
-    """``float()`` of the UTF-8 text of a cell the kernel refuses, as
-    ``_parse_body`` reads it, or None when that is no finite number."""
-    try:
-        value = float(cell.decode())
-    except (UnicodeDecodeError, ValueError):
-        return None
-    return value if math.isfinite(value) else None
 
 
 def _read_samples(fh, width: int):

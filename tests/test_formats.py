@@ -17,7 +17,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from spokesense import formats, synth
+from spokesense import _decimals, formats, synth
 from spokesense.eigen import EigenSignature
 from spokesense.errors import (
     FormatError,
@@ -1396,7 +1396,7 @@ def kernel_read(monkeypatch, texts, width=3):
     """What _parse_cells reads for the ``texts``, ``width`` to a row, and the
     texts of the cells it handed to float()."""
     fallback = []
-    cell_value = formats._cell_value
+    cell_value = _decimals._cell_value
 
     def record(cell):
         fallback.append(cell.decode())
@@ -1404,8 +1404,8 @@ def kernel_read(monkeypatch, texts, width=3):
 
     body = "".join(",".join(texts[i : i + width]) + "\n" for i in range(0, len(texts), width))
     with monkeypatch.context() as patch:
-        patch.setattr(formats, "_cell_value", record)
-        values = formats._parse_cells(bytes(formats._PAD) + body.encode(), width)
+        patch.setattr(_decimals, "_cell_value", record)
+        values = _decimals._parse_cells(bytes(_decimals._PAD) + body.encode(), width)
     return values, fallback
 
 
@@ -1534,7 +1534,7 @@ def test_dataset_reader_kernel_takes_every_in_range_cell(tmp_path, monkeypatch):
     series = synth.generate(synth.GenSpec(builtin_profile("small_stone"), 60.0, 1440.0, seed=89))
     path = tmp_path / "record.csv"
     write_dataset(path, series)
-    cell_value = formats._cell_value
+    cell_value = _decimals._cell_value
 
     def refuse(cell):
         value = cell_value(cell)
@@ -1542,7 +1542,7 @@ def test_dataset_reader_kernel_takes_every_in_range_cell(tmp_path, monkeypatch):
             raise AssertionError(f"{cell!r} was read by float()")
         return value
 
-    monkeypatch.setattr(formats, "_cell_value", refuse)
+    monkeypatch.setattr(_decimals, "_cell_value", refuse)
     assert read_dataset(path).channels.tobytes() == series.channels.tobytes()
     path.write_text(path.read_text() + " 0.5,0.5,0.5\n")  # padding: the kernel refuses it
     with pytest.raises(AssertionError, match="was read by float"):
