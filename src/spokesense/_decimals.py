@@ -1,12 +1,18 @@
-"""Exact decimal arithmetic for the CSV float kernels of ``formats``.
+"""Decimal text to and from doubles: the CSV cell kernels of ``formats``.
 
-Powers of ten that are exact doubles, the exact product of a double and one
-of them (``_times_power``, which the ``%.17g`` writer uses to find a
-value's 17 digits), and the reader of dataset body cells (``_parse_cells``),
-which gives every cell the double ``float()`` gives its text.  The module
-is compiled apart from ``formats``, the package's largest: a module is
-compiled whole and the memory its compile touches stays with the process,
-so code added to the largest module raises the process's peak.
+Every real number is written by one rule, ``%.17g`` (``format_float``),
+which round-trips IEEE doubles exactly.  ``_render_rows`` renders blocks of
+table rows with it: floats of magnitude in [1e-6, 1e17) by one exact
+vectorized kernel (``_render_floats``), the others by ``format_float`` one
+cell at a time.  ``_read_block`` reads blocks of dataset body rows to the
+doubles ``float()`` gives their cells: plain decimals by one exact
+vectorized kernel, every other cell by ``float()`` itself.  Both kernels
+rest on ``_times_power``, the exact product of a double and a power of ten
+that is an exact double, and their tables are built on first use.
+
+The module is compiled apart from ``formats``, the package's largest: a
+module is compiled whole and the memory its compile touches stays with the
+process, so code added to the largest module raises the process's peak.
 """
 
 from __future__ import annotations
@@ -17,12 +23,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-_PAD = 32  # zero bytes before a body block, so each cell's last 28 bytes can be loaded
-_ONES = np.uint64(0x0101010101010101)  # one in each byte of a word
+_FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
+
+
+def format_float(value: float) -> str:
+    """The one decimal rendering of a real number in CSV."""
+    return _FLOAT % float(value)
 
 
 @functools.cache
-def _tables() -> SimpleNamespace:
+def _powers() -> SimpleNamespace:
     """Built on first use: 10**k for k = 0..22 (exact doubles) with their
     Veltkamp halves, and the masks of a word's top c bytes, c = 0..8."""
     powers = np.array([float(10**k) for k in range(23)])
@@ -33,39 +43,208 @@ def _tables() -> SimpleNamespace:
 
 
 def _times_power(a, k):
-    """hi + lo = a * 10**k exactly: Dekker's product of Veltkamp halves."""
-    tables = _tables()
-    hi = a * tables.powers[k]
-    split = 134217729.0 * a
-    a_high = split - (split - a)
-    a_low = a - a_high
+    """hi + lo = a * 10**k exactly: Dekker's product of Veltkamp halves,
+    its sums taken in place."""
+    tables = _powers()
     p_high, p_low = tables.high[k], tables.low[k]
-    lo = ((a_high * p_high - hi) + a_high * p_low + a_low * p_high) + a_low * p_low
+    hi = a * tables.powers[k]
+    a_high = 134217729.0 * a
+    a_high -= a_high - a
+    a_low = a - a_high
+    lo = a_high * p_high
+    lo -= hi
+    a_high *= p_low
+    lo += a_high
+    p_high *= a_low
+    lo += p_high
+    a_low *= p_low
+    lo += a_low
     return hi, lo
 
 
-def _parse_cells(data: bytes, width: int):
-    """The values of the cells of ``data``, _PAD zero bytes and then rows of
-    ``width`` cells each ending in a newline, or None where the cell-by-cell
-    reader (``formats._parse_body``) could read them otherwise: a ragged
-    row, a carriage return not before a newline (text mode breaks the line
-    there), or a cell that ``float()`` refuses or reads as a non-finite
-    value.
+# ---------------------------------------------------------------- writer
+
+# A rendered cell is a row of byte slots, the last one its separator; slots
+# its text does not use hold _GAP, a byte UTF-8 never holds, and are dropped
+# when a block becomes text.  A float cell has _CELL slots: sign, "0.000",
+# the 17 digits each followed by a slot for the point, and the exponent.
+_GAP = 0xFF
+_CELL = 48
+_KERNEL_CELLS = 3072  # float cells per kernel step, which keeps its arrays small
+
+
+@functools.cache
+def _slot_tables() -> SimpleNamespace:
+    """The float writer's tables, built on first use: 8-byte slot words for
+    the sign, "0.000" and the lead digit, for each 4-digit group and for
+    each decimal exponent -6..17; the trailing zeros of each group; and, per
+    (exponent, trailing zeros, sign), the _GAP words of the unused slots."""
+    digit = [6, *range(8, 40, 2)]  # slot of digit i; the slot after it holds a point
+    gaps = np.full((24, 17, 2, _CELL), _GAP, np.uint8)
+    for exponent in range(-6, 18):
+        for zeros in range(17):
+            kept = 17 - zeros
+            if 0 <= exponent < 17:  # ddd.ddd
+                point = [digit[exponent] + 1] * (kept > exponent + 1)
+                used = digit[: max(kept, exponent + 1)] + point
+            elif exponent >= -4:  # 0.000ddd
+                used = [1, 2, 3, 4, 5][: 1 - exponent] + digit[:kept]
+            else:  # d.ddde-05
+                used = digit[:kept] + [7] * (kept > 1) + [40, 41, 42, 43]
+            gaps[exponent + 6, zeros, :, used + [_CELL - 1]] = 0
+    gaps[:, :, 1, 0] = 0  # the minus sign
+    group = np.arange(10000)[:, None]
+    groups = np.full((10000, 4, 2), ord("."), np.uint8)  # "d.d.d.d."
+    groups[:, :, 0] = ord("0") + group // [1000, 100, 10, 1] % 10
+
+    def words(texts):
+        return np.array([text.encode() for text in texts], dtype="S8").view(np.uint64)
+
+    return SimpleNamespace(
+        lead=words(f"-0.000{d}." for d in range(10)),
+        groups=groups.reshape(-1, 8).view(np.uint64).ravel(),
+        exponents=words(f"e{e:+03d}" for e in range(-6, 18)),
+        zeros=(group % [10, 100, 1000, 10000] == 0).sum(axis=1),
+        gaps=gaps.reshape(-1, _CELL).view(np.uint64),
+    )
+
+
+def _decade_step(hi, lo):
+    """+1 where hi + lo < 10**16, -1 where it is >= 10**17, else 0; decided
+    on hi and lo, since hi alone rounds across either bound."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    return below.astype(np.intp) - above
+
+
+def _render_floats(x, cells) -> None:
+    """The ``%.17g`` texts of the floats ``x`` into the slot rows ``cells``.
+
+    |x| in [1e-6, 1e17) takes 17 digits D = round(|x| * 10**k), with k from
+    log10 moved until the exact product lies in [10**16, 10**17); D rounds
+    half to even as ``%`` does, since the product's high part is an even
+    integer there.  Zeros, non-finite values, the rest of the range and the
+    few values whose k would pass 22 are rendered by ``format_float``.
+    """
+    tables = _slot_tables()
+    a = np.abs(x)
+    exact = (a >= 1e-6) & (a < 1e17)
+    if not exact.all():
+        a = np.where(exact, a, 1.0)
+    k = (16.0 - np.floor(np.log10(a))).clip(0, 22).astype(np.intp)
+    hi, lo = _times_power(a, k)
+    step = _decade_step(hi, lo)
+    moved = np.flatnonzero(step)
+    if moved.size:  # log10 rounded across a power of ten, or k would pass 22
+        k[moved] = (k[moved] + step[moved]).clip(0, 22)
+        hi[moved], lo[moved] = _times_power(a[moved], k[moved])
+        exact[moved] &= _decade_step(hi[moved], lo[moved]) == 0
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top = digits == 10**17  # rounded up into the next decade
+    digits[top] = 10**16
+    exponent = 22 - k + top  # the decimal exponent, plus 6
+    lead = digits // 10**16
+    upper, lower = np.divmod(digits - lead * 10**16, 10**8)
+    g1, g3 = upper // 10**4, lower // 10**4
+    g2, g4 = upper - g1 * 10**4, lower - g3 * 10**4
+    words = cells.view(np.uint64)
+    words[:, 0] = tables.lead[lead]
+    for w, group in enumerate((g1, g2, g3, g4), 1):
+        words[:, w] = tables.groups[group]
+    words[:, 5] = tables.exponents[exponent]
+    z = tables.zeros
+    zeros = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
+    words |= tables.gaps[(exponent * 17 + zeros) * 2 + np.signbit(x)]
+    for i in np.flatnonzero(~exact):
+        text = format_float(x[i]).encode()
+        cells[i] = _GAP
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _float_cells(values) -> np.ndarray:
+    """Slot rows of the float ``values``, _KERNEL_CELLS at a time."""
+    cells = np.empty((values.shape[0], _CELL), np.uint8)
+    for first in range(0, values.shape[0], _KERNEL_CELLS):
+        _render_floats(values[first : first + _KERNEL_CELLS], cells[first : first + _KERNEL_CELLS])
+    return cells
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """Slot rows of the ``texts`` as UTF-8, each padded with _GAP."""
+    encoded = [text.encode() for text in texts]
+    width = max(map(len, encoded)) + 1
+    padded = bytearray(b"".join(text.ljust(width, bytes([_GAP])) for text in encoded))
+    return np.frombuffer(padded, np.uint8).reshape(-1, width)
+
+
+def _render_rows(*columns) -> str:
+    """One line per row of the ``columns`` side by side, in order.
+
+    A column is a numpy block (1-d for one cell per row), rendered by the
+    ``%.17g`` rule of ``format_float`` when it holds floats and as
+    ``str(int)`` when it holds integers, or a list of text cells, written
+    as they are.  Floats of magnitude in [1e-6, 1e17) are rendered by one
+    exact vectorized kernel (``_render_floats``), the others by
+    ``format_float``; the bytes are those of ``format_float`` either way.
+    """
+    blocks = []
+    for column in columns:
+        if isinstance(column, list):
+            cells = _text_cells(column)
+        else:
+            block = np.asarray(column)
+            if block.dtype.kind == "f":
+                cells = _float_cells(block.astype(np.float64, copy=False).reshape(-1))
+            else:
+                cells = _text_cells(["%d" % v for v in block.reshape(-1).tolist()])
+        cells[:, -1] = ord(",")
+        blocks.append(cells.reshape(len(column), -1))
+    blocks[-1][:, -1] = ord("\n")
+    return np.hstack(blocks).tobytes().translate(None, bytes([_GAP])).decode()
+
+
+# ---------------------------------------------------------------- reader
+
+_PAD = 32  # zero bytes before a block's rows, so each cell's last 28 bytes can be loaded
+# Byte-wise word constants.  They are uint64 scalars, not products of one
+# and a Python int, which numpy 1.x promotes to float64.
+_ZEROS = np.uint64(0x3030303030303030)  # "0" in every byte
+_NINES = np.uint64(0x7676767676767676)  # 0x80 - 10 in every byte: a byte over 9 then tops 0x7F
+_TOPS = np.uint64(0x8080808080808080)  # every byte's top bit
+_SUMS = (  # after the digit pairs: masks, factors and shifts that sum fours, then eights
+    (np.uint64(0x00FF00FF00FF00FF), np.uint64(6553601), np.uint64(16)),
+    (np.uint64(0x0000FFFF0000FFFF), np.uint64(42949672960001), np.uint64(32)),
+)
+
+
+def _read_block(raw, size: int, width: int):
+    """The values of the cells of the next rows of ``raw``, a binary file at
+    the start of a row of ``width`` cells: ``size`` bytes and on to the end
+    of a row.  None where the cell-by-cell reader (``formats._parse_body``)
+    could read them otherwise: a ragged row, a carriage return not before a
+    newline (text mode breaks the line there), or a cell that ``float()``
+    refuses or reads as a non-finite value.
 
     A cell ``-?digits[.digits][e±dd]`` of value +-D / 10**k, its mantissa
     at most 24 bytes, D < 1.16 * 10**18 and 0 <= k <= 22, is read by an
-    exact vectorized kernel.  The mantissa is loaded as three words, the
-    point is dropped by moving the bytes before it one place on, and each
-    word's eight digits are summed by three masked multiplies.  D = D_hi +
-    D_lo with D_hi a double; q1 = D_hi / 10**k and q1 * 10**k = hi + lo
-    exactly (``_times_power``), so q2 = (D_hi - hi - lo + D_lo) / 10**k is
-    q1's remainder to about 2**-100 * |q1|.  A cell is kept only where
-    rounding q1 + q2 +- 2**-90 * |q1| gives one double (Ziv's test), which
-    is then the correctly rounded value; ``%.17g`` text lies about 2**-57 *
-    |q1| or more from the midpoint of two doubles, so it always passes.
-    Every other cell is read as the cell-by-cell reader reads it: ``float()``
-    of its UTF-8 text.
+    exact vectorized kernel.  The mantissa's last 24 bytes are loaded as
+    three words, and each word in turn has its bytes made digit values, the
+    bytes before the mantissa made 0 and those before the point moved one
+    place on over it, is checked to hold digits only and has its eight
+    digits summed by three multiplies.  D = D_hi + D_lo with D_hi a double;
+    q1 = D_hi / 10**k and q1 * 10**k = hi + lo exactly (``_times_power``),
+    so q2 = (D_hi - hi - lo + D_lo) / 10**k is q1's remainder to about
+    2**-100 * |q1|.  A cell is kept only where rounding q1 + q2 +- 2**-90 *
+    |q1| gives one double (Ziv's test), which is then the correctly rounded
+    value; ``%.17g`` text lies about 2**-57 * |q1| or more from the
+    midpoint of two doubles, so it always passes.  Every other cell is read
+    as the cell-by-cell reader reads it: ``float()`` of its UTF-8 text.
     """
+    data = bytearray(_PAD)
+    data += raw.read(size)
+    data += raw.readline()
+    if not data.endswith(b"\n"):
+        data += b"\n"
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
     a = np.frombuffer(data, np.uint8)
@@ -78,17 +257,18 @@ def _parse_cells(data: bytes, width: int):
     starts = np.concatenate(([_PAD], ends[:-1] + 1))
     neg = a[starts] == 45
     n = ends - starts - neg  # mantissa bytes, the point included
+    del starts
     me = ends - 24  # where the mantissa's last 24 bytes start
     # An exponent "e±dd" ends the cell; its digits are checked as bytes.
-    exponent = np.zeros(ends.size, np.intp)
+    k = np.zeros(ends.size, np.intp)  # minus the exponent, then the power of ten to divide by
     cells = np.flatnonzero(a[ends - 4] == 101)
     if cells.size:
         n[cells] -= 4
         me[cells] -= 4
         sign = a[ends[cells] - 3].astype(np.intp)
         tens, ones = (a[ends[cells] - d] - np.uint8(48) for d in (2, 1))
-        exponent[cells] = (10 * tens.astype(np.intp) + ones) * (44 - sign)
-        exponent[cells[((sign != 43) & (sign != 45)) | (tens > 9) | (ones > 9)]] = 99
+        k[cells] = (10 * tens.astype(np.intp) + ones) * (sign - 44)
+        k[cells[((sign != 43) & (sign != 45)) | (tens > 9) | (ones > 9)]] = -99
     # The digits after a point, counted from the mantissa's end; 24 for none.
     after = np.full(ends.size, 24)
     points = np.flatnonzero(a == 46)
@@ -96,67 +276,71 @@ def _parse_cells(data: bytes, width: int):
     after[cells] = me[cells] + 23 - points
     has_point = after < 24
     del points, cells
-    tables = _tables()
-    offsets = np.array([[16], [8], [0]])  # the bytes from each word to the mantissa's end
-    # The mantissa's last 24 bytes as three words, one row each, in address
-    # order, with the bytes before the mantissa read as "0" and those before
-    # the point moved on one place over it.  The steps work in place, since
-    # fresh arrays of a block's size cost more time and memory.
+    k += after * has_point
+    ok = (n > has_point) & (n <= 24) & (k >= 0) & (k <= 22)
+    del has_point
+    # Word by word in address order, each taken in place: its bytes become
+    # digit values, those before the mantissa 0, those before the point move
+    # one place on (the first from the word before), it is checked for
+    # digits, and D gathers the sum of its eight digits.
+    top = _powers().top
     loads = np.ndarray(a.size - 23, "V24", data, 0, (1,))  # the 24 bytes from each offset
     words = np.ascontiguousarray(loads[me].view("<u8").reshape(-1, 3).T)
     del me
-    index = n - offsets
-    mask = tables.top[index.clip(0, 8, out=index)]
-    words &= mask
-    words |= np.invert(mask, out=mask) & _ONES * 0x30
-    moved = np.left_shift(words, 8, out=mask)
-    moved[1:] |= words[:-1] >> 56
-    moved[0] |= 0x30
-    words ^= moved
-    words &= tables.top[np.subtract(after, offsets, out=index).clip(0, 8, out=index)]
-    words ^= moved
-    del index
-    np.bitwise_and(words, _ONES * 0xF0, out=mask)
-    mask |= ((words + _ONES * 6) & _ONES * 0xF0) >> 4
-    mask ^= _ONES * 0x33  # zero where each byte is a digit
-    ok = (mask[0] | mask[1] | mask[2]) == 0
-    del mask
-    for keep, factor, shift in ((_ONES * 0x0F, 2561, 8), (0x00FF00FF00FF00FF, 6553601, 16),
-                                (0x0000FFFF0000FFFF, 42949672960001, 32)):
-        words &= keep  # then pairs, fours and eights of digits summed
-        words *= factor
-        words >>= shift
-    k = after * has_point - exponent
-    ok &= (n > has_point) & (n <= 24) & (k >= 0) & (k <= 22) & (words[0] < 116)
-    mantissa = words[0] * 10**16
-    mantissa += words[1] * 10**8
-    mantissa += words[2]
+    index = np.empty_like(n)
+    for word, offset in zip(words, (16, 8, 0)):  # bytes from the word to the mantissa's end
+        word ^= _ZEROS
+        word &= top[np.subtract(n, offset, out=index).clip(0, 8, out=index)]
+        moved = word << np.uint64(8)
+        if offset < 16:
+            moved |= carry
+        carry = word >> np.uint64(56)
+        word ^= moved
+        word &= top[np.subtract(after, offset, out=index).clip(0, 8, out=index)]
+        word ^= moved
+        np.add(word, _NINES, out=moved)
+        moved |= word
+        moved &= _TOPS
+        ok &= moved == 0
+        word *= np.uint64(2561)  # the digits summed in pairs, fours, then eights
+        word >>= np.uint64(8)
+        for keep, factor, shift in _SUMS:
+            word &= keep
+            word *= factor
+            word >>= shift
+        if offset == 16:
+            ok &= word < 116
+            mantissa = word
+        else:
+            mantissa *= np.uint64(10**8)
+            mantissa += word
+    del words, word, moved, carry, index, after, n
     mantissa *= ok
     k *= ok
-    del words, after, exponent, n, has_point
     q2 = mantissa.astype(np.float64)  # D_hi, then the remainder, then q2
     mantissa -= q2.astype(np.uint64)
     d_lo = mantissa.view(np.int64).astype(np.float64)
     del mantissa
-    power = tables.powers[k]
+    power = _powers().powers[k]
     q1 = q2 / power
     hi, lo = _times_power(q1, k)
     q2 -= hi
     q2 -= lo
     q2 += d_lo
     q2 /= power
-    del hi, lo, d_lo, power
-    eps = np.abs(q1) * 2.0**-90
+    del lo, d_lo, power
+    eps = np.abs(q1, out=hi)
+    eps *= 2.0**-90
     values = q2 + eps
     values += q1
     q2 -= eps
     q2 += q1
     ok &= values == q2
-    del q1, q2, eps
+    del q1, q2, eps, hi
     bits = values.view(np.uint64)
     bits |= neg.astype(np.uint64) << np.uint64(63)  # the sign
     for i in np.flatnonzero(~ok).tolist():
-        value = _cell_value(data[starts[i] : ends[i]])
+        value = _cell_value(data[ends[i - 1] + 1 if i else _PAD : ends[i]])
         if value is None:
             return None
         values[i] = value

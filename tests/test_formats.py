@@ -10,6 +10,7 @@ text every rendered block must match byte for byte.
 """
 
 import decimal
+import io
 import json
 import tracemalloc
 from decimal import Decimal
@@ -1293,7 +1294,7 @@ def template_render_rows(*columns) -> str:
 
 
 def assert_renders_as_template(*columns):
-    assert formats._render_rows(*columns) == template_render_rows(*columns)
+    assert _decimals._render_rows(*columns) == template_render_rows(*columns)
 
 
 def power_neighbours(low, high, steps=4):
@@ -1372,10 +1373,10 @@ def test_render_rows_kernel_takes_every_in_range_cell(monkeypatch):
     def refuse(value):
         raise AssertionError(f"{value!r} was rendered by format_float")
 
-    monkeypatch.setattr(formats, "format_float", refuse)
-    assert formats._render_rows(block) == want
+    monkeypatch.setattr(_decimals, "format_float", refuse)
+    assert _decimals._render_rows(block) == want
     with pytest.raises(AssertionError, match="was rendered by format_float"):
-        formats._render_rows(np.array([[0.5, 0.0, 0.5]]))
+        _decimals._render_rows(np.array([[0.5, 0.0, 0.5]]))
 
 
 def test_text_cells_with_nul_and_non_ascii_round_trip(tmp_path):
@@ -1393,7 +1394,7 @@ def test_text_cells_with_nul_and_non_ascii_round_trip(tmp_path):
 
 
 def kernel_read(monkeypatch, texts, width=3):
-    """What _parse_cells reads for the ``texts``, ``width`` to a row, and the
+    """What _read_block reads for the ``texts``, ``width`` to a row, and the
     texts of the cells it handed to float()."""
     fallback = []
     cell_value = _decimals._cell_value
@@ -1405,8 +1406,20 @@ def kernel_read(monkeypatch, texts, width=3):
     body = "".join(",".join(texts[i : i + width]) + "\n" for i in range(0, len(texts), width))
     with monkeypatch.context() as patch:
         patch.setattr(_decimals, "_cell_value", record)
-        values = _decimals._parse_cells(bytes(_decimals._PAD) + body.encode(), width)
+        data = body.encode()
+        values = _decimals._read_block(io.BytesIO(data), len(data), width)
     return values, fallback
+
+
+def test_decimal_kernel_word_constants_are_uint64():
+    # numpy 1.x promotes a uint64 scalar times a Python int to float64, and
+    # a float64 mask fails the kernel's bitwise steps; every word constant
+    # is therefore a uint64 scalar of its own.
+    constants = [_decimals._ZEROS, _decimals._NINES, _decimals._TOPS]
+    constants += [c for step in _decimals._SUMS for c in step]
+    assert all(type(c) is np.uint64 for c in constants)
+    assert [int(c) for c in constants[:3]] == [0x3030303030303030, 0x7676767676767676,
+                                               0x8080808080808080]
 
 
 def assert_reads_as_float(monkeypatch, texts, width=3):
