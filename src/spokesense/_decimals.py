@@ -1,18 +1,13 @@
-"""Decimal text to and from doubles: the CSV cell kernels of ``formats``.
+"""Exact decimal arithmetic for the CSV float kernels of ``formats``.
 
-Every real number is written by one rule, ``%.17g`` (``format_float``),
-which round-trips IEEE doubles exactly.  ``_render_rows`` renders blocks of
-table rows with it: floats of magnitude in [1e-6, 1e17) by one exact
-vectorized kernel (``_render_floats``), the others by ``format_float`` one
-cell at a time.  ``_read_block`` reads blocks of dataset body rows to the
-doubles ``float()`` gives their cells: plain decimals by one exact
-vectorized kernel, every other cell by ``float()`` itself.  Both kernels
-rest on ``_times_power``, the exact product of a double and a power of ten
-that is an exact double, and their tables are built on first use.
-
-The module is compiled apart from ``formats``, the package's largest: a
-module is compiled whole and the memory its compile touches stays with the
-process, so code added to the largest module raises the process's peak.
+Powers of ten that are exact doubles, the exact product of a double and one
+of them (``_times_power``, which the ``%.17g`` writer uses to find a
+value's 17 digits), and the reader of dataset body blocks (``_read_block``),
+which reads rows from a binary file and gives every cell the double
+``float()`` gives its text.  The module is compiled apart from ``formats``,
+the package's largest: a module is compiled whole and the memory its
+compile touches stays with the process, so code added to the largest
+module raises the process's peak.
 """
 
 from __future__ import annotations
@@ -22,14 +17,6 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
-
-_FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
-
-
-def format_float(value: float) -> str:
-    """The one decimal rendering of a real number in CSV."""
-    return _FLOAT % float(value)
-
 
 @functools.cache
 def _powers() -> SimpleNamespace:
@@ -61,149 +48,6 @@ def _times_power(a, k):
     lo += a_low
     return hi, lo
 
-
-# ---------------------------------------------------------------- writer
-
-# A rendered cell is a row of byte slots, the last one its separator; slots
-# its text does not use hold _GAP, a byte UTF-8 never holds, and are dropped
-# when a block becomes text.  A float cell has _CELL slots: sign, "0.000",
-# the 17 digits each followed by a slot for the point, and the exponent.
-_GAP = 0xFF
-_CELL = 48
-_KERNEL_CELLS = 3072  # float cells per kernel step, which keeps its arrays small
-
-
-@functools.cache
-def _slot_tables() -> SimpleNamespace:
-    """The float writer's tables, built on first use: 8-byte slot words for
-    the sign, "0.000" and the lead digit, for each 4-digit group and for
-    each decimal exponent -6..17; the trailing zeros of each group; and, per
-    (exponent, trailing zeros, sign), the _GAP words of the unused slots."""
-    digit = [6, *range(8, 40, 2)]  # slot of digit i; the slot after it holds a point
-    gaps = np.full((24, 17, 2, _CELL), _GAP, np.uint8)
-    for exponent in range(-6, 18):
-        for zeros in range(17):
-            kept = 17 - zeros
-            if 0 <= exponent < 17:  # ddd.ddd
-                point = [digit[exponent] + 1] * (kept > exponent + 1)
-                used = digit[: max(kept, exponent + 1)] + point
-            elif exponent >= -4:  # 0.000ddd
-                used = [1, 2, 3, 4, 5][: 1 - exponent] + digit[:kept]
-            else:  # d.ddde-05
-                used = digit[:kept] + [7] * (kept > 1) + [40, 41, 42, 43]
-            gaps[exponent + 6, zeros, :, used + [_CELL - 1]] = 0
-    gaps[:, :, 1, 0] = 0  # the minus sign
-    group = np.arange(10000)[:, None]
-    groups = np.full((10000, 4, 2), ord("."), np.uint8)  # "d.d.d.d."
-    groups[:, :, 0] = ord("0") + group // [1000, 100, 10, 1] % 10
-
-    def words(texts):
-        return np.array([text.encode() for text in texts], dtype="S8").view(np.uint64)
-
-    return SimpleNamespace(
-        lead=words(f"-0.000{d}." for d in range(10)),
-        groups=groups.reshape(-1, 8).view(np.uint64).ravel(),
-        exponents=words(f"e{e:+03d}" for e in range(-6, 18)),
-        zeros=(group % [10, 100, 1000, 10000] == 0).sum(axis=1),
-        gaps=gaps.reshape(-1, _CELL).view(np.uint64),
-    )
-
-
-def _decade_step(hi, lo):
-    """+1 where hi + lo < 10**16, -1 where it is >= 10**17, else 0; decided
-    on hi and lo, since hi alone rounds across either bound."""
-    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-    return below.astype(np.intp) - above
-
-
-def _render_floats(x, cells) -> None:
-    """The ``%.17g`` texts of the floats ``x`` into the slot rows ``cells``.
-
-    |x| in [1e-6, 1e17) takes 17 digits D = round(|x| * 10**k), with k from
-    log10 moved until the exact product lies in [10**16, 10**17); D rounds
-    half to even as ``%`` does, since the product's high part is an even
-    integer there.  Zeros, non-finite values, the rest of the range and the
-    few values whose k would pass 22 are rendered by ``format_float``.
-    """
-    tables = _slot_tables()
-    a = np.abs(x)
-    exact = (a >= 1e-6) & (a < 1e17)
-    if not exact.all():
-        a = np.where(exact, a, 1.0)
-    k = (16.0 - np.floor(np.log10(a))).clip(0, 22).astype(np.intp)
-    hi, lo = _times_power(a, k)
-    step = _decade_step(hi, lo)
-    moved = np.flatnonzero(step)
-    if moved.size:  # log10 rounded across a power of ten, or k would pass 22
-        k[moved] = (k[moved] + step[moved]).clip(0, 22)
-        hi[moved], lo[moved] = _times_power(a[moved], k[moved])
-        exact[moved] &= _decade_step(hi[moved], lo[moved]) == 0
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    top = digits == 10**17  # rounded up into the next decade
-    digits[top] = 10**16
-    exponent = 22 - k + top  # the decimal exponent, plus 6
-    lead = digits // 10**16
-    upper, lower = np.divmod(digits - lead * 10**16, 10**8)
-    g1, g3 = upper // 10**4, lower // 10**4
-    g2, g4 = upper - g1 * 10**4, lower - g3 * 10**4
-    words = cells.view(np.uint64)
-    words[:, 0] = tables.lead[lead]
-    for w, group in enumerate((g1, g2, g3, g4), 1):
-        words[:, w] = tables.groups[group]
-    words[:, 5] = tables.exponents[exponent]
-    z = tables.zeros
-    zeros = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
-    words |= tables.gaps[(exponent * 17 + zeros) * 2 + np.signbit(x)]
-    for i in np.flatnonzero(~exact):
-        text = format_float(x[i]).encode()
-        cells[i] = _GAP
-        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
-
-
-def _float_cells(values) -> np.ndarray:
-    """Slot rows of the float ``values``, _KERNEL_CELLS at a time."""
-    cells = np.empty((values.shape[0], _CELL), np.uint8)
-    for first in range(0, values.shape[0], _KERNEL_CELLS):
-        _render_floats(values[first : first + _KERNEL_CELLS], cells[first : first + _KERNEL_CELLS])
-    return cells
-
-
-def _text_cells(texts: list[str]) -> np.ndarray:
-    """Slot rows of the ``texts`` as UTF-8, each padded with _GAP."""
-    encoded = [text.encode() for text in texts]
-    width = max(map(len, encoded)) + 1
-    padded = bytearray(b"".join(text.ljust(width, bytes([_GAP])) for text in encoded))
-    return np.frombuffer(padded, np.uint8).reshape(-1, width)
-
-
-def _render_rows(*columns) -> str:
-    """One line per row of the ``columns`` side by side, in order.
-
-    A column is a numpy block (1-d for one cell per row), rendered by the
-    ``%.17g`` rule of ``format_float`` when it holds floats and as
-    ``str(int)`` when it holds integers, or a list of text cells, written
-    as they are.  Floats of magnitude in [1e-6, 1e17) are rendered by one
-    exact vectorized kernel (``_render_floats``), the others by
-    ``format_float``; the bytes are those of ``format_float`` either way.
-    """
-    blocks = []
-    for column in columns:
-        if isinstance(column, list):
-            cells = _text_cells(column)
-        else:
-            block = np.asarray(column)
-            if block.dtype.kind == "f":
-                cells = _float_cells(block.astype(np.float64, copy=False).reshape(-1))
-            else:
-                cells = _text_cells(["%d" % v for v in block.reshape(-1).tolist()])
-        cells[:, -1] = ord(",")
-        blocks.append(cells.reshape(len(column), -1))
-    blocks[-1][:, -1] = ord("\n")
-    return np.hstack(blocks).tobytes().translate(None, bytes([_GAP])).decode()
-
-
-# ---------------------------------------------------------------- reader
 
 _PAD = 32  # zero bytes before a block's rows, so each cell's last 28 bytes can be loaded
 # Byte-wise word constants.  They are uint64 scalars, not products of one

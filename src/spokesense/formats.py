@@ -24,19 +24,18 @@ header row, the rows rendered ``_ROWS`` at a time, tail lines, each block
 written to the open file as it is rendered, so no whole-table string is
 built.  Every real number is rendered by one rule, ``%.17g``, which
 round-trips IEEE doubles exactly, so write -> read -> write is
-byte-identical; integer cells read as ``str(int)`` does.  The rows are
-rendered by ``_decimals._render_rows``, whose exact vectorized kernel
-computes the rule for whole blocks of floats; ``%`` renders zeros,
-non-finite values and magnitudes outside [1e-6, 1e17) one cell at a time,
-and the bytes are those ``%`` gives for every cell.  A file is read as
-UTF-8 text line by line up to its header row.  A dataset body is then read
-as bytes, a block at a time, into the channel array (``_read_samples``):
-``_decimals._read_block`` parses its cells by one exact vectorized
-decimal kernel, and each cell the kernel refuses by ``float()``.  A body
-with a structural fault (``#`` lines, blank lines, ragged rows, a cell
-``float()`` refuses, an empty body) and every feature-table body take the
-cell-by-cell path, so the accepted files and the values read are the same
-on both paths.  There
+byte-identical; integer cells read as ``str(int)`` does.  The rule is
+computed for whole blocks of floats by one exact vectorized kernel
+(``_render_floats``); ``%`` renders zeros, non-finite values and
+magnitudes outside [1e-6, 1e17) one cell at a time, and the bytes are
+those ``%`` gives for every cell.  A file is read as UTF-8 text line by
+line up to its header row.  A dataset body is then read as bytes, a block
+at a time, into the channel array (``_read_samples``): one exact vectorized
+decimal kernel parses its cells, and ``float()`` each cell the kernel
+refuses (``_decimals._read_block``).  A body with a structural fault
+(``#`` lines, blank lines, ragged rows, a cell ``float()`` refuses, an
+empty body) and every feature-table body take the cell-by-cell path, so
+the accepted files and the values read are the same on both paths.  There
 a body is parsed as one block: its rows are joined and split into cells
 once, the cells are converted by Python's ``float()`` rule in one call and
 checked by one finiteness pass.  Only a faulty body is walked row by row,
@@ -54,15 +53,17 @@ whitespace; a ``# layout=`` value may be empty or hold commas and ``#``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from ._decimals import _read_block, _render_rows, format_float
+from ._decimals import _read_block, _times_power
 from .errors import FormatError, UnsupportedVersionError, ValidationError, _finite_array
 from .signals import Spectrum, TimeSeries
 from .svm import BinarySvm, Kernel, PairwiseEntry, Standardizer, SvmModel
@@ -84,9 +85,154 @@ CURRENT_VERSIONS = {
 }
 
 
+_FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
 _ROWS = 4096  # rows per block of a table written
 _BODY_BYTES = 1 << 16  # bytes per block of a dataset body read, then to the end of a row
+
+
+def format_float(value: float) -> str:
+    """The one decimal rendering of a real number in CSV."""
+    return _FLOAT % float(value)
+
+
+# A rendered cell is a row of byte slots, the last one its separator; slots
+# its text does not use hold _GAP, a byte UTF-8 never holds, and are dropped
+# when a block becomes text.  A float cell has _CELL slots: sign, "0.000",
+# the 17 digits each followed by a slot for the point, and the exponent.
+_GAP = 0xFF
+_CELL = 48
+_KERNEL_CELLS = 3072  # float cells per kernel step, which keeps its arrays small
+
+
+@functools.cache
+def _kernel_tables() -> SimpleNamespace:
+    """The float kernel's tables, built on first use: 8-byte slot words for
+    the sign, "0.000" and the lead digit, for each 4-digit group and for
+    each decimal exponent -6..17; the trailing zeros of each group; and, per
+    (exponent, trailing zeros, sign), the _GAP words of the unused slots."""
+    digit = [6, *range(8, 40, 2)]  # slot of digit i; the slot after it holds a point
+    gaps = np.full((24, 17, 2, _CELL), _GAP, np.uint8)
+    for exponent in range(-6, 18):
+        for zeros in range(17):
+            kept = 17 - zeros
+            if 0 <= exponent < 17:  # ddd.ddd
+                point = [digit[exponent] + 1] * (kept > exponent + 1)
+                used = digit[: max(kept, exponent + 1)] + point
+            elif exponent >= -4:  # 0.000ddd
+                used = [1, 2, 3, 4, 5][: 1 - exponent] + digit[:kept]
+            else:  # d.ddde-05
+                used = digit[:kept] + [7] * (kept > 1) + [40, 41, 42, 43]
+            gaps[exponent + 6, zeros, :, used + [_CELL - 1]] = 0
+    gaps[:, :, 1, 0] = 0  # the minus sign
+    group = np.arange(10000)[:, None]
+    groups = np.full((10000, 4, 2), ord("."), np.uint8)  # "d.d.d.d."
+    groups[:, :, 0] = ord("0") + group // [1000, 100, 10, 1] % 10
+
+    def words(texts):
+        return np.array([text.encode() for text in texts], dtype="S8").view(np.uint64)
+
+    return SimpleNamespace(
+        lead=words(f"-0.000{d}." for d in range(10)),
+        groups=groups.reshape(-1, 8).view(np.uint64).ravel(),
+        exponents=words(f"e{e:+03d}" for e in range(-6, 18)),
+        zeros=(group % [10, 100, 1000, 10000] == 0).sum(axis=1),
+        gaps=gaps.reshape(-1, _CELL).view(np.uint64),
+    )
+
+
+def _decade_step(hi, lo):
+    """+1 where hi + lo < 10**16, -1 where it is >= 10**17, else 0; decided
+    on hi and lo, since hi alone rounds across either bound."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    return below.astype(np.intp) - above
+
+
+def _render_floats(x, cells) -> None:
+    """The ``%.17g`` texts of the floats ``x`` into the slot rows ``cells``.
+
+    |x| in [1e-6, 1e17) takes 17 digits D = round(|x| * 10**k), with k from
+    log10 moved until the exact product lies in [10**16, 10**17); D rounds
+    half to even as ``%`` does, since the product's high part is an even
+    integer there.  Zeros, non-finite values, the rest of the range and the
+    few values whose k would pass 22 are rendered by ``format_float``.
+    """
+    tables = _kernel_tables()
+    a = np.abs(x)
+    exact = (a >= 1e-6) & (a < 1e17)
+    if not exact.all():
+        a = np.where(exact, a, 1.0)
+    k = (16.0 - np.floor(np.log10(a))).clip(0, 22).astype(np.intp)
+    hi, lo = _times_power(a, k)
+    step = _decade_step(hi, lo)
+    moved = np.flatnonzero(step)
+    if moved.size:  # log10 rounded across a power of ten, or k would pass 22
+        k[moved] = (k[moved] + step[moved]).clip(0, 22)
+        hi[moved], lo[moved] = _times_power(a[moved], k[moved])
+        exact[moved] &= _decade_step(hi[moved], lo[moved]) == 0
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top = digits == 10**17  # rounded up into the next decade
+    digits[top] = 10**16
+    exponent = 22 - k + top  # the decimal exponent, plus 6
+    lead = digits // 10**16
+    upper, lower = np.divmod(digits - lead * 10**16, 10**8)
+    g1, g3 = upper // 10**4, lower // 10**4
+    g2, g4 = upper - g1 * 10**4, lower - g3 * 10**4
+    words = cells.view(np.uint64)
+    words[:, 0] = tables.lead[lead]
+    for w, group in enumerate((g1, g2, g3, g4), 1):
+        words[:, w] = tables.groups[group]
+    words[:, 5] = tables.exponents[exponent]
+    z = tables.zeros
+    zeros = z[g4] + (g4 == 0) * (z[g3] + (g3 == 0) * (z[g2] + (g2 == 0) * z[g1]))
+    words |= tables.gaps[(exponent * 17 + zeros) * 2 + np.signbit(x)]
+    for i in np.flatnonzero(~exact):
+        text = format_float(x[i]).encode()
+        cells[i] = _GAP
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _float_cells(values) -> np.ndarray:
+    """Slot rows of the float ``values``, _KERNEL_CELLS at a time."""
+    cells = np.empty((values.shape[0], _CELL), np.uint8)
+    for first in range(0, values.shape[0], _KERNEL_CELLS):
+        _render_floats(values[first : first + _KERNEL_CELLS], cells[first : first + _KERNEL_CELLS])
+    return cells
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """Slot rows of the ``texts`` as UTF-8, each padded with _GAP."""
+    encoded = [text.encode() for text in texts]
+    width = max(map(len, encoded)) + 1
+    padded = bytearray(b"".join(text.ljust(width, bytes([_GAP])) for text in encoded))
+    return np.frombuffer(padded, np.uint8).reshape(-1, width)
+
+
+def _render_rows(*columns) -> str:
+    """One line per row of the ``columns`` side by side, in order.
+
+    A column is a numpy block (1-d for one cell per row), rendered by the
+    ``%.17g`` rule of ``format_float`` when it holds floats and as
+    ``str(int)`` when it holds integers, or a list of text cells, written
+    as they are.  Floats of magnitude in [1e-6, 1e17) are rendered by one
+    exact vectorized kernel (``_render_floats``), the others by
+    ``format_float``; the bytes are those of ``format_float`` either way.
+    """
+    blocks = []
+    for column in columns:
+        if isinstance(column, list):
+            cells = _text_cells(column)
+        else:
+            block = np.asarray(column)
+            if block.dtype.kind == "f":
+                cells = _float_cells(block.astype(np.float64, copy=False).reshape(-1))
+            else:
+                cells = _text_cells(["%d" % v for v in block.reshape(-1).tolist()])
+        cells[:, -1] = ord(",")
+        blocks.append(cells.reshape(len(column), -1))
+    blocks[-1][:, -1] = ord("\n")
+    return np.hstack(blocks).tobytes().translate(None, bytes([_GAP])).decode()
 
 
 def _check_line_text(value: str, what: str) -> str:

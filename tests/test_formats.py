@@ -1294,7 +1294,7 @@ def template_render_rows(*columns) -> str:
 
 
 def assert_renders_as_template(*columns):
-    assert _decimals._render_rows(*columns) == template_render_rows(*columns)
+    assert formats._render_rows(*columns) == template_render_rows(*columns)
 
 
 def power_neighbours(low, high, steps=4):
@@ -1373,10 +1373,10 @@ def test_render_rows_kernel_takes_every_in_range_cell(monkeypatch):
     def refuse(value):
         raise AssertionError(f"{value!r} was rendered by format_float")
 
-    monkeypatch.setattr(_decimals, "format_float", refuse)
-    assert _decimals._render_rows(block) == want
+    monkeypatch.setattr(formats, "format_float", refuse)
+    assert formats._render_rows(block) == want
     with pytest.raises(AssertionError, match="was rendered by format_float"):
-        _decimals._render_rows(np.array([[0.5, 0.0, 0.5]]))
+        formats._render_rows(np.array([[0.5, 0.0, 0.5]]))
 
 
 def test_text_cells_with_nul_and_non_ascii_round_trip(tmp_path):
