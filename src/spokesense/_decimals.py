@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+
 @functools.cache
 def _powers() -> SimpleNamespace:
     """Built on first use: 10**k for k = 0..22 (exact doubles) with their
