@@ -65,10 +65,10 @@ _SUMS = (  # after the digit pairs: masks, factors and shifts that sum fours, th
 def _read_block(raw, size: int, width: int):
     """The values of the cells of the next rows of ``raw``, a binary file at
     the start of a row of ``width`` cells: ``size`` bytes and on to the end
-    of a row.  None where the cell-by-cell reader (``formats._parse_body``)
-    could read them otherwise: a ragged row, a carriage return not before a
-    newline (text mode breaks the line there), or a cell that ``float()``
-    refuses or reads as a non-finite value.
+    of a row.  None where the row walk that reads a body cell by cell,
+    ``formats._parse_body``, could read them otherwise: a ragged row, a
+    carriage return not before a newline (text mode breaks the line there),
+    or a cell that ``float()`` refuses or reads as a non-finite value.
 
     A cell ``-?digits[.digits][e±dd]`` of value +-D / 10**k, its mantissa
     at most 24 bytes, D < 1.16 * 10**18 and 0 <= k <= 22, is read by an

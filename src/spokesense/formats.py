@@ -32,14 +32,14 @@ those ``%`` gives for every cell.  A file is read as UTF-8 text line by
 line up to its header row.  A dataset body is then read as bytes, a block
 at a time, into the channel array (``_read_samples``): one exact vectorized
 decimal kernel parses its cells, and ``float()`` each cell the kernel
-refuses (``_decimals._read_block``).  A body with a structural fault
-(``#`` lines, blank lines, ragged rows, a cell ``float()`` refuses, an
-empty body) and every feature-table body take the cell-by-cell path, so
-the accepted files and the values read are the same on both paths.  There
-a body is parsed as one block: its rows are joined and split into cells
-once, the cells are converted by Python's ``float()`` rule in one call and
-checked by one finiteness pass.  Only a faulty body is walked row by row,
-to name the line and field of its first fault.
+refuses (``_decimals._read_block``).  Every other body, a feature table's
+or a dataset's that the kernel refuses (``#`` lines, blank lines, CR-only
+newlines, ragged rows, a cell ``float()`` refuses, an empty body), is read
+by one streamed row walk, ``_parse_body``, so the accepted files and the
+values read are the same on both paths.  It walks the open file a line at
+a time, twice: once to decode the body and count its rows, once to fill a
+block allocated once with ``float()`` of each cell, stopping at the line
+and field of the first fault.  No read holds a body as text.
 Every number of a JSON document is read by one checked reader, ``_array``:
 JSON numbers only (no booleans), finite and of the expected shape.
 Readers raise typed errors with line/field positions and never abort the
@@ -56,6 +56,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -257,7 +258,7 @@ def _parse_float(text: str, line: int, field: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise FormatError(f"not a number: {text!r}", line=line, field=field) from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FormatError(f"non-finite value {text!r}", line=line, field=field)
     return value
 
@@ -286,19 +287,19 @@ def _check_version(tag: str, expected_format: str, bad_tag: str, **position) -> 
 
 
 @contextlib.contextmanager
-def _reading(path: Path):
-    """``path`` open as UTF-8 text with universal newlines, as
-    ``Path.read_text`` reads it; a file that cannot be opened or decoded
-    raises ``FormatError``.  The decoder reads in chunks and counts offsets
-    from its chunk, so an undecodable byte is named by decoding the whole
-    file, at its offset in the file."""
+def _reading(path):
+    """``path`` (text or a ``Path``) open as UTF-8 text with universal
+    newlines, as ``Path.read_text`` reads it; a file that cannot be opened
+    or decoded raises ``FormatError`` naming ``path`` as given.  The decoder
+    reads in chunks and counts offsets from its chunk, so an undecodable
+    byte is named by decoding the whole file, at its offset in the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(Path(path), encoding="utf-8") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, UnicodeDecodeError):
             try:
-                path.read_bytes().decode("utf-8")
+                Path(path).read_bytes().decode("utf-8")
             except (OSError, UnicodeDecodeError) as whole:
                 exc = whole
         raise FormatError(f"cannot read {path}: {exc}") from exc
@@ -346,61 +347,47 @@ def _read_document(fh, expected_format: str):
     return version, meta, line.removesuffix("\n").split(","), pos + 1
 
 
-def _rest_lines(fh) -> list[str]:
-    """The lines of ``fh`` from its position to the end of the file."""
-    lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+def _parse_body(fh, first_line: int, columns: list[str], width: int, empty: str):
+    """Float block of the ``columns`` cells of the rows of ``width`` cells
+    that ``fh`` holds from its position, line ``first_line``, to its end,
+    and the rows' last cells when they are labels.
 
-
-def _parse_body(lines: list[str], first_line: int, columns: list[str], width: int, empty: str):
-    """Float block of the ``columns`` cells of a table body's rows of
-    ``width`` cells, and the rows' last cells when they are labels.
-
-    Blank lines are skipped and ``#`` lines must be ``key=value``.  ``lines``
-    (the body from line ``first_line`` on) is emptied once joined, so its
-    strings are freed before the float conversion.  ``empty`` is the error
-    for a body without rows.
+    Blank lines are skipped and ``#`` lines must be ``key=value``.  The body
+    is walked a line at a time, twice: the first walk decodes it, counts its
+    rows and finds its first bad ``#`` line, raised once the whole body has
+    decoded; the second fills the block, allocated once, and stops at the
+    first faulty line and field.  ``empty`` is the error for a body without
+    rows.
     """
-    end = first_line + len(lines)
-    numbers = range(first_line, end)
-    text = ",\n".join(lines)
-    if "" in lines or text.startswith("#") or "\n#" in text:
-        for number, line in zip(numbers, lines):
-            if line.startswith("#") and "=" not in line:
-                raise FormatError(f"bad trailing comment {line!r}", line=number)
-        numbers = [number for number, line in zip(numbers, lines) if line[:1] not in ("", "#")]
-        text = ",\n".join(line for line in lines if line[:1] not in ("", "#"))
-    lines.clear()
-    if not numbers:
-        raise FormatError(empty, line=end)
-    cells = text.split(",")
-    del text
-    rows = len(numbers)
-    # No cell holds a newline but the one the join put at the start of each
-    # row after the first, so every row is ``width`` cells wide exactly when
-    # the cell count is rows * width and every width-th cell starts a row.
-    block = None
-    if len(cells) == rows * width and ",".join(cells[width::width]).count("\n") == rows - 1:
-        grid = np.array(cells, dtype=object).reshape(rows, width)[:, : len(columns)]
-        try:
-            block = grid.astype(np.float64)
-        except ValueError:
-            pass
-    if block is None or not np.isfinite(block).all():
-        # A fault: walk the rows to name the first faulty line and field.
-        for number, row in zip(numbers, ",".join(cells).split(",\n")):
-            row_cells = row.split(",")
-            if len(row_cells) != width:
-                raise FormatError(f"expected {width} fields, got {len(row_cells)}", line=number)
-            for name, cell in zip(columns, row_cells):
-                _parse_float(cell, number, name)
-    if len(columns) == width:
-        return block, None
-    labels = cells[width - 1 :: width]
-    if "" in labels:
-        raise FormatError("empty label", line=numbers[labels.index("")], field="label")
+    start, lines, rows, fault = fh.tell(), 0, 0, None
+    for line in iter(fh.readline, ""):
+        text = line.removesuffix("\n")
+        if fault is None and text.startswith("#") and "=" not in text:
+            fault = FormatError(f"bad trailing comment {text!r}", line=first_line + lines)
+        lines += 1
+        rows += line[:1] not in ("\n", "#")
+    if fault:
+        raise fault
+    if not rows:
+        raise FormatError(empty, line=first_line + lines)
+    fh.seek(start)
+    block = np.empty((rows, len(columns)))
+    labels = None if len(columns) == width else []
+    row = 0
+    for number, line in enumerate(iter(fh.readline, ""), first_line):
+        if line[:1] in ("\n", "#"):
+            continue
+        cells = line.removesuffix("\n").split(",")
+        if len(cells) != width:
+            raise FormatError(f"expected {width} fields, got {len(cells)}", line=number)
+        block[row] = [_parse_float(cell, number, name) for name, cell in zip(columns, cells)]
+        row += 1
+        if labels is not None:
+            labels.append(cells[-1])
+            if fault is None and not cells[-1]:
+                fault = FormatError("empty label", line=number, field="label")
+    if fault:
+        raise fault
     return block, labels
 
 
@@ -521,7 +508,7 @@ def read_dataset(path) -> TimeSeries:
         if samples is None:  # read the body cell by cell, naming its first fault
             fh.seek(start)
             empty = "dataset has no samples"
-            block, _ = _parse_body(_rest_lines(fh), header_line + 1, header, len(header), empty)
+            block, _ = _parse_body(fh, header_line + 1, header, len(header), empty)
             samples = np.ascontiguousarray(block[:, -3:].T)
     try:
         return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
@@ -564,14 +551,13 @@ def read_features(path) -> FeatureTable:
     path = Path(path)
     with _reading(path) as fh:
         _, meta, header, header_line = _read_document(fh, FEATURES_FORMAT)
-        body = _rest_lines(fh)
-    if "" in header:
-        raise FormatError("empty column name in header", line=header_line)
-    names = header[:-1] if header[-1] == "label" else header
-    if not names:
-        raise FormatError("feature file has no feature columns", line=header_line)
-    empty = "feature file has no rows"
-    values, labels = _parse_body(body, header_line + 1, names, len(header), empty)
+        if "" in header:
+            raise FormatError("empty column name in header", line=header_line)
+        names = header[:-1] if header[-1] == "label" else header
+        if not names:
+            raise FormatError("feature file has no feature columns", line=header_line)
+        empty = "feature file has no rows"
+        values, labels = _parse_body(fh, header_line + 1, names, len(header), empty)
     if "label" in names:
         raise FormatError("'label' is reserved for the label column", line=header_line)
     return FeatureTable(
@@ -618,10 +604,8 @@ def write_model(path, model: SvmModel) -> None:
 
 
 def _load_json(path, expected_format: str) -> dict:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+    with _reading(path) as fh:
+        raw = fh.read()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

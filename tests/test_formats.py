@@ -2,11 +2,14 @@
 
 Oracles: byte comparison of write -> read -> write, behavioral equality of
 reloaded models, handcrafted malformed documents with known offending
-line and field positions, and the whole-file dataset reader that the
-block reader replaced (``oracle_read_dataset``), which must give the
-same channel bits or the same error on every document of a corpus, and the
-row template the float kernel replaced (``template_render_rows``), whose
-text every rendered block must match byte for byte.
+line and field positions, the whole-file dataset reader that the block
+reader replaced (``oracle_read_dataset``) and the whole-body feature-table
+reader that the streamed row walk replaced (``oracle_read_features``),
+both built on the whole-body parser (``oracle_parse_body``) and each of
+which must give the same bits or the same error on every document of a
+corpus, and the row template the float kernel replaced
+(``template_render_rows``), whose text every rendered block must match
+byte for byte.
 """
 
 import decimal
@@ -14,6 +17,7 @@ import io
 import json
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,9 +267,62 @@ def test_csv_readers_reject_non_utf8_bytes(tmp_path):
             reader(path)
 
 
+def oracle_parse_float(text, line, field):
+    """The cell rule that oracle_parse_body was written against."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise FormatError(f"not a number: {text!r}", line=line, field=field) from exc
+    if not np.isfinite(value):
+        raise FormatError(f"non-finite value {text!r}", line=line, field=field)
+    return value
+
+
+def oracle_parse_body(lines, first_line, columns, width, empty):
+    """The whole-body parser that the streamed row walk replaced: the body's
+    ``lines`` (from line ``first_line`` on) joined and split into cells once,
+    converted in one call and walked row by row only when faulty."""
+    end = first_line + len(lines)
+    numbers = range(first_line, end)
+    text = ",\n".join(lines)
+    if "" in lines or text.startswith("#") or "\n#" in text:
+        for number, line in zip(numbers, lines):
+            if line.startswith("#") and "=" not in line:
+                raise FormatError(f"bad trailing comment {line!r}", line=number)
+        numbers = [number for number, line in zip(numbers, lines) if line[:1] not in ("", "#")]
+        text = ",\n".join(line for line in lines if line[:1] not in ("", "#"))
+    lines.clear()
+    if not numbers:
+        raise FormatError(empty, line=end)
+    cells = text.split(",")
+    del text
+    rows = len(numbers)
+    block = None
+    if len(cells) == rows * width and ",".join(cells[width::width]).count("\n") == rows - 1:
+        grid = np.array(cells, dtype=object).reshape(rows, width)[:, : len(columns)]
+        try:
+            block = grid.astype(np.float64)
+        except ValueError:
+            pass
+    if block is None or not np.isfinite(block).all():
+        for number, row in zip(numbers, ",".join(cells).split(",\n")):
+            row_cells = row.split(",")
+            if len(row_cells) != width:
+                raise FormatError(f"expected {width} fields, got {len(row_cells)}", line=number)
+            for name, cell in zip(columns, row_cells):
+                oracle_parse_float(cell, number, name)
+    if len(columns) == width:
+        return block, None
+    labels = cells[width - 1 :: width]
+    if "" in labels:
+        raise FormatError("empty label", line=numbers[labels.index("")], field="label")
+    return block, labels
+
+
 def oracle_read_dataset(path):
     """read_dataset as it was before the streaming reader: the whole file
-    read as text and split into lines, and the body parsed by _parse_body."""
+    read as text and split into lines, and the body parsed by
+    oracle_parse_body."""
     try:
         lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
@@ -287,7 +344,7 @@ def oracle_read_dataset(path):
     header, header_line = lines[pos].split(","), pos + 1
     if "sample_rate_hz" not in meta:
         raise FormatError("missing '# sample_rate_hz=' metadata", line=header_line)
-    rate = formats._parse_float(meta["sample_rate_hz"], 1, "sample_rate_hz")
+    rate = oracle_parse_float(meta["sample_rate_hz"], 1, "sample_rate_hz")
     columns = ["t", "ch1", "ch2", "ch3"] if version == 1 else ["ch1", "ch2", "ch3"]
     if header != columns:
         raise FormatError(
@@ -295,7 +352,7 @@ def oracle_read_dataset(path):
         )
     body = lines[pos + 1 :]
     empty = "dataset has no samples"
-    block, _ = formats._parse_body(body, header_line + 1, header, len(header), empty)
+    block, _ = oracle_parse_body(body, header_line + 1, header, len(header), empty)
     samples = np.ascontiguousarray(block[:, -3:].T)
     try:
         return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
@@ -486,6 +543,31 @@ def test_dataset_read_and_write_peaks_below_two_channel_copies(tmp_path):
     assert write_peak < bound and read_peak < bound, (write_peak, read_peak, bound)
 
 
+@pytest.mark.parametrize("ending", ["trailing_kv", "cr_only"])
+def test_dataset_body_the_kernel_refuses_read_without_its_text(tmp_path, ending):
+    # A 60 s record that the block reader refuses, by a trailing ``# key=``
+    # line or by CR-only newlines, is walked a row at a time: its read holds
+    # the float block and the channels, not the body as text (29.3 and
+    # 25.8 MB traced when it did).
+    rng = np.random.RandomState(79)
+    series = TimeSeries(sample_rate_hz=1440.0, channels=rng.randn(3, 60 * 1440))
+    path = tmp_path / "record.csv"
+    write_dataset(path, series)
+    data = path.read_bytes()
+    if ending == "trailing_kv":
+        path.write_bytes(data + b"# rows=86400\n")
+    else:
+        path.write_bytes(data.replace(b"\n", b"\r"))
+    tracemalloc.start()
+    try:
+        loaded = read_dataset(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.channels.tobytes() == series.channels.tobytes()
+    assert read_peak < 5e6, read_peak
+
+
 def test_padded_labels_rejected_on_write(tmp_path):
     # The reader strips metadata lines, so "wet " would read back as "wet".
     path = tmp_path / "padded.csv"
@@ -655,6 +737,148 @@ def test_features_reader_rejects_feature_column_named_label(tmp_path):
         with pytest.raises(FormatError, match="reserved") as info:
             read_features(path)
         assert info.value.line == 2
+
+
+def oracle_read_features(path):
+    """read_features as it was before the streamed row walk: the body read
+    as one string, split into lines and parsed by oracle_parse_body."""
+    path = Path(path)
+    with formats._reading(path) as fh:
+        _, meta, header, header_line = formats._read_document(fh, formats.FEATURES_FORMAT)
+        body = fh.read().split("\n")
+    if body[-1] == "":
+        body.pop()
+    if "" in header:
+        raise FormatError("empty column name in header", line=header_line)
+    names = header[:-1] if header[-1] == "label" else header
+    if not names:
+        raise FormatError("feature file has no feature columns", line=header_line)
+    empty = "feature file has no rows"
+    values, labels = oracle_parse_body(body, header_line + 1, names, len(header), empty)
+    if "label" in names:
+        raise FormatError("'label' is reserved for the label column", line=header_line)
+    return FeatureTable(
+        values=values, names=tuple(names), labels=labels, layout_id=meta.get("layout")
+    )
+
+
+def features_outcome(read, path):
+    """What a reader gives for ``path``: the values' bytes and layout, the
+    names, labels and layout id, or the error's type, message, line and
+    field."""
+    try:
+        table = read(path)
+    except FormatError as exc:
+        return type(exc), str(exc), exc.line, exc.field
+    values = table.values
+    return (values.shape, values.dtype, values.flags.c_contiguous, values.tobytes(),
+            table.names, table.labels, table.layout_id)
+
+
+FEATURES_HEAD = "# spokesense-features v1\n# layout=L1\na,b,label\n"
+UNLABELED_HEAD = "# spokesense-features v1\na,b\n"
+
+
+def feature_rows(n, labels=True):
+    return "".join(f"{k}.5,-{k}e-3" + (f",row{k}" if labels else "") + "\n" for k in range(n))
+
+
+# (head, body) documents, as READER_CORPUS; the documents whose names say
+# "then" pin which of two faults is reported.
+FEATURES_CORPUS = {
+    "valid": (FEATURES_HEAD, feature_rows(5)),
+    "valid_unlabeled": (UNLABELED_HEAD, feature_rows(5, labels=False)),
+    "no_final_newline": (FEATURES_HEAD, feature_rows(3).rstrip("\n")),
+    "hash_lines": (FEATURES_HEAD, "# a=1\n" + feature_rows(2) + "# mid=a,b\n" + feature_rows(2)),
+    "blank_lines": (FEATURES_HEAD, "\n" + feature_rows(2) + "\n\n" + feature_rows(2) + "\n"),
+    "crlf": (FEATURES_HEAD.replace("\n", "\r\n"), feature_rows(3).replace("\n", "\r\n")),
+    "lone_cr": (FEATURES_HEAD, feature_rows(3).replace("\n", "\r")),
+    "padded_cells": (FEATURES_HEAD, " 1 ,\t2_0\t, x \n"),
+    "one_column_space_row": ("# spokesense-features v1\na\n", "1\n \n"),
+    "ragged_row": (FEATURES_HEAD, feature_rows(2) + "1,2\n"),
+    "long_row": (FEATURES_HEAD, feature_rows(2) + "1,2,x,y\n"),
+    "bad_cell": (FEATURES_HEAD, feature_rows(2) + "1,oops,x\n"),
+    "non_finite_cell": (FEATURES_HEAD, feature_rows(2) + "1,-inf,x\n"),
+    "nan_unlabeled": (UNLABELED_HEAD, feature_rows(2, labels=False) + "nan,2\n"),
+    "empty_label": (FEATURES_HEAD, feature_rows(2) + "1,2,\n"),
+    "empty_body": (FEATURES_HEAD, ""),
+    "only_blank_and_kv": (FEATURES_HEAD, "\n# rows=0\n\n"),
+    "bad_trailing_comment": (FEATURES_HEAD, feature_rows(2) + "# loose\n"),
+    "late_bad_byte": (FEATURES_HEAD, feature_rows(2000).encode() + b"1,2,\xff\n"),
+    "truncated_utf8": (FEATURES_HEAD, feature_rows(2).encode() + b"1,2,x\xe2\x82"),
+    "bad_cell_then_bad_comment": (FEATURES_HEAD, "1,oops,x\n# loose\n"),
+    "bad_comment_then_late_bad_byte": (
+        FEATURES_HEAD, b"# loose\n" + feature_rows(2000).encode() + b"\xff\n"
+    ),
+    "bad_cell_then_late_bad_byte": (
+        FEATURES_HEAD, b"1,oops,x\n" + feature_rows(2000).encode() + b"\xff\n"
+    ),
+    "bad_comment_then_empty_body": (FEATURES_HEAD, "# loose\n\n"),
+    "empty_label_then_bad_cell": (FEATURES_HEAD, "1,2,\n1,oops,x\n"),
+    "empty_label_then_ragged": (FEATURES_HEAD, "1,2,\n1,2\n"),
+    "ragged_then_bad_cell": (FEATURES_HEAD, "1,2\n1,oops,x\n"),
+    "bad_cell_then_ragged": (FEATURES_HEAD, "1,oops,x\n1,2\n"),
+    "bad_cell_then_non_finite": (FEATURES_HEAD, "1,oops,x\n1,nan,x\n"),
+    "non_finite_then_bad_cell": (FEATURES_HEAD, "inf,oops,x\n"),
+    "reserved_label": ("# spokesense-features v1\na,label,label\n", "1,2,x\n"),
+    "reserved_then_bad_cell": ("# spokesense-features v1\na,label,label\n", "1,x,y\n"),
+    "reserved_then_empty_body": ("# spokesense-features v1\nlabel,b\n", ""),
+    "reserved_then_bad_comment": ("# spokesense-features v1\nlabel,b\n", "# loose\n"),
+    "empty_column_then_bad_cell": ("# spokesense-features v1\na,,label\n", "1,oops,x\n"),
+    "no_columns_then_ragged": ("# spokesense-features v1\nlabel\n", "x,y\n"),
+    "bad_banner_then_bad_cell": ("# spokesense-features v9\na,b\n", "oops,1\n"),
+}
+
+# Documents whose first fault changed with the streamed row walk: the walk
+# reads the open file and names faulty cells by their column, so the header
+# is checked before the body is decoded, as the dataset reader checks it,
+# and a header fault now wins over a later undecodable byte.
+FEATURES_ORDER_CHANGED = {
+    "empty_column_then_late_bad_byte": (
+        "# spokesense-features v1\na,,label\n", LATE_BYTE,
+        "empty column name in header (line 2)",
+    ),
+    "no_columns_then_late_bad_byte": (
+        "# spokesense-features v1\nlabel\n", LATE_BYTE,
+        "feature file has no feature columns (line 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FEATURES_CORPUS))
+def test_features_reader_matches_whole_body_oracle(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    write_document(path, *FEATURES_CORPUS[name])
+    assert features_outcome(read_features, path) == features_outcome(oracle_read_features, path)
+
+
+def test_features_reader_matches_oracle_on_mutated_bodies(tmp_path):
+    # As for datasets: one or two characters inserted into a small labelled
+    # body, so that labels, ragged rows and comments meet the cell faults.
+    rng = np.random.RandomState(80)
+    alphabet = list(",\n\r\t #=.-eE0x\x00\x1c\xa0") + ["nan", "inf"]
+    base = feature_rows(4)
+    path = tmp_path / "mutated.csv"
+    for trial in range(200):
+        body = base
+        for _ in range(1 + trial % 2):
+            at = rng.randint(len(body) + 1)
+            body = body[:at] + alphabet[rng.randint(len(alphabet))] + body[at:]
+        write_document(path, FEATURES_HEAD, body)
+        outcome = features_outcome(read_features, path)
+        assert outcome == features_outcome(oracle_read_features, path), body
+
+
+@pytest.mark.parametrize("name", list(FEATURES_ORDER_CHANGED))
+def test_features_header_fault_now_reported_before_late_bad_byte(tmp_path, name):
+    head, body, message = FEATURES_ORDER_CHANGED[name]
+    path = tmp_path / f"{name}.csv"
+    write_document(path, head, body)
+    with pytest.raises(FormatError, match="cannot read"):
+        oracle_read_features(path)
+    with pytest.raises(FormatError) as info:
+        read_features(path)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------- model
@@ -922,6 +1146,27 @@ def test_json_readers_reject_non_utf8_bytes(tmp_path):
     for reader in (read_model, read_profile):
         with pytest.raises(FormatError, match="cannot read"):
             reader(path)
+
+
+def test_readers_name_an_unreadable_path_as_given(tmp_path, monkeypatch):
+    # Every reader opens through one rule: the message names the argument
+    # as given, text or Path, and the OS error names the normalised path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(b'{"a": "\xff"}')
+    (tmp_path / "bad.csv").write_bytes(b"# spokesense-features v1\na,b\n1,\xff\n")
+    missing = "[Errno 2] No such file or directory: 'absent.json'"
+    undecodable = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+    cases = [
+        (read_model, ".//absent.json", missing),
+        (read_profile, "./bad.json", undecodable.format(7)),
+        (read_features, "./bad.csv", undecodable.format(31)),
+    ]
+    for reader, name, error in cases:
+        for arg in (name, Path(name)):
+            with pytest.raises(FormatError) as info:
+                reader(arg)
+            shown = arg if reader is not read_features else Path(arg)
+            assert str(info.value) == f"cannot read {shown}: {error}", arg
 
 
 # ---------------------------------------------------------------- profile
