@@ -2,10 +2,12 @@
 
 For one window, the raw channels are mean-removed, the 3x3 population
 covariance across channels is formed, and its eigenvalues are extracted in
-descending order with a cyclic Jacobi solver for symmetric 3x3 matrices.
-A Covariance3 is solved once, when its positive semi-definiteness is
-checked, and keeps those eigenvalues.  The leading eigenvalue tracks
-overall excitation strength, so it orders terrain roughness.
+descending order with a cyclic Jacobi solver for symmetric 3x3 matrices,
+which rotates Python floats (tests hold it within 8 eps of the largest
+magnitude of the 3x3 rotation-matrix form it replaced; no command writes
+eigenvalues).  A Covariance3 is solved once, when its positive
+semi-definiteness is checked, and keeps those eigenvalues.  The leading
+eigenvalue tracks overall excitation strength, so it orders terrain roughness.
 """
 
 from __future__ import annotations
@@ -19,54 +21,59 @@ from .errors import ValidationError, _finite_array
 from .signals import TimeSeries, Window, check_window
 
 
-_OFF_DIAGONAL_PAIRS = ((0, 1), (0, 2), (1, 2))
+# Rotations (p, q) with the indices into [a01, a02, a12] of a_pq, a_rp and a_rq (r: the third axis)
+_ROTATIONS = ((0, 1, 0, 1, 2), (0, 2, 1, 0, 2), (1, 2, 2, 0, 1))
 
 
-def _sym3_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
-    """Eigenvalues of a symmetric 3x3 matrix, descending.
+def _sym3_eigenvalues(rows) -> tuple[float, float, float]:
+    """Eigenvalues of a symmetric 3x3 matrix, given as nested lists, descending.
 
-    Cyclic Jacobi rotations: each pass zeroes the three off-diagonal
-    entries in turn and converges quadratically.  Unlike the closed-form
-    trigonometric solution, accuracy stays near machine epsilon even for
-    repeated or near-repeated eigenvalues, which covariances of strongly
-    correlated channels produce routinely.
+    Cyclic Jacobi rotations on Python floats: each pass zeroes the three
+    off-diagonal entries in turn and converges quadratically.  Unlike the
+    closed-form trigonometric solution, accuracy stays near machine epsilon
+    even for repeated or near-repeated eigenvalues, which covariances of
+    strongly correlated channels produce routinely.  The entries are solved
+    in units of a power of two near the largest, which is exact and keeps
+    every difference below from overflowing.
     """
-    m = np.array(a, dtype=np.float64)
-    scale = float(np.abs(m).max())
-    floor = 4.0 * np.finfo(np.float64).eps * scale
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = rows
+    scale = max(abs(a00), abs(a01), abs(a02), abs(a11), abs(a12), abs(a22))
+    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
+    diag = [a00 / unit, a11 / unit, a22 / unit]
+    off = [a01 / unit, a02 / unit, a12 / unit]
+    floor = 4.0 * math.ulp(1.0) * (scale / unit)  # 4 eps * the largest entry
     for _ in range(20):
-        if max(abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 2])) <= floor:
+        if max(map(abs, off)) <= floor:
             break
-        for p, q in _OFF_DIAGONAL_PAIRS:
-            apq = m[p, q]
+        for p, q, pq, rp, rq in _ROTATIONS:
+            apq = off[pq]
             if apq == 0.0:
                 continue
-            diff = m[q, q] - m[p, p]
+            diff = diag[q] - diag[p]
+            off[pq] = 0.0  # annihilated analytically; rounding residue could stall convergence
             if abs(apq) < 1e-300 * abs(diff):
-                # tan(2*angle) underflows; the rotation would be a no-op
-                m[p, q] = m[q, p] = 0.0
-                continue
+                continue  # tan(2*angle) underflows; the rotation would be a no-op
             theta = 0.5 * diff / apq
             t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            m = rot.T @ m @ rot
-            # The rotation annihilates this entry analytically; force the
-            # exact zero so rounding residue cannot stall convergence.
-            m[p, q] = m[q, p] = 0.0
-    return tuple(sorted((float(m[0, 0]), float(m[1, 1]), float(m[2, 2])), reverse=True))
+            diag[p], diag[q] = diag[p] - t * apq, diag[q] + t * apq
+            off[rp], off[rq] = c * off[rp] - s * off[rq], s * off[rp] + c * off[rq]
+    values = sorted((v * unit for v in diag), reverse=True)
+    if math.isinf(values[0]) or math.isinf(values[2]):
+        raise ValidationError(f"an eigenvalue exceeds the double range (entries up to {scale!r})")
+    return tuple(values)
 
 
 def _checked_symmetric(a, d: int, what: str, tol: float) -> np.ndarray:
     """``a`` as a finite d x d float array, symmetrized; asymmetry beyond
     ``tol`` relative to max(1, max|a|) is rejected."""
     arr = _finite_array(a, what, (d, d))
-    scale = max(1.0, float(np.abs(arr).max()))
-    if float(np.abs(arr - arr.T).max()) > tol * scale:
+    largest = float(np.abs(arr).max())
+    if largest >= 2.0**1022:
+        # A sum or difference of entries this large can overflow; one of their exact halves cannot.
+        return 2.0 * _checked_symmetric(arr / 2.0, d, what, tol)
+    if float(np.abs(arr - arr.T).max()) > tol * max(1.0, largest):
         raise ValidationError(f"{what} is not symmetric")
     return (arr + arr.T) / 2.0
 
@@ -80,10 +87,11 @@ class Covariance3:
 
     def __post_init__(self):
         arr = _checked_symmetric(self.entries, 3, "covariance", 1e-12)
-        trace = float(np.trace(arr))
-        self._eigenvalues = _sym3_eigenvalues(arr)  # kept for eigenvalues_sym3
+        rows = arr.tolist()
+        self._eigenvalues = _sym3_eigenvalues(rows)  # kept for eigenvalues_sym3
         smallest = self._eigenvalues[2]
-        if smallest < -1e-9 * max(trace, 1e-30):
+        # smallest < -1e-9 * max(trace, 1e-30), in quarters of the trace, which cannot overflow
+        if smallest < -4e-9 * max(sum(rows[i][i] * 0.25 for i in range(3)), 0.25e-30):
             raise ValidationError(
                 f"covariance is not positive semi-definite (eigenvalue {smallest})"
             )
@@ -115,7 +123,7 @@ def eigenvalues_sym3(cov: Covariance3 | np.ndarray) -> EigenSignature:
     returns those its PSD check solved for."""
     if isinstance(cov, Covariance3):
         return EigenSignature(*cov._eigenvalues)
-    return EigenSignature(*_sym3_eigenvalues(_checked_symmetric(cov, 3, "matrix", 1e-9)))
+    return EigenSignature(*_sym3_eigenvalues(_checked_symmetric(cov, 3, "matrix", 1e-9).tolist()))
 
 
 def eigen_report_rows(series: TimeSeries, windows) -> list[tuple[int, EigenSignature, str | None]]:

@@ -7,8 +7,8 @@ matmuls run batched over its rows, working memory stays one block's whatever
 the record's length, and every value is bit-identical to its window's taken
 alone.  The windows are then mean-removed and six statistics are computed:
 rms, std, kurtosis, skewness, energy, entropy.  The first five come from one
-moment pass per block and channel, the entropy from one histogram pass per
-window; the public functions of the same names wrap them.  On a zero-variance
+moment pass, the entropy from one sort, per block and channel; the public
+functions of the same names wrap them as one-row blocks.  On a zero-variance
 channel kurtosis and skewness read 0.0 and flag the vector degenerate (the
 public ones raise).  The resulting 18-dimensional vector can be extended with
 four extra descriptors aimed at periodicity and impulsiveness, whose window
@@ -18,7 +18,6 @@ a 32-sample moving rms.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -221,28 +220,39 @@ def shannon_entropy(x, bins: int = DEFAULT_ENTROPY_BINS) -> float:
     contribute zero.  A constant signal has a single occupied bin and
     entropy 0.
     """
-    return _entropy(_finite_array(x, "samples", (None,)), _count(bins, "entropy bins", 2))
+    arr = _finite_array(x, "samples", (None,))
+    return float(_entropy_rows(arr[None], _count(bins, "entropy bins", 2))[0])
 
 
-def _entropy(arr: np.ndarray, bins: int) -> float:
-    ordered = np.sort(arr)
-    lo = float(ordered[0])
-    hi = float(ordered[-1])
-    if lo == hi:
-        return 0.0
+def _entropy_rows(block: np.ndarray, bins: int) -> np.ndarray:
+    """shannon_entropy of each row of the (rows, n) block, from one row-wise sort."""
+    n = block.shape[1]
+    ordered = np.sort(block, axis=1)
+    lo, hi = ordered[:, 0], ordered[:, -1]
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if np.isinf(span).any():
+        low, high = (float(end[np.argmax(span)]) for end in (lo, hi))  # the first such row
+        raise ValidationError(f"samples span {low!r} to {high!r}, wider than the double range")
     # Bin k holds edges[k] <= x < edges[k + 1]; the last bin also holds hi.
     # The edges are np.linspace's arithmetic without its wrapper; it divides
     # first when the step underflows to 0.
-    span = hi - lo  # a Python float: inf, without a warning, past the double range
-    if math.isinf(span):
-        raise ValidationError(f"samples span {lo!r} to {hi!r}, wider than the double range")
     step = span / bins
-    edges = np.linspace(lo, hi, bins + 1) if step == 0.0 else np.arange(bins + 1.0) * step + lo
-    ends = np.searchsorted(ordered, edges)
-    ends[-1] = arr.shape[0]  # the last bin ends after hi, whatever the last edge reads
-    counts = ends[1:] - ends[:-1]
-    probs = counts[counts > 0] / arr.shape[0]
-    return float(-np.sum(probs * np.log2(probs)))
+    edges = np.arange(bins + 1.0) * step[:, None] + lo[:, None]
+    for r in np.flatnonzero(step == 0.0):  # a constant row's step, or one that underflows
+        edges[r] = np.linspace(lo[r], hi[r], bins + 1)
+    ends = np.array([np.searchsorted(row, row_edges) for row, row_edges in zip(ordered, edges)])
+    ends[:, -1] = n  # the last bin ends after hi, whatever the last edge reads
+    counts = ends[:, 1:] - ends[:, :-1]
+    occupied = counts > 0
+    probs = counts[occupied] / n
+    terms = probs * np.log2(probs)
+    # Each row's terms are summed on their own, in np.sum's order for them
+    # (np.add.reduceat would add them in another).
+    stops = np.cumsum(np.add.reduce(occupied, axis=1)).tolist()
+    entropy = np.array([-np.add.reduce(terms[a:b]) for a, b in zip([0, *stops], stops)])
+    entropy[span == 0.0] = 0.0  # a constant row: one bin, entropy 0 (not -0.0)
+    return entropy
 
 
 class AutocorrPeak(NamedTuple):
@@ -327,7 +337,7 @@ def _record_features(
             moments = _central_moments(filtered)
             flags |= moments.degenerate
             rows[:, 6 * c:6 * c + 5] = np.column_stack(moments[:5])
-            rows[:, 6 * c + 5] = [_entropy(row, config.entropy_bins) for row in filtered]
+            rows[:, 6 * c + 5] = _entropy_rows(filtered, config.entropy_bins)
         if config.include_position_extras:
             for k, mid in enumerate(filtered_by_channel[1]):
                 try:

@@ -6,8 +6,8 @@ of a stream with seed ``s`` is ``mix64(s + (i + 1) * GOLDEN)`` where
 pure function of ``(seed, i)``, blocks of any size can be produced with
 vectorized arithmetic and the stream is identical regardless of how it is
 chunked.  All arithmetic is modulo 2**64: scalar and block draws run the
-one ``mix64``, on a Python int or on a uint64 array.  Seeds, bounds and
-sizes must be integers.
+one ``mix64``, on a Python int or on a uint64 array; an array is mixed in
+one copy, in place.  Seeds, bounds and sizes must be integers.
 """
 
 from __future__ import annotations
@@ -27,11 +27,17 @@ _U53_SCALE = 1.0 / (1 << 53)
 
 def mix64(value):
     """splitmix64 finalizer on an int, or elementwise on a uint64 array, whose
-    arithmetic wraps (never on a numpy uint64 scalar: its overflow warns)."""
+    arithmetic wraps (never on a numpy uint64 scalar: its overflow warns).
+    An array is mixed in one copy, in place; the argument is left as it was."""
     z = value & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
+    z ^= z >> 30
+    z *= _MIX1
+    z &= _MASK
+    z ^= z >> 27
+    z *= _MIX2
+    z &= _MASK
+    z ^= z >> 31
+    return z
 
 
 def derive_seed(seed: int, *salts: int | str) -> int:
@@ -66,8 +72,7 @@ class Prng:
         n = _count(n, "block size", 0)
         base = self._counter
         self._counter += n
-        idx = np.arange(base + 1, base + n + 1, dtype=np.uint64)
-        return mix64(np.uint64(self._seed) + idx * np.uint64(_GOLDEN))
+        return mix64(np.arange(base + 1, base + n + 1, dtype=np.uint64) * _GOLDEN + self._seed)
 
     def u64(self) -> int:
         self._counter += 1
@@ -79,8 +84,7 @@ class Prng:
 
     def uniform_block(self, n: int) -> np.ndarray:
         """Next ``n`` uniforms in the half-open interval (0, 1]."""
-        bits = self.u64_block(n)
-        return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _U53_SCALE
+        return ((self.u64_block(n) >> 11) + 1.0) * _U53_SCALE  # 53 bits: exact in a double
 
     def uniform(self) -> float:
         return ((self.u64() >> 11) + 1) * _U53_SCALE
@@ -89,17 +93,20 @@ class Prng:
         """Next ``n`` standard normal draws via the Box-Muller transform.
 
         Consumes ``2 * ceil(n / 2)`` raw draws so the counter advance is a
-        function of ``n`` alone.
+        function of ``n`` alone.  The cosines and sines are scaled in place,
+        so a block holds about twice its output at its peak.
         """
         n = _count(n, "block size", 0)
         pairs = (n + 1) // 2
-        u1 = self.uniform_block(pairs)
-        u2 = self.uniform_block(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
+        radius = np.sqrt(-2.0 * np.log(self.uniform_block(pairs)))
+        angle = 2.0 * np.pi * self.uniform_block(pairs)
+        cos = np.cos(angle)
+        cos *= radius
+        radius *= np.sin(angle, out=angle)
+        del angle
         out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        out[0::2] = cos
+        out[1::2] = radius
         return out[:n]
 
     def shuffle(self, items: list | np.ndarray) -> None:

@@ -9,12 +9,13 @@ channel-band gain matrix; impulses decay over 10 ms, so their energy sits
 almost entirely in the low band and they are mixed through the matrix's
 low-band column.  All randomness comes from the package's own counter-based
 generator, so records are a pure function of (profile, duration, rate,
-seed).  Datasets are sampled at 1,440 Hz and sized in the package's default
-1.5 s windows with 0.5 overlap.
+seed), and impulse draws come in bounded blocks.  Datasets are sampled at
+1,440 Hz and sized in the package's default 1.5 s windows with 0.5 overlap.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -208,7 +209,9 @@ def _impulse_track(
     """Poisson-timed spikes with exponential decay and amplitude jitter.
 
     Inter-arrival gaps are exponential draws; each strike has a random sign
-    and a uniform scale in (0.5, 1.5].
+    and a uniform scale in (0.5, 1.5], its three uniforms taken in that order
+    from blocks of about the expected strike count, at most 1,000 strikes
+    (``rng`` is the track's own, so draws left unused change nothing).
     """
     track = np.zeros(n)
     if rate_hz <= 0.0 or amplitude <= 0.0:
@@ -217,15 +220,17 @@ def _impulse_track(
     decay = np.exp(-np.arange(tail) / (IMPULSE_DECAY_S * sample_rate_hz))
     t = 0.0
     duration = n / sample_rate_hz
+    block = 3 * min(int(rate_hz * duration) + 1, 1000)
+    uniforms = (u for _ in itertools.count() for u in rng.uniform_block(block).tolist())
     while True:
-        t += -math.log(rng.uniform()) / rate_hz
+        t += -math.log(next(uniforms)) / rate_hz
         if t >= duration:
             break
         start = int(t * sample_rate_hz)
         if start >= n:
             break
-        sign = 1.0 if rng.uniform() > 0.5 else -1.0
-        scale = 0.5 + rng.uniform()
+        sign = 1.0 if next(uniforms) > 0.5 else -1.0
+        scale = 0.5 + next(uniforms)
         stop = min(n, start + tail)
         track[start:stop] += sign * scale * amplitude * decay[: stop - start]
     return track

@@ -1,9 +1,13 @@
 """Symmetric 3x3 eigensolver and covariance signature tests.
 
 Oracles: the characteristic polynomial det(M - lambda*I) evaluated at each
-returned eigenvalue, plus the trace/determinant elementary-symmetric
-identities.
+returned eigenvalue, the trace/determinant elementary-symmetric identities,
+and the solver as it was before it rotated Python floats
+(``rotation_matrix_eigenvalues``), which the solver must match within a
+stated bound.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +37,75 @@ def det3(m: np.ndarray) -> float:
 def random_psd(rng: np.random.RandomState, scale: float = 1.0) -> np.ndarray:
     g = rng.randn(3, 3) * scale
     return g @ g.T
+
+
+def rotation_matrix_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
+    """The cyclic Jacobi as it was: each rotation applied as rot.T @ m @ rot."""
+    m = np.array(a, dtype=np.float64)
+    scale = float(np.abs(m).max())
+    floor = 4.0 * np.finfo(np.float64).eps * scale
+    for _ in range(20):
+        if max(abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 2])) <= floor:
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = m[p, q]
+            if apq == 0.0:
+                continue
+            diff = m[q, q] - m[p, p]
+            if abs(apq) < 1e-300 * abs(diff):
+                m[p, q] = m[q, p] = 0.0
+                continue
+            theta = 0.5 * diff / apq
+            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            rot = np.eye(3)
+            rot[p, p] = rot[q, q] = c
+            rot[p, q] = s
+            rot[q, p] = -s
+            m = rot.T @ m @ rot
+            m[p, q] = m[q, p] = 0.0
+    return tuple(sorted((float(m[0, 0]), float(m[1, 1]), float(m[2, 2])), reverse=True))
+
+
+def oracle_matrices():
+    """1,200 seeded symmetric matrices, 240 of each kind: covariance-like,
+    near-repeated, rank-one, sparse, and random ones scaled from 1e-150 to
+    1e150; then the covariances of 54 windows of synthesized records."""
+    rng = np.random.RandomState(12)
+    out = []
+    for _ in range(240):
+        out.append(random_psd(rng, scale=float(rng.uniform(1e-3, 10))))
+        v, _ = np.linalg.qr(rng.randn(3, 3))
+        lam = np.full(3, rng.uniform(0.5, 2.0))
+        lam[int(rng.randint(3))] *= 1.0 + 1e-9 * rng.randn()
+        out.append(v @ np.diag(lam) @ v.T)
+        u = rng.randn(3)
+        out.append(np.outer(u, u))
+        sparse = random_psd(rng) * (rng.rand(3, 3) < 0.5)
+        out.append(np.triu(sparse) + np.triu(sparse, 1).T)
+        out.append(random_psd(rng) * 10.0 ** rng.uniform(-150, 150))
+    out = [(m + m.T) / 2.0 for m in out]
+    for k, profile in enumerate(builtin_profiles()):
+        series = generate(GenSpec(profile, duration_s=6.0, sample_rate_hz=1440.0, seed=60 + k))
+        out.extend(covariance3(series, w).entries for w in segment_windows(series, 1.5, 0.5))
+    return out
+
+
+def test_matches_rotation_matrix_solver_within_bound():
+    # The float rotations round differently from the 3x3 products, so the
+    # bits may differ: on these matrices by up to 6.7 eps * |lambda|max (on
+    # the 960 windows of the benchmark's identify passes at seeds 1 and 2, by
+    # up to 5.4 eps), so the bound is 8 eps * |lambda|max.  Both stay within
+    # 6.5 eps of LAPACK's eigvalsh.
+    bound = 8.0 * np.finfo(float).eps
+    moved = 0
+    for m in oracle_matrices():
+        got = np.array(eigenvalues_sym3(m).as_tuple())
+        want = np.array(rotation_matrix_eigenvalues(m))
+        assert np.all(np.abs(got - want) <= bound * np.abs(want).max()), (m, got, want)
+        moved += not np.array_equal(got, want)
+    assert moved > 0  # the two really are different computations
 
 
 def test_identity():
@@ -112,6 +185,36 @@ def test_sparse_and_extreme_matrices_match_eigvalsh(m):
     lam = np.array(eigenvalues_sym3(m).as_tuple())
     oracle = np.linalg.eigvalsh(m)[::-1]
     assert np.all(np.abs(lam - oracle) <= 1e-8 * np.maximum(1.0, np.abs(oracle)))
+
+
+def test_entries_near_the_top_of_the_double_range():
+    # Sums of such entries overflow; the symmetrized halves and the solver's
+    # power-of-two units keep every step finite, and the results exact.
+    huge = np.eye(3) * 1e308
+    assert eigenvalues_sym3(huge).as_tuple() == (1e308, 1e308, 1e308)
+    cov = Covariance3(entries=huge)
+    assert eigenvalues_sym3(cov).as_tuple() == (1e308, 1e308, 1e308)
+    assert np.array_equal(cov.entries, huge)
+    # Diagonals of opposite sign, whose difference overflows.
+    m = np.array([[1e308, 1e307, 0.0], [1e307, -1e308, 0.0], [0.0, 0.0, 0.0]])
+    lam = np.array(eigenvalues_sym3(m).as_tuple())
+    oracle = np.linalg.eigvalsh(m / 2.0**10)[::-1] * 2.0**10
+    assert np.all(np.abs(lam - oracle) <= 1e-15 * 1e308)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: eigenvalues_sym3(np.ones((3, 3)) * 1e308),  # lambda1 = 3e308
+        lambda: Covariance3(entries=np.ones((3, 3)) * 1e308),
+        lambda: eigenvalues_sym3(np.array([[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0], [0.0] * 3])),
+        lambda: Covariance3(entries=np.diag([1.7e308, 1.7e308, -1e300])),  # trace > 1.8e308
+    ],
+    ids=["eigenvalue_overflows", "covariance_eigenvalue_overflows", "asymmetric", "not_psd"],
+)
+def test_entries_past_the_double_range_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_asymmetric_rejected():

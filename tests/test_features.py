@@ -210,6 +210,65 @@ def test_entropy_rejects_spans_beyond_the_double_range():
     assert shannon_entropy([-1e307, 1e307, 0.0], bins=2) == pytest.approx(np.log2(3) - 2 / 3)
 
 
+def per_row_entropy(arr: np.ndarray, bins: int) -> float:
+    """The entropy as it was computed one row at a time, before the block routine."""
+    ordered = np.sort(arr)
+    lo = float(ordered[0])
+    hi = float(ordered[-1])
+    if lo == hi:
+        return 0.0
+    span = hi - lo
+    if math.isinf(span):
+        raise ValidationError(f"samples span {lo!r} to {hi!r}, wider than the double range")
+    step = span / bins
+    edges = np.linspace(lo, hi, bins + 1) if step == 0.0 else np.arange(bins + 1.0) * step + lo
+    ends = np.searchsorted(ordered, edges)
+    ends[-1] = arr.shape[0]
+    counts = ends[1:] - ends[:-1]
+    probs = counts[counts > 0] / arr.shape[0]
+    return float(-np.sum(probs * np.log2(probs)))
+
+
+def entropy_blocks():
+    """Blocks of 1 and 16 rows with constant rows, empty bins, subnormal
+    spans (whose step underflows to 0) and mixed scales."""
+    rng = np.random.RandomState(23)
+    for rows in (1, 16):
+        for n in (1, 2, 7, 60, 2160):
+            block = rng.randn(rows, n)
+            block[0, :] = 4.2  # constant
+            if rows > 1:
+                block[1] = np.round(block[1] * 2.0)  # samples on the bin edges
+                block[2, : n // 2] = 1e3  # mostly empty bins
+                block[3] = block[3] * 1e-320  # a subnormal span
+                block[4] = block[4] * 1e300
+                block[5] = 5e-324 * rng.randint(0, 4, size=n)
+            yield block
+
+
+@pytest.mark.parametrize("bins", [2, 3, 16, 17])
+def test_entropy_rows_bit_identical_to_per_row_path(bins):
+    checked = 0
+    for block in entropy_blocks():
+        got = features._entropy_rows(block, bins)
+        want = np.array([per_row_entropy(row, bins) for row in block])
+        assert got.tobytes() == want.tobytes(), (block.shape, bins)
+        checked += block.shape[0]
+    assert checked == 5 * (1 + 16)
+    row = np.array([0.0, 1e-323, 3e-323])  # span 3e-323: the step underflows to 0
+    assert 3e-323 / 16 == 0.0
+    assert features._entropy_rows(row[None], 16)[0] == per_row_entropy(row, 16) > 0.0
+
+
+def test_entropy_rows_reject_spans_beyond_the_double_range():
+    block = np.zeros((16, 3))
+    block[5] = [-1e308, 1e308, 0.0]
+    with pytest.raises(ValidationError, match="span -1e[+]308 to 1e[+]308"):
+        features._entropy_rows(block, 16)
+    with pytest.raises(ValidationError, match="span -1e[+]308 to 1e[+]308"):
+        per_row_entropy(block[5], 16)
+
+
 # --------------------------------------------------------- autocorrelation
 
 

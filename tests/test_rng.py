@@ -1,4 +1,10 @@
-"""Deterministic PRNG: reference-vector, chunking, and distribution tests."""
+"""Deterministic PRNG: reference-vector, chunking, and distribution tests.
+
+Block draws are also checked bit for bit against the out-of-place forms
+they replaced (``out_of_place_*``).
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,3 +219,79 @@ def test_derive_seed_order_matters():
 def test_negative_block_size_rejected():
     with pytest.raises(ValidationError):
         Prng(0).u64_block(-1)
+
+
+# ------------------------------------------- the out-of-place block draws
+
+
+def out_of_place_mix64(value):
+    """mix64 as it was, building a fresh array at each step."""
+    z = value & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def out_of_place_u64_block(seed: int, base: int, n: int) -> np.ndarray:
+    idx = np.arange(base + 1, base + n + 1, dtype=np.uint64)
+    return out_of_place_mix64(np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15))
+
+
+def out_of_place_uniform_block(seed: int, base: int, n: int) -> np.ndarray:
+    bits = out_of_place_u64_block(seed, base, n)
+    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * (1.0 / (1 << 53))
+
+
+def out_of_place_gaussian_block(seed: int, base: int, n: int) -> np.ndarray:
+    pairs = (n + 1) // 2
+    u1 = out_of_place_uniform_block(seed, base, pairs)
+    u2 = out_of_place_uniform_block(seed, base + pairs, pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+BLOCK_SIZES = [0, 1, 2, 3, 7, 44_280, 86_400]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_in_place_block_draws_match_out_of_place_bit_for_bit(n):
+    for seed in (0, 7, 2**63 + 5, MASK):
+        for kind, oracle in (
+            ("u64_block", out_of_place_u64_block),
+            ("uniform_block", out_of_place_uniform_block),
+            ("gaussian_block", out_of_place_gaussian_block),
+        ):
+            rng = Prng(seed)
+            rng.u64_block(5)  # a stream already under way
+            got = getattr(rng, kind)(n)
+            want = oracle(seed, 5, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, seed)
+            advance = 2 * ((n + 1) // 2) if kind == "gaussian_block" else n
+            assert rng.counter == 5 + advance
+
+
+def test_mix64_leaves_its_array_argument_unchanged():
+    values = np.random.default_rng(6).integers(0, 1 << 64, size=1000, dtype=np.uint64)
+    kept = values.copy()
+    mixed = mix64(values)
+    assert np.array_equal(values, kept)
+    assert mixed.tobytes() == out_of_place_mix64(kept).tobytes()
+    assert [mix64(int(v)) for v in kept[:50]] == [out_of_place_mix64(int(v)) for v in kept[:50]]
+
+
+def test_gaussian_block_peak_below_two_and_a_half_outputs():
+    # Box-Muller runs in place on its two uniform arrays, so a block's
+    # traced peak stays near twice its output (it was 3.5 times).
+    rng = Prng(1)
+    rng.gaussian_block(86_400)
+    tracemalloc.start()
+    try:
+        out = rng.gaussian_block(86_400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * out.nbytes, (peak, out.nbytes)

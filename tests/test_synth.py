@@ -4,7 +4,8 @@ Oracles: the generator's own recipe constants (band targets, tonal
 frequencies), spectrum measurements through the independent magnitude
 pipeline, direct statistical recomputation on the emitted samples, and
 the generator as it was before it summed in place (``oracle_generate``),
-whose channel bytes every record must match.
+whose channel bytes every record must match, and the impulse track as it
+was before it drew its uniforms in blocks (``scalar_draw_impulse_track``).
 """
 
 import dataclasses
@@ -226,6 +227,45 @@ def test_generate_matches_oracle_bit_for_bit():
             want = oracle_generate(spec)
             assert generate(spec).channels.tobytes() == want.tobytes(), (profile.name, seed)
     assert np.signbit(oracle_generate(GenSpec(silent, 3.0, RATE, seed=1))).sum() == 0
+
+
+def scalar_draw_impulse_track(rng, n, rate_hz, sample_rate_hz, amplitude):
+    """_impulse_track as it was: three scalar uniform() draws per strike."""
+    track = np.zeros(n)
+    if rate_hz <= 0.0 or amplitude <= 0.0:
+        return track
+    tail = int(math.ceil(8.0 * 0.010 * sample_rate_hz))
+    decay = np.exp(-np.arange(tail) / (0.010 * sample_rate_hz))
+    t = 0.0
+    duration = n / sample_rate_hz
+    while True:
+        t += -math.log(rng.uniform()) / rate_hz
+        if t >= duration:
+            break
+        start = int(t * sample_rate_hz)
+        if start >= n:
+            break
+        sign = 1.0 if rng.uniform() > 0.5 else -1.0
+        scale = 0.5 + rng.uniform()
+        stop = min(n, start + tail)
+        track[start:stop] += sign * scale * amplitude * decay[: stop - start]
+    return track
+
+
+@pytest.mark.parametrize("duration_s", [1.0, 30.0, 60.0])
+def test_block_drawn_impulses_match_scalar_draws_bit_for_bit(duration_s):
+    n = int(duration_s * RATE)
+    striking = [p for p in builtin_profiles() if p.impulse_rate_hz > 0.0]
+    assert len(striking) == 4
+    # 200 strikes a second take blocks of the largest size, 1,000 strikes.
+    hail = dataclasses.replace(builtin_profile("large_stone"), name="hail", impulse_rate_hz=200.0)
+    for profile in [*striking, hail]:
+        for seed in (1, 2, 3):
+            args = (n, profile.impulse_rate_hz, RATE, profile.impulse_amplitude)
+            got = _impulse_track(Prng(derive_seed(seed, "impulse")), *args)
+            want = scalar_draw_impulse_track(Prng(derive_seed(seed, "impulse")), *args)
+            assert got.tobytes() == want.tobytes(), (profile.name, seed)
+            assert np.count_nonzero(got) > 0
 
 
 def test_generate_peak_below_four_channel_copies():
