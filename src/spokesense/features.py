@@ -325,13 +325,15 @@ def _record_features(
     rate = series.sample_rate_hz
     values = np.empty((len(windows), config.n_features))
     degenerate = np.zeros(len(windows), dtype=bool)
+    # Every length-sample window of each channel, as views; a block's rows are copied out of them.
+    by_start = [np.lib.stride_tricks.sliding_window_view(row, length) for row in series.channels]
     for first in range(0, len(windows), _CHUNK_WINDOWS):
         part = slice(first, first + _CHUNK_WINDOWS)
         rows, flags = values[part], degenerate[part]
-        index = np.array([w.start_index for w in windows[part]])[:, None] + np.arange(length)
+        starts = [w.start_index for w in windows[part]]
         filtered_by_channel = []
         for c in range(3):
-            filtered = _bandpass_rows(series.channels[c, index], rate, config.bands[c])
+            filtered = _bandpass_rows(by_start[c][starts], rate, config.bands[c])
             filtered -= np.add.reduce(filtered, axis=1, keepdims=True) / length
             filtered_by_channel.append(filtered)
             moments = _central_moments(filtered)
@@ -347,7 +349,7 @@ def _record_features(
                     flags[k] = True
                 rows[k, 19] = amplitude_smoothness(mid)
             rows[:, 20] = moments.std  # the high band is channel 3, the last one above
-            raw_spoke = series.channels[2, index]
+            raw_spoke = by_start[2][starts]
             raw_spoke -= np.add.reduce(raw_spoke, axis=1, keepdims=True) / length
             spike = _central_moments(raw_spoke)
             flags |= spike.degenerate
