@@ -39,8 +39,7 @@ def _sym3_eigenvalues(rows) -> tuple[float, float, float]:
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = rows
     scale = max(abs(a00), abs(a01), abs(a02), abs(a11), abs(a12), abs(a22))
     unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
-    diag = [a00 / unit, a11 / unit, a22 / unit]
-    off = [a01 / unit, a02 / unit, a12 / unit]
+    diag, off = [a00 / unit, a11 / unit, a22 / unit], [a01 / unit, a02 / unit, a12 / unit]
     floor = 4.0 * math.ulp(1.0) * (scale / unit)  # 4 eps * the largest entry
     for _ in range(20):
         if max(map(abs, off)) <= floor:
@@ -114,7 +113,7 @@ def covariance3(series: TimeSeries, window: Window) -> Covariance3:
     """Population covariance of the mean-removed raw channels."""
     check_window(series, window)
     segment = series.channels[:, window.start_index:window.stop_index]
-    centered = segment - segment.mean(axis=1, keepdims=True)
+    centered = segment - np.add.reduce(segment, axis=1, keepdims=True) / window.length
     return Covariance3(entries=(centered @ centered.T) / window.length)
 
 

@@ -247,12 +247,10 @@ def _entropy_rows(block: np.ndarray, bins: int) -> np.ndarray:
     occupied = counts > 0
     probs = counts[occupied] / n
     terms = probs * np.log2(probs)
-    # Each row's terms are summed on their own, in np.sum's order for them
-    # (np.add.reduceat would add them in another).
+    # Summed row by row, in np.sum's order for each row (np.add.reduceat adds in another).
     stops = np.cumsum(np.add.reduce(occupied, axis=1)).tolist()
-    entropy = np.array([-np.add.reduce(terms[a:b]) for a, b in zip([0, *stops], stops)])
-    entropy[span == 0.0] = 0.0  # a constant row: one bin, entropy 0 (not -0.0)
-    return entropy
+    # 0.0 - sum, not -sum: a constant row's one term sums to 0.0, and its entropy is 0.0, not -0.0.
+    return np.array([0.0 - np.add.reduce(terms[a:b]) for a, b in zip([0, *stops], stops)])
 
 
 class AutocorrPeak(NamedTuple):
