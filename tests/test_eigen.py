@@ -71,7 +71,7 @@ def rotation_matrix_eigenvalues(a: np.ndarray) -> tuple[float, float, float]:
 def oracle_matrices():
     """1,200 seeded symmetric matrices, 240 of each kind: covariance-like,
     near-repeated, rank-one, sparse, and random ones scaled from 1e-150 to
-    1e150; then the covariances of 54 windows of synthesized records."""
+    1e150; then the covariances of 42 windows of synthesized records."""
     rng = np.random.RandomState(12)
     out = []
     for _ in range(240):
