@@ -20,26 +20,29 @@ time k / rate.  Its v1 files are still read: their header is
 dropped.  Every other format is at v1.
 
 Every CSV table is written by one writer, ``_write_table``: head lines, a
-header row, the rows rendered ``_ROWS`` at a time, tail lines, each block
-written to the open file as it is rendered, so no whole-table string is
-built.  Every real number is rendered by one rule, ``%.17g``, which
-round-trips IEEE doubles exactly, so write -> read -> write is
-byte-identical; integer cells read as ``str(int)`` does.  The rule is
-computed for whole blocks of floats by one exact vectorized kernel
+header row, the rows rendered in blocks of at most ``_BLOCK_CELLS`` cells,
+tail lines, each block written to the open file as it is rendered, so no
+whole-table string is built.  Every real number is rendered by one rule,
+``%.17g``, which round-trips IEEE doubles exactly, so write -> read ->
+write is byte-identical; integer cells read as ``str(int)`` does.  The rule
+is computed for whole blocks of floats by one exact vectorized kernel
 (``_render_floats``); ``%`` renders zeros, non-finite values and
 magnitudes outside [1e-6, 1e17) one cell at a time, and the bytes are
 those ``%`` gives for every cell.  A file is read as UTF-8 text line by
 line up to its header row.  A dataset body is then read as bytes, a block
 at a time, into the channel array (``_read_samples``): one exact vectorized
 decimal kernel parses its cells, and ``float()`` each cell the kernel
-refuses (``_decimals._read_block``).  Every other body, a feature table's
-or a dataset's that the kernel refuses (``#`` lines, blank lines, CR-only
-newlines, ragged rows, a cell ``float()`` refuses, an empty body), is read
-by one streamed row walk, ``_parse_body``, so the accepted files and the
-values read are the same on both paths.  It walks the open file a line at
-a time, twice: once to decode the body and count its rows, once to fill a
-block allocated once with ``float()`` of each cell, stopping at the line
-and field of the first fault.  No read holds a body as text.
+refuses (``_decimals._read_block``), among them the writer's own 17-digit
+values below 1e-6.  Every other body, a feature table's or a dataset's
+that the kernel refuses (``#`` lines, blank lines, CR-only newlines,
+ragged rows, a cell ``float()`` refuses, an empty body), is read by one
+streamed row walk, ``_parse_body``, so the accepted files and the values
+read are the same on both paths.  It walks the open file a line at a time,
+twice: once to decode the body and count its rows, once to fill a
+(columns, rows) block, allocated once, with ``float()`` of each cell,
+stopping at the line and field of the first fault.  A dataset's channels
+are the block's rows as they are; a feature table is its one transposed
+copy.  No read holds a body as text.
 Every number of a JSON document is read by one checked reader, ``_array``:
 JSON numbers only (no booleans), finite and of the expected shape.
 Readers raise typed errors with line/field positions and never abort the
@@ -88,7 +91,7 @@ CURRENT_VERSIONS = {
 
 _FLOAT = "%.17g"  # 17 significant digits: exact for IEEE doubles
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
-_ROWS = 4096  # rows per block of a table written
+_BLOCK_CELLS = 3072  # cells per block of a table written: keeps the float kernel's arrays small
 _BODY_BYTES = 1 << 16  # bytes per block of a dataset body read, then to the end of a row
 
 
@@ -103,7 +106,6 @@ def format_float(value: float) -> str:
 # the 17 digits each followed by a slot for the point, and the exponent.
 _GAP = 0xFF
 _CELL = 48
-_KERNEL_CELLS = 3072  # float cells per kernel step, which keeps its arrays small
 
 
 @functools.cache
@@ -194,14 +196,6 @@ def _render_floats(x, cells) -> None:
         cells[i, : len(text)] = np.frombuffer(text, np.uint8)
 
 
-def _float_cells(values) -> np.ndarray:
-    """Slot rows of the float ``values``, _KERNEL_CELLS at a time."""
-    cells = np.empty((values.shape[0], _CELL), np.uint8)
-    for first in range(0, values.shape[0], _KERNEL_CELLS):
-        _render_floats(values[first : first + _KERNEL_CELLS], cells[first : first + _KERNEL_CELLS])
-    return cells
-
-
 def _text_cells(texts: list[str]) -> np.ndarray:
     """Slot rows of the ``texts`` as UTF-8, each padded with _GAP."""
     encoded = [text.encode() for text in texts]
@@ -227,7 +221,8 @@ def _render_rows(*columns) -> str:
         else:
             block = np.asarray(column)
             if block.dtype.kind == "f":
-                cells = _float_cells(block.astype(np.float64, copy=False).reshape(-1))
+                cells = np.empty((block.size, _CELL), np.uint8)
+                _render_floats(block.astype(np.float64, copy=False).reshape(-1), cells)
             else:
                 cells = _text_cells(["%d" % v for v in block.reshape(-1).tolist()])
         cells[:, -1] = ord(",")
@@ -348,16 +343,17 @@ def _read_document(fh, expected_format: str):
 
 
 def _parse_body(fh, first_line: int, columns: list[str], width: int, empty: str):
-    """Float block of the ``columns`` cells of the rows of ``width`` cells
-    that ``fh`` holds from its position, line ``first_line``, to its end,
-    and the rows' last cells when they are labels.
+    """The (columns, rows) float block of the ``columns`` cells of the rows
+    of ``width`` cells that ``fh`` holds from its position, line
+    ``first_line``, to its end, and the rows' last cells when they are
+    labels.
 
     Blank lines are skipped and ``#`` lines must be ``key=value``.  The body
     is walked a line at a time, twice: the first walk decodes it, counts its
     rows and finds its first bad ``#`` line, raised once the whole body has
-    decoded; the second fills the block, allocated once, and stops at the
-    first faulty line and field.  ``empty`` is the error for a body without
-    rows.
+    decoded; the second fills the block, allocated once, a column per row,
+    and stops at the first faulty line and field.  ``empty`` is the error
+    for a body without rows.
     """
     start, lines, rows, fault = fh.tell(), 0, 0, None
     for line in iter(fh.readline, ""):
@@ -371,7 +367,7 @@ def _parse_body(fh, first_line: int, columns: list[str], width: int, empty: str)
     if not rows:
         raise FormatError(empty, line=first_line + lines)
     fh.seek(start)
-    block = np.empty((rows, len(columns)))
+    block = np.empty((len(columns), rows))
     labels = None if len(columns) == width else []
     row = 0
     for number, line in enumerate(iter(fh.readline, ""), first_line):
@@ -380,7 +376,7 @@ def _parse_body(fh, first_line: int, columns: list[str], width: int, empty: str)
         cells = line.removesuffix("\n").split(",")
         if len(cells) != width:
             raise FormatError(f"expected {width} fields, got {len(cells)}", line=number)
-        block[row] = [_parse_float(cell, number, name) for name, cell in zip(columns, cells)]
+        block[:, row] = [_parse_float(cell, number, name) for name, cell in zip(columns, cells)]
         row += 1
         if labels is not None:
             labels.append(cells[-1])
@@ -424,12 +420,14 @@ def _write_text(path, parts) -> None:
 
 def _write_table(path, head: list[str], header: list[str], *columns, tail=()) -> None:
     """The ``head`` lines, the ``header`` cells, one row per row of the
-    ``columns`` (see ``_render_rows``), rendered ``_ROWS`` rows at a time,
-    and the ``tail`` lines."""
+    ``columns`` (see ``_render_rows``), rendered in blocks of at most
+    ``_BLOCK_CELLS`` cells (at least one row), and the ``tail`` lines."""
+    rows = max(1, _BLOCK_CELLS // len(header))
+
     def text():
         yield "".join(f"{line}\n" for line in (*head, ",".join(header)))
-        for first in range(0, len(columns[0]), _ROWS):
-            yield _render_rows(*(column[first:first + _ROWS] for column in columns))
+        for first in range(0, len(columns[0]), rows):
+            yield _render_rows(*(column[first:first + rows] for column in columns))
         yield "".join(f"{line}\n" for line in tail)
 
     _write_text(path, text())
@@ -509,7 +507,7 @@ def read_dataset(path) -> TimeSeries:
             fh.seek(start)
             empty = "dataset has no samples"
             block, _ = _parse_body(fh, header_line + 1, header, len(header), empty)
-            samples = np.ascontiguousarray(block[:, -3:].T)
+            samples = block if version == 2 else block[1:].copy()  # the t row is not kept
     try:
         return TimeSeries(sample_rate_hz=rate, channels=samples, label=meta.get("label"))
     except ValidationError as exc:
@@ -557,11 +555,11 @@ def read_features(path) -> FeatureTable:
         if not names:
             raise FormatError("feature file has no feature columns", line=header_line)
         empty = "feature file has no rows"
-        values, labels = _parse_body(fh, header_line + 1, names, len(header), empty)
+        block, labels = _parse_body(fh, header_line + 1, names, len(header), empty)
     if "label" in names:
         raise FormatError("'label' is reserved for the label column", line=header_line)
     return FeatureTable(
-        values=values, names=tuple(names), labels=labels, layout_id=meta.get("layout")
+        values=block.T.copy(), names=tuple(names), labels=labels, layout_id=meta.get("layout")
     )
 
 

@@ -194,16 +194,18 @@ def _split_twiddles(n: int) -> np.ndarray:
     return _roots(n, range(1, 2), n // 2)[0]
 
 
-def _rfft(x: np.ndarray) -> np.ndarray:
-    """Bins 0..N/2 of the transform of each row of a C-contiguous float64
-    (..., N) block, N a power of two >= 2, from one N/2-point complex
-    transform plus a split step.  ``x`` is left as it was."""
-    half = x.shape[-1] // 2
-    # z[m] = x[2m] + i x[2m+1], copied: the transform overwrites its input.
-    z = _fft_rows(x.view(np.complex128).copy())
+def _padded_rfft(arr: np.ndarray, padded_n: int) -> np.ndarray:
+    """Bins 0..padded_n/2 of each row of ``arr`` zero-padded to ``padded_n``,
+    a power of two >= 2, from one padded_n/2-point complex transform plus a
+    split step.  ``arr`` is left as it was."""
+    half = padded_n // 2
+    padded = np.zeros((*arr.shape[:-1], padded_n), dtype=np.float64)
+    padded[..., : arr.shape[-1]] = arr
+    # z[m] = x[2m] + i x[2m+1] in place: the padded buffer is the transform's scratch, then mirror
+    mirror = padded.view(np.complex128)
+    z = _fft_rows(mirror)
     nyquist = z[..., 0].real - z[..., 0].imag
     # mirror[k] = conj(z[(half - k) % half])
-    mirror = np.empty_like(z)
     mirror[..., 0] = z[..., 0]
     mirror[..., 1:] = z[..., :0:-1]
     np.conj(mirror, out=mirror)
@@ -212,18 +214,11 @@ def _rfft(x: np.ndarray) -> np.ndarray:
     np.add(z, mirror, out=spec[..., :half])
     spec[..., :half] *= 0.5
     z -= mirror
-    z *= _split_twiddles(2 * half)
+    z *= _split_twiddles(padded_n)
     z *= -0.5j
     spec[..., :half] += z
     spec[..., half] = nyquist
     return spec
-
-
-def _padded_rfft(arr: np.ndarray, padded_n: int) -> np.ndarray:
-    """Bins 0..padded_n/2 of each row of ``arr`` zero-padded to ``padded_n``, a power of two."""
-    padded = np.zeros((*arr.shape[:-1], padded_n), dtype=np.float64)
-    padded[..., : arr.shape[-1]] = arr
-    return _rfft(padded)
 
 
 def _irfft(spec: np.ndarray) -> np.ndarray:
@@ -240,6 +235,7 @@ def _irfft(spec: np.ndarray) -> np.ndarray:
     tail += spec[..., :half]
     tail *= 0.5
     tail += diff
+    del diff
     # z[m] = x[2m] + i x[2m+1]
     return _fft_rows(tail, inverse=True).view(np.float64)
 

@@ -387,8 +387,8 @@ def v1_rows(n):
 
 # (head, body) documents, encoded as UTF-8 unless the body is bytes.  LONG
 # rows of v2_rows are over 150 KB, more than two of the reader's blocks, so
-# a fault after them lies in a later block.
-LONG = 2 * formats._ROWS + 100
+# a fault after them lies in a later block: its rows average over 16 bytes.
+LONG = 2 * formats._BODY_BYTES // 16 + 100
 READER_CORPUS = {
     "plain": (V2_HEAD, v2_rows(5)),
     "plain_blocks": (V2_HEAD, v2_rows(LONG)),
@@ -543,18 +543,17 @@ def test_dataset_read_and_write_peaks_below_two_channel_copies(tmp_path):
     assert write_peak < bound and read_peak < bound, (write_peak, read_peak, bound)
 
 
-@pytest.mark.parametrize("ending", ["trailing_kv", "cr_only"])
-def test_dataset_body_the_kernel_refuses_read_without_its_text(tmp_path, ending):
-    # A 60 s record that the block reader refuses, by a trailing ``# key=``
-    # line or by CR-only newlines, is walked a row at a time: its read holds
-    # the float block and the channels, not the body as text (29.3 and
-    # 25.8 MB traced when it did).
+@pytest.fixture(scope="module", params=["trailing_kv", "cr_only"])
+def walked_record(request, tmp_path_factory):
+    """A 60 s record that the block reader refuses, by a trailing ``# key=``
+    line or by CR-only newlines, so the row walk reads it: the channels
+    written, the series read and the read's traced peak."""
     rng = np.random.RandomState(79)
     series = TimeSeries(sample_rate_hz=1440.0, channels=rng.randn(3, 60 * 1440))
-    path = tmp_path / "record.csv"
+    path = tmp_path_factory.mktemp(request.param) / "record.csv"
     write_dataset(path, series)
     data = path.read_bytes()
-    if ending == "trailing_kv":
+    if request.param == "trailing_kv":
         path.write_bytes(data + b"# rows=86400\n")
     else:
         path.write_bytes(data.replace(b"\n", b"\r"))
@@ -564,8 +563,42 @@ def test_dataset_body_the_kernel_refuses_read_without_its_text(tmp_path, ending)
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert loaded.channels.tobytes() == series.channels.tobytes()
+    return series.channels, loaded, read_peak
+
+
+def test_dataset_body_the_kernel_refuses_read_without_its_text(walked_record):
+    # The walk reads a row at a time: its read holds the float block and the
+    # channels, not the body as text (29.3 and 25.8 MB traced when it did).
+    channels, loaded, read_peak = walked_record
+    assert loaded.channels.tobytes() == channels.tobytes()
     assert read_peak < 5e6, read_peak
+
+
+def test_dataset_write_holds_less_than_half_a_channel_copy(tmp_path):
+    # A 60 s record is rendered a block of at most _BLOCK_CELLS cells at a
+    # time, so its write holds less than half a channel copy, the slot rows
+    # of a block included.  A short record first builds the kernel's tables,
+    # which are cached for the process.
+    rng = np.random.RandomState(78)
+    series = TimeSeries(sample_rate_hz=1440.0, channels=rng.randn(3, 60 * 1440))
+    write_dataset(tmp_path / "warm.csv", TimeSeries(1440.0, series.channels[:, :2]))
+    tracemalloc.start()
+    try:
+        write_dataset(tmp_path / "record.csv", series)
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 0.5 * series.channels.nbytes, (write_peak, series.channels.nbytes)
+
+
+def test_dataset_row_walk_fills_the_channels_in_place(walked_record):
+    # The walk fills the (3, rows) block that becomes the channels, so its
+    # read holds one channel copy and a row's text, not a second, transposed
+    # copy.
+    channels, loaded, read_peak = walked_record
+    assert loaded.channels.tobytes() == channels.tobytes()
+    assert loaded.channels.flags.c_contiguous
+    assert read_peak < 1.5 * channels.nbytes, (read_peak, channels.nbytes)
 
 
 def test_padded_labels_rejected_on_write(tmp_path):
@@ -1485,6 +1518,67 @@ def test_csv_writers_golden_bytes(tmp_path, name):
     assert path.read_bytes() == text.encode("utf-8")
 
 
+def test_csv_writers_bytes_do_not_depend_on_the_block_bound(tmp_path, monkeypatch):
+    # Tables of several default blocks, with zeros, -0.0 and magnitudes from
+    # 1e-9 to 1e18, so kernel and ``%`` cells share a block; bounds of 1, 2
+    # and 7 cells render one or two rows per block.
+    rng = np.random.default_rng(84)
+
+    def mixed(*shape):
+        values = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-9, 19, shape)
+        values.flat[::17] = 0.0
+        values.flat[5::23] = -0.0
+        return values
+
+    channels, features = mixed(3, 2500), mixed(300, 23)
+    names = tuple(f"f{k}" for k in range(23))
+    labels = [("flat", "é", "日本語", "sand-wet", "x")[k % 5] for k in range(500)]
+    classes = tuple(f"class{k}" for k in range(12))
+    counts = rng.integers(0, 10**6, (12, 12))
+    distances = np.abs(mixed(2, 12))
+    lambdas = np.abs(mixed(400, 3))
+    magnitudes = np.abs(mixed(2049))
+    windows = rng.integers(0, 10**6, (500, 3)).tolist()
+    writers = {
+        "dataset": lambda path: write_dataset(path, TimeSeries(1440.0, channels, "gravel")),
+        "features": lambda path: write_features(path, features, names, labels[:300], "L1"),
+        "features_unlabeled": lambda path: write_features(path, features, names),
+        "confusion": lambda path: write_confusion(
+            path, ConfusionMatrix(classes, counts), THIRD
+        ),
+        "distances": lambda path: write_distance_report(path, DistanceReport(
+            classes, distances[0], distances[1], "class3", "class7", True
+        )),
+        "eigen": lambda path: write_eigen_report(path, [
+            (k, EigenSignature(*row), labels[k] if k % 3 else None)
+            for k, row in enumerate(lambdas.tolist())
+        ]),
+        "spectrum": lambda path: write_spectrum(path, Spectrum(0.1, magnitudes)),
+        "predictions": lambda path: write_predictions(path, [
+            (*row, labels[k]) for k, row in enumerate(windows)
+        ]),
+    }
+    render_rows = formats._render_rows
+    largest = []  # cells of each block rendered, and of one of its rows
+
+    def recording(*columns):
+        width = sum(1 if isinstance(c, list) or np.ndim(c) == 1 else c.shape[1] for c in columns)
+        largest.append((len(columns[0]) * width, width))
+        return render_rows(*columns)
+
+    monkeypatch.setattr(formats, "_render_rows", recording)
+    texts = {}
+    for bound in (1, 2, 7, formats._BLOCK_CELLS):
+        monkeypatch.setattr(formats, "_BLOCK_CELLS", bound)
+        for name, write in writers.items():
+            largest.clear()
+            path = tmp_path / f"{name}.csv"
+            write(path)
+            texts.setdefault(name, set()).add(path.read_bytes())
+            assert all(cells <= max(bound, width) for cells, width in largest), (name, bound)
+    assert {name: len(found) for name, found in texts.items()} == dict.fromkeys(writers, 1)
+
+
 # The dataset golden bytes of the v1 writer, with its t = k / rate column.
 DATASET_V1 = (
     "# sample_rate_hz=3\n# format=spokesense-dataset v1\n# label=gravel\nt,ch1,ch2,ch3\n"
@@ -1611,7 +1705,7 @@ def test_render_rows_matches_template_on_mixed_tables():
 def test_render_rows_kernel_takes_every_in_range_cell(monkeypatch):
     # format_float renders only zeros, non-finite and out-of-range cells, so
     # a block of N(0, 0.3) cells in [1e-6, 1e17) never reaches it.
-    block = np.random.default_rng(83).normal(0.0, 0.3, (formats._ROWS, 3))
+    block = np.random.default_rng(83).normal(0.0, 0.3, (4096, 3))
     assert (np.abs(block) >= 1e-6).all()
     want = template_render_rows(block)
 

@@ -36,7 +36,7 @@ from spokesense.signals import (
     segment_windows,
     window_geometry,
     _irfft,
-    _rfft,
+    _padded_rfft,
 )
 
 
@@ -435,7 +435,7 @@ def test_rfft_round_trip():
     for levels in range(1, 18):
         x = rng.randn(1 << levels) * 10.0 ** rng.uniform(-3, 3)
         before = x.copy()
-        spectrum = _rfft(x)  # transforms a complex view of x's buffer
+        spectrum = _padded_rfft(x, x.shape[0])  # pads x into a buffer of its own
         assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
         assert spectrum.shape == (x.shape[0] // 2 + 1,)
         assert np.abs(_irfft(spectrum) - x).max() <= 1e-12 * np.abs(x).max()
@@ -446,7 +446,7 @@ def test_rfft_matches_complex_transform():
     for levels in range(1, 18):
         x = rng.randn(1 << levels)
         full = loop_fft(x)[: x.shape[0] // 2 + 1]
-        assert np.abs(_rfft(x) - full).max() <= 1e-12 * np.abs(full).max()
+        assert np.abs(_padded_rfft(x, x.shape[0]) - full).max() <= 1e-12 * np.abs(full).max()
 
 
 def test_dft_magnitude_matches_complex_path():
