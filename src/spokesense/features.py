@@ -12,8 +12,8 @@ functions of the same names wrap them as one-row blocks.  On a zero-variance
 channel kurtosis and skewness read 0.0 and flag the vector degenerate (the
 public ones raise).  The resulting 18-dimensional vector can be extended with
 four extra descriptors aimed at periodicity and impulsiveness, whose window
-sizes are fixed: the autocorrelation scan starts at lag 1 and the envelope is
-a 32-sample moving rms.
+sizes are fixed: the autocorrelation peak is the first from lag 1 (by direct lag
+products to lag 17, else the transform); the envelope is a 32-sample moving rms.
 """
 
 from __future__ import annotations
@@ -173,9 +173,9 @@ def _central_moments(block: np.ndarray) -> _Moments:
     flat = m2 == 0.0
     safe = np.where(flat, 1.0, m2)
     kurt = np.where(flat, 0.0, np.add.reduce(squared * squared, axis=1) / n / (safe * safe) - 3.0)
-    # Python's float power: numpy's vectorized ** 1.5 can differ in the last bit.
+    # numpy's scalar power: libm's, as Python's is, but inf on overflow; ** on arrays moves bits.
     m3 = np.add.reduce(squared * centered, axis=1) / n
-    skew = np.where(flat, 0.0, m3 / [v**1.5 for v in safe.tolist()])
+    skew = np.where(flat, 0.0, m3 / [v**1.5 for v in safe])
     return _Moments(np.sqrt(energy / n), np.sqrt(m2), kurt, skew, energy, flat)
 
 
@@ -263,21 +263,41 @@ def autocorrelation_peak(x) -> AutocorrPeak:
     """First local maximum of the biased normalized autocorrelation.
 
     The input is mean-removed; r(0) = 1 by construction.  Scans lags
-    t >= 1 for the first r(t) with r(t) > r(t-1) and r(t) >= r(t+1).
-    Returns (0, 1.0, False) when no local maximum exists.
+    t >= 1 for the first r(t) with r(t) > r(t-1) and r(t) >= r(t+1), over
+    direct lag products to lag 17 and, only if none is found there, over a
+    transform.  Returns (0, 1.0, False) when no local maximum exists.
     """
-    arr = _finite_array(x, "samples", (None,), min_len=8)
-    centered = arr - arr.mean()
-    denom = float(np.sum(centered * centered))
-    if denom == 0.0:
+    lags, values, flat = _autocorr_peak_rows(_finite_array(x, "samples", (None,), min_len=8)[None])
+    if flat[0]:
         raise DegenerateInputError("autocorrelation undefined for zero-variance input")
-    n = centered.shape[0]
-    power = np.abs(_padded_rfft(centered, next_pow2(2 * n))) ** 2
-    corr = _irfft(power)[:n] / denom
-    for lag in range(1, n - 1):
-        if corr[lag] > corr[lag - 1] and corr[lag] >= corr[lag + 1]:
-            return AutocorrPeak(lag=lag, value=float(corr[lag]), found=True)
-    return AutocorrPeak(lag=0, value=1.0, found=False)
+    return AutocorrPeak(lag=int(lags[0]), value=float(values[0]), found=bool(lags[0]))
+
+
+def _first_peaks(corr: np.ndarray) -> np.ndarray:
+    """Per row, the first lag t >= 1 with corr[t] > corr[t-1] and corr[t] >= corr[t+1], or 0."""
+    peak = (corr[:, 1:-1] > corr[:, :-2]) & (corr[:, 1:-1] >= corr[:, 2:])
+    return np.where(peak.any(axis=1), peak.argmax(axis=1) + 1, 0)
+
+
+def _autocorr_peak_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """autocorrelation_peak of each row of the (rows, n >= 8) block: lags (0 if none), values
+    (1.0 if zero-variance, NaN if r overflows) and zero-variance flags, by the public rule."""
+    n = block.shape[1]
+    centered = block - np.add.reduce(block, axis=1, keepdims=True) / n
+    products = np.empty_like(centered)  # r(t) of each row: its lag-t products, summed pairwise
+    pairs = ((centered[:, :n - t], centered[:, t:], products[:, t:]) for t in range(min(18, n)))
+    denom, *lagged = [np.add.reduce(np.multiply(a, b, out=out), axis=1) for a, b, out in pairs]
+    safe = np.where(denom == 0.0, 1.0, denom)[:, None]
+    corr = np.column_stack([safe, *lagged]) / safe  # r(0) is 1.0 on a zero-variance row too
+    lags = _first_peaks(corr)
+    values = corr[np.arange(len(corr)), lags]
+    redo = np.flatnonzero((lags == 0) & (0.0 < denom) & (denom < np.inf))
+    if redo.size:
+        power = np.abs(_padded_rfft(centered[redo], next_pow2(2 * n))) ** 2
+        full = _irfft(power)[:, :n] / denom[redo, None]
+        lags[redo] = _first_peaks(full)
+        values[redo] = np.where(lags[redo] > 0, full[np.arange(redo.size), lags[redo]], 1.0)
+    return lags, values, denom == 0.0
 
 
 def amplitude_smoothness(x) -> float:
@@ -288,15 +308,12 @@ def amplitude_smoothness(x) -> float:
     """
     arr = _finite_array(x, "samples", (None,), min_len=2)
     w = min(32, arr.shape[0])
-    squares = arr * arr
-    csum = np.concatenate(([0.0], np.cumsum(squares)))
-    window_means = (csum[w:] - csum[:-w]) / w
-    envelope = np.sqrt(np.maximum(window_means, 0.0))
-    mean_env = float(envelope.mean())
+    csum = np.concatenate(([0.0], np.cumsum(arr * arr)))
+    envelope = np.sqrt(np.maximum((csum[w:] - csum[:-w]) / w, 0.0))
     if envelope.shape[0] < 2:
         return 1.0
-    mean_step = float(np.abs(np.diff(envelope)).mean())
-    return 1.0 / (1.0 + mean_step / (mean_env + 1e-12))
+    mean_step = np.abs(np.diff(envelope)).mean()
+    return float(1.0 / (1.0 + mean_step / (envelope.mean() + 1e-12)))
 
 
 @dataclass(eq=False)
@@ -312,15 +329,15 @@ class FeatureVector:
 _CHUNK_WINDOWS = 16
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _record_features(
     series: TimeSeries, windows: list[Window], config: FeatureConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows of equal-length windows of one record and their
-    degenerate flags, computed over blocks of ``_CHUNK_WINDOWS`` windows."""
+    """Feature rows of equal-length windows of one record and their degenerate flags,
+    over blocks of ``_CHUNK_WINDOWS`` windows; a non-finite feature refuses the record."""
     length = _count(windows[0].length, "window length for kurtosis", 4)
     if config.include_position_extras:
         _count(length, "window length for the extras", 8)
-    rate = series.sample_rate_hz
     values = np.empty((len(windows), config.n_features))
     degenerate = np.zeros(len(windows), dtype=bool)
     # Every length-sample window of each channel, as views; a block's rows are copied out of them.
@@ -331,7 +348,7 @@ def _record_features(
         starts = [w.start_index for w in windows[part]]
         filtered_by_channel = []
         for c in range(3):
-            filtered = _bandpass_rows(by_start[c][starts], rate, config.bands[c])
+            filtered = _bandpass_rows(by_start[c][starts], series.sample_rate_hz, config.bands[c])
             filtered -= np.add.reduce(filtered, axis=1, keepdims=True) / length
             filtered_by_channel.append(filtered)
             moments = _central_moments(filtered)
@@ -339,19 +356,17 @@ def _record_features(
             rows[:, 6 * c:6 * c + 5] = np.column_stack(moments[:5])
             rows[:, 6 * c + 5] = _entropy_rows(filtered, config.entropy_bins)
         if config.include_position_extras:
-            for k, mid in enumerate(filtered_by_channel[1]):
-                try:
-                    rows[k, 18] = autocorrelation_peak(mid).value
-                except DegenerateInputError:
-                    rows[k, 18] = 1.0
-                    flags[k] = True
-                rows[k, 19] = amplitude_smoothness(mid)
+            rows[:, 18] = _autocorr_peak_rows(filtered_by_channel[1])[1]  # 1.0 if flat, as flagged
+            rows[:, 19] = [amplitude_smoothness(mid) for mid in filtered_by_channel[1]]
             rows[:, 20] = moments.std  # the high band is channel 3, the last one above
             raw_spoke = by_start[2][starts]
             raw_spoke -= np.add.reduce(raw_spoke, axis=1, keepdims=True) / length
             spike = _central_moments(raw_spoke)
             flags |= spike.degenerate
             rows[:, 21] = spike.kurtosis
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):  # NaN reaches both
+        record = "an unlabeled record" if series.label is None else f"record {series.label!r}"
+        raise ValidationError(f"features of {record} overflow the double range")
     return values, degenerate
 
 

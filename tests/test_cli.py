@@ -6,6 +6,7 @@ files left behind, and agreement with the library called directly.
 
 import inspect
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,37 @@ def test_extract_rejects_mixed_labeling(tmp_path, capsys):
     assert run("extract", labeled, bare, "--out", out) == 1
     assert "label" in capsys.readouterr().err
     assert not (out / "features.csv").exists()
+
+
+def test_overflowing_record_fails_typed(tmp_path, capsys):
+    # Finite samples whose window statistics overflow the double range: kurtosis at
+    # 1e80, the skewness's m2**1.5 at 1e150.  extract, with and without the extras,
+    # and classify by an extras model each exit 1 with one error naming the record,
+    # no warning and no output file.
+    datasets = [simulate(tmp_path, "flat", 21, subdir="a"),
+                simulate(tmp_path, "small_stone", 22, subdir="b")]
+    features = extract(tmp_path, datasets, "features", "--extras")
+    assert run("train", features, "--out", tmp_path / "model") == 0
+    rng = np.random.RandomState(30)
+    for scale in (1e80, 1e150):
+        loud = tmp_path / f"loud_{scale:g}.csv"
+        channels = rng.randn(3, 4000) * scale
+        formats.write_dataset(loud, signals.TimeSeries(1440.0, channels, label="loud"))
+        commands = [
+            ("extract", loud),
+            ("extract", loud, "--extras"),
+            ("classify", loud, "--model", tmp_path / "model" / "model.json"),
+        ]
+        for k, argv in enumerate(commands):
+            out = tmp_path / f"out_{scale:g}_{k}"
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(*argv, "--out", out) == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: features of record 'loud' overflow the double range"], argv
+            assert caught == [], (argv, [str(w.message) for w in caught])
+            assert not out.exists(), argv
 
 
 # ------------------------------------------------- train / classify / evaluate

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spokesense import signals
+from spokesense import features, signals
 from spokesense.errors import EmptyInputError, ValidationError
 from spokesense.features import (
     AutocorrPeak,
@@ -495,6 +495,72 @@ def test_autocorrelation_matches_complex_path():
             slow = complex_autocorrelation_peak(x)
             assert (fast.lag, fast.found) == (slow.lag, slow.found), n
             assert abs(fast.value - slow.value) <= 1e-12, n
+
+
+def test_autocorr_peak_rows_match_complex_path(criterion_01_data):
+    # Every criterion-1 window's mid band, band-passed and mean-removed as extraction
+    # hands it to the extras, each record's windows as one block.
+    config = FeatureConfig()
+    rows = 0
+    for record in criterion_01_data.records:
+        windows = segment_windows(record, config.window_seconds, config.overlap)
+        block = np.array([
+            remove_mean(bandpass(record.channels[1, w.start_index:w.stop_index],
+                                 record.sample_rate_hz, config.bands[1]))
+            for w in windows
+        ])
+        lags, values, flat = features._autocorr_peak_rows(block)
+        assert not flat.any()
+        for row, lag, value in zip(block, lags, values):
+            slow = complex_autocorrelation_peak(row)
+            assert (lag, lag > 0) == (slow.lag, slow.found)
+            assert abs(value - slow.value) <= 1e-12
+        rows += len(block)
+    assert rows == 400
+
+
+def test_autocorr_peak_rows_mixed_block_match_one_row_calls():
+    # A peak within the direct lags, two rows that take the transform (a first
+    # peak at lag 64, and none at all) and a constant row, in one block.
+    rng = np.random.RandomState(28)
+    t = np.arange(2160)
+    block = np.array([
+        np.sin(2 * np.pi * t / 6.0) + 0.3 * rng.randn(2160),
+        np.sin(2 * np.pi * t / 64.0),
+        np.exp(-t / 40.0),
+        np.full(2160, 3.0),
+    ])
+    lags, values, flat = features._autocorr_peak_rows(block)
+    assert lags.tolist() == [6, 64, 0, 0]
+    assert flat.tolist() == [False, False, False, True]
+    assert values[3] == 1.0
+    for k, row in enumerate(block):
+        one_lags, one_values, one_flat = features._autocorr_peak_rows(block[k:k + 1])
+        assert (one_lags[0], one_flat[0]) == (lags[k], flat[k]), k
+        assert one_values.view(np.uint64)[0] == values.view(np.uint64)[k], k
+        if not flat[k]:
+            peak = autocorrelation_peak(row)
+            assert peak == (lags[k], values[k], lags[k] > 0), k
+            assert np.float64(peak.value).view(np.uint64) == values.view(np.uint64)[k], k
+
+
+def test_extras_transform_only_band_passes(monkeypatch, criterion_01_data):
+    # With the extras on, an extraction's only transforms are its band-passes: one
+    # per channel and block of 16 windows, and none per window for the autocorrelation.
+    calls = []
+    padded_rfft = signals._padded_rfft
+
+    def spy(arr, padded_n):
+        calls.append((arr.shape, padded_n))
+        return padded_rfft(arr, padded_n)
+
+    for module in (signals, features):
+        monkeypatch.setattr(module, "_padded_rfft", spy)
+    config = FeatureConfig(include_position_extras=True)
+    matrix, _, _ = extract_feature_matrix(criterion_01_data.records, config)
+    assert matrix.shape == (400, 22)
+    # 5 records x 5 blocks of 16 windows x 3 channels
+    assert calls == [((16, 2160), 4096)] * 75
 
 
 # ------------------------------------------------------------ remove_mean
